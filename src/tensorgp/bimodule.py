@@ -293,18 +293,19 @@ def iterate_functor(m: Bimodule, i: int, x: LeftModule) -> TensoredModule:
     """The canonical model of the i-th functor power applied to x.
 
     F^0 is the identity (same module, identity projection); for i >= 1 the
-    model is (M^{(x)i}) (x)_R X with the cached power.  Models are fixed
-    once per (i, x) pair.
+    model is (M^{(x)i}) (x)_R X with the cached power.  Models, F^0
+    included, are fixed once per (i, x) pair.
     """
     if i < 0:
         raise BimoduleError("negative functor power")
-    if i == 0:
-        ident = Matrix.identity(m.algebra.field, x.dim)
-        return TensoredModule(None, x, x, ident, ident)
     cache = m._cache.setdefault("model", {})
     key = (i, x)
     if key not in cache:
-        cache[key] = tensor_module(power(m, i).bim, x)
+        if i == 0:
+            ident = Matrix.identity(m.algebra.field, x.dim)
+            cache[key] = TensoredModule(None, x, x, ident, ident)
+        else:
+            cache[key] = tensor_module(power(m, i).bim, x)
     return cache[key]
 
 
@@ -368,14 +369,14 @@ def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     For a = 0 or b = 0 the two models coincide on the nose and the map is
     the identity.  Otherwise the map lifts through the sections to the
     free tensor space, concatenates, and projects back; the result is
-    validated to be a linear isomorphism.
+    validated to be a linear isomorphism.  Both kinds are memoised.
     """
-    if a == 0 or b == 0:
-        target = iterate_functor(m, a + b, x).result
-        return ModuleMap.identity(target)
     cache = m._cache.setdefault("graft", {})
     key = (a, b, x)
     if key in cache:
+        return cache[key]
+    if a == 0 or b == 0:
+        cache[key] = ModuleMap.identity(iterate_functor(m, a + b, x).result)
         return cache[key]
     fbx = iterate_functor(m, b, x)
     outer = iterate_functor(m, a, fbx.result)

@@ -347,6 +347,9 @@ def cmd_hunt(args) -> int:
     if doc.get("kind") != "bundle":
         _say(f"{args.bundle}: expected a bundle file")
         return EXIT_INVALID
+    if args.max_rank < 0:
+        _say(f"--max-rank must be non-negative, got {args.max_rank}")
+        return EXIT_INVALID
     ring = formats.bundle_from_doc(doc)
     try:
         catalog = hunt_strongly_gp(ring, args.max_rank, budget=args.budget)

@@ -314,6 +314,14 @@ def window_to_doc(w: ResolutionWindow) -> dict:
     return node
 
 
+def _lo_from(node: dict, where: str) -> int:
+    """The optional first index of a window or complex section, default 0."""
+    lo = node.get("lo", 0)
+    if not isinstance(lo, int) or isinstance(lo, bool):
+        raise FormatError(where, f"expected an integer, got {lo!r}")
+    return lo
+
+
 def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
     if doc.get("kind") != "window":
         raise FormatError(where, f"expected kind 'window', got {doc.get('kind')!r}")
@@ -321,7 +329,7 @@ def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
     node = doc.get("window")
     if not isinstance(node, dict):
         raise FormatError(where, "missing window section")
-    lo = node.get("lo", 0)
+    lo = _lo_from(node, f"{where}.lo")
     ranks = node.get("ranks")
     maps_node = node.get("maps")
     period = node.get("period")
@@ -390,6 +398,7 @@ def complex_from_doc(doc, where: str = "complex"):
     maps_node = node.get("maps")
     if not isinstance(ranks, list) or not isinstance(maps_node, list):
         raise FormatError(where, "complex needs ranks and maps")
+    lo = _lo_from(node, f"{where}.lo")
     maps = []
     for t, mnode in enumerate(maps_node):
         mat = matrix_from_doc(field, mnode, f"{where}.maps[{t}]")
@@ -403,8 +412,8 @@ def complex_from_doc(doc, where: str = "complex"):
         pc = complex_window(maps, period=node.get("period"))
     except Exception as exc:
         raise FormatError(where, str(exc))
-    if pc.lo != node.get("lo", 0):
-        pc = ResolutionWindow(pc.ring, node.get("lo", 0), pc.ranks, pc.maps, pc.period)
+    if pc.lo != lo:
+        pc = ResolutionWindow(pc.ring, lo, pc.ranks, pc.maps, pc.period)
     return bimodule, levels, pc
 
 
@@ -588,8 +597,9 @@ def morita_from_doc(doc, where: str = "morita"):
         raise FormatError(where, "missing window section")
     ranks_p, ranks_q, tau, sigma, beta, gamma = _context_maps_from_doc(
         d, node, True, f"{where}.window")
+    lo = _lo_from(node, f"{where}.window.lo")
     try:
-        w = MoritaWindow(node.get("lo", 0), tuple(ranks_p), tuple(ranks_q),
+        w = MoritaWindow(lo, tuple(ranks_p), tuple(ranks_q),
                          tuple(tau), tuple(sigma), tuple(beta), tuple(gamma),
                          period=node.get("period"))
     except Exception as exc:
@@ -635,8 +645,9 @@ def triangular_from_doc(doc, where: str = "triangular"):
         raise FormatError(where, "missing window section")
     ranks_p, ranks_q, tau, sigma, beta, _ = _context_maps_from_doc(
         d, node, False, f"{where}.window")
+    lo = _lo_from(node, f"{where}.window.lo")
     try:
-        w = TriangularWindow(node.get("lo", 0), tuple(ranks_p), tuple(ranks_q),
+        w = TriangularWindow(lo, tuple(ranks_p), tuple(ranks_q),
                              tuple(tau), tuple(sigma), tuple(beta),
                              period=node.get("period"))
     except Exception as exc:

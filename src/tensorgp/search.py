@@ -6,7 +6,10 @@ enumerator walks that space in lexicographic coordinate order over a
 finite field, aborting before work starts if the candidate count exceeds
 the budget.  The strongly-periodic hunter classifies every candidate and
 returns a catalog deduplicated by dimension signature, with one
-re-verifiable representative per signature.
+re-verifiable representative per signature.  Classification is staged:
+SC1 (the square vanishes) decides the candidates that fail it, and only
+SC1 survivors and each group's representative run the full one-periodic
+check.
 
 The random generators are seeded and reproducible: identical seeds give
 byte-identical results.
@@ -23,7 +26,12 @@ from typing import Iterator
 from tensorgp.exactlin import Matrix
 from tensorgp.algebra import LeftModule, ModuleMap, free_hom_basis, hom_space
 from tensorgp.tensor_ring import StarMorphism, TensorRing
-from tensorgp.resolution import ResolutionWindow, check_strongly_gp
+from tensorgp.resolution import (
+    InternalCheckError,
+    ResolutionWindow,
+    check_c1,
+    check_strongly_gp,
+)
 
 
 class BudgetExceeded(Exception):
@@ -106,35 +114,52 @@ class Catalog:
         return tuple(g for g in self.groups if g.passed)
 
 
+def _classify(ring: TensorRing, candidates) -> Catalog:
+    """Group (rank, candidate) pairs by (rank, kernel dimension, verdict).
+
+    SC1 runs first: a candidate whose square does not vanish fails the
+    one-periodic check whatever SC2 and SC3 say, so only SC1 survivors get
+    the full check.  A failing candidate that opens a new group gets it
+    too, and must fail it, so every stored representative is certified by
+    the full check.  Representatives are the first candidate of each group.
+    """
+    groups = {}
+    total = 0
+    for rank, s in candidates:
+        c1_passed, _ = check_c1(s, s)
+        passed = c1_passed and check_strongly_gp(s).passed
+        kernel_dim = ring.ind_free(rank).x.dim - ring.assemble_star(s).mat.rank()
+        key = (rank, kernel_dim, passed)
+        g = groups.get(key)
+        if g is None:
+            if not c1_passed and check_strongly_gp(s).passed:
+                raise InternalCheckError("the full check passes a candidate that fails SC1")
+            groups[key] = CatalogGroup(rank, kernel_dim, passed, 1,
+                                       tuple(c.mat for c in s.components))
+        else:
+            groups[key] = CatalogGroup(g.rank, g.kernel_dim, g.passed,
+                                       g.count + 1, g.representative)
+        total += 1
+    ordered = tuple(groups[k] for k in sorted(groups))
+    return Catalog(total, ordered)
+
+
 def hunt_strongly_gp(ring: TensorRing, max_rank: int,
                      budget: int = DEFAULT_BUDGET) -> Catalog:
     """Classify every one-periodic candidate up to the given rank.
 
-    Each candidate is run through the full one-periodic check; the catalog
-    groups results by (rank, kernel dimension, verdict).  Representatives
-    re-verify on reload.
+    The catalog groups candidates by (rank, kernel dimension, verdict).
+    Candidates that fail SC1 are decided by it; SC1 survivors and every
+    group's representative run the full one-periodic check.
+    Representatives re-verify on reload.
     """
-    total = 0
+    if max_rank < 0:
+        raise ValueError(f"negative max_rank {max_rank}")
     needed = sum(count_star(ring, r, r) for r in range(max_rank + 1))
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    groups = {}
-    for rank in range(max_rank + 1):
-        ind_dim = ring.ind_free(rank).x.dim
-        for s in enumerate_star(ring, rank, rank, budget):
-            report = check_strongly_gp(s)
-            kernel_dim = ind_dim - ring.assemble_star(s).mat.rank()
-            key = (rank, kernel_dim, report.passed)
-            if key in groups:
-                g = groups[key]
-                groups[key] = CatalogGroup(g.rank, g.kernel_dim, g.passed,
-                                           g.count + 1, g.representative)
-            else:
-                groups[key] = CatalogGroup(rank, kernel_dim, report.passed, 1,
-                                           tuple(c.mat for c in s.components))
-            total += 1
-    ordered = tuple(groups[k] for k in sorted(groups))
-    return Catalog(total, ordered)
+    return _classify(ring, ((rank, s) for rank in range(max_rank + 1)
+                            for s in enumerate_star(ring, rank, rank, budget)))
 
 
 def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
@@ -156,25 +181,16 @@ def sample_strongly_gp(ring: TensorRing, max_rank: int, samples: int,
                        seed: int) -> Catalog:
     """Seeded random variant of :func:`hunt_strongly_gp` for spaces too
     large to exhaust; classification and grouping are identical."""
+    if max_rank < 0:
+        raise ValueError(f"negative max_rank {max_rank}")
     rng = random.Random(seed)
-    groups = {}
-    total = 0
-    for _ in range(samples):
-        rank = rng.randrange(max_rank + 1)
-        s = random_star(ring, rank, rank, rng)
-        report = check_strongly_gp(s)
-        kernel_dim = ring.ind_free(rank).x.dim - ring.assemble_star(s).mat.rank()
-        key = (rank, kernel_dim, report.passed)
-        if key in groups:
-            g = groups[key]
-            groups[key] = CatalogGroup(g.rank, g.kernel_dim, g.passed,
-                                       g.count + 1, g.representative)
-        else:
-            groups[key] = CatalogGroup(rank, kernel_dim, report.passed, 1,
-                                       tuple(c.mat for c in s.components))
-        total += 1
-    ordered = tuple(groups[k] for k in sorted(groups))
-    return Catalog(total, ordered)
+
+    def draws():
+        for _ in range(samples):
+            rank = rng.randrange(max_rank + 1)
+            yield rank, random_star(ring, rank, rank, rng)
+
+    return _classify(ring, draws())
 
 
 # -- seeded random generation --------------------------------------------------

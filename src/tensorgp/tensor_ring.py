@@ -267,7 +267,7 @@ class TensorRing:
                     cells.append(g.mat @ lifted.mat)
             rows.append(hstack(cells))
         big = vstack(rows)
-        return TMorphism(self.ind(p), self.ind(q), big)
+        return TMorphism(self.ind_free(s.source_rank), self.ind_free(s.target_rank), big)
 
     def decompose_star(self, t: "TMorphism") -> "StarMorphism":
         """Read the components of a morphism between induced free modules

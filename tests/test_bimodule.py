@@ -298,6 +298,15 @@ class TestGraft:
         assert graft(m, 0, 1, x).mat == Matrix.identity(F2, iterate_functor(m, 1, x).result.dim)
         assert graft(m, 1, 0, x).mat == Matrix.identity(F2, iterate_functor(m, 1, x).result.dim)
 
+    def test_identity_grafts_and_zeroth_model_are_memoised(self):
+        m = corner_bimodule(F2)
+        x = free_module(m.algebra, 1)
+        assert graft(m, 0, 1, x) is graft(m, 0, 1, x)
+        assert graft(m, 1, 0, x) is graft(m, 1, 0, x)
+        assert graft_inverse(m, 0, 1, x) is graft(m, 0, 1, x)
+        assert iterate_functor(m, 0, x) is iterate_functor(m, 0, x)
+        assert iterate_functor(m, 0, x).result == x
+
     def test_graft_inverse(self):
         m = path_bimodule(F2, 4)
         x = free_module(m.algebra, 1)

@@ -61,6 +61,29 @@ class TestValidate:
     def test_missing_file(self):
         assert main(["validate", "no_such_file.yaml"]) == 2
 
+    @pytest.mark.parametrize("name", ["trivext_window.yaml", "semisimple_complex.yaml"])
+    def test_non_integer_lo_refused(self, tmp_path, capsys, name):
+        text = Path(fixture(name)).read_text()
+        assert "  lo: 0\n" in text
+        bad = tmp_path / name
+        bad.write_text(text.replace("  lo: 0\n", "  lo: a\n"))
+        assert main(["validate", str(bad)]) == 2
+        assert ".lo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["morita", "triangular"])
+    def test_non_integer_lo_refused_in_context_windows(self, kind):
+        rng = random.Random(13)
+        if kind == "morita":
+            d = random_morita_data(rng, F2)
+            doc = formats.morita_to_doc(d, random_morita_window(d, rng, max_rank=1))
+        else:
+            d = random_triangular_data(rng, F2)
+            doc = formats.triangular_to_doc(d, random_triangular_window(d, rng, max_rank=1))
+        doc = formats.load(formats.render(doc))
+        doc["window"]["lo"] = True
+        with pytest.raises(formats.FormatError, match="window.lo"):
+            getattr(formats, f"{kind}_from_doc")(doc)
+
 
 class TestCheck:
     def test_x_window_passes(self, tmp_path, capsys):
@@ -98,6 +121,16 @@ class TestCheck:
                      "--output", str(out)]) == 0
         upgraded = yaml.safe_load(out.read_text())
         assert upgraded["window_local"] is False
+
+    def test_non_integer_lo_is_invalid_input(self, tmp_path, capsys):
+        text = Path(fixture("x_window.yaml")).read_text()
+        assert "  lo: 0\n" in text
+        bad = tmp_path / "bad_lo.yaml"
+        bad.write_text(text.replace("  lo: 0\n", "  lo: a\n"))
+        assert main(["check", str(bad)]) == 2
+        assert "window.lo" in capsys.readouterr().err
+        bad.write_text(text.replace("  lo: 0\n", "  lo: true\n"))
+        assert main(["check", str(bad)]) == 2
 
 
 class TestExtractAndStrong:
@@ -212,6 +245,10 @@ class TestHunt:
                      "--budget", "100", "--seed", "7", "--output", str(out)]) == 0
         doc = yaml.safe_load(out.read_text())
         assert doc["total"] == 100
+
+    def test_negative_max_rank_refused(self, capsys):
+        assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "-1"]) == 2
+        assert "max-rank" in capsys.readouterr().err
 
     def test_catalog_reverifies_after_reload(self, tmp_path):
         from tensorgp.search import reverify_catalog

@@ -2,16 +2,20 @@
 isomorphism search."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import tensorgp.search as search
 from tensorgp.exactlin import Matrix
 from tensorgp.algebra import LeftModule, free_module
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import TensorRing
+from tensorgp.resolution import InternalCheckError, check_c1, check_strongly_gp
 from tensorgp.search import (
     BudgetExceeded,
     Catalog,
+    CatalogGroup,
     count_star,
     enumerate_star,
     hunt_strongly_gp,
@@ -19,6 +23,7 @@ from tensorgp.search import (
     random_star,
     random_window,
     reverify_catalog,
+    sample_strongly_gp,
 )
 
 from helpers import (
@@ -27,6 +32,7 @@ from helpers import (
     corner_bimodule,
     dual_numbers,
     ground_algebra,
+    path_bimodule,
     product_fields,
     simple_over_product,
 )
@@ -45,6 +51,50 @@ def triangular_ring():
 def semisimple_ring():
     r = product_fields(F2, 2)
     return TensorRing(r, zero_bimodule(r), 0)
+
+
+def ground_ring():
+    r = ground_algebra(F2)
+    return TensorRing(r, zero_bimodule(r), 0)
+
+
+def path_ring():
+    m = path_bimodule(F2, 3)
+    return TensorRing(m.algebra, m, 2)
+
+
+def exhaustive(ring, max_rank):
+    return [(rank, s) for rank in range(max_rank + 1)
+            for s in enumerate_star(ring, rank, rank)]
+
+
+def sampled(ring, max_rank, samples, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        rank = rng.randrange(max_rank + 1)
+        out.append((rank, random_star(ring, rank, rank, rng)))
+    return out
+
+
+def reference_keys(ring, candidates):
+    """(rank, kernel dimension, verdict) of every candidate, each verdict
+    from the full one-periodic check."""
+    return [(rank,
+             ring.ind_free(rank).x.dim - ring.assemble_star(s).mat.rank(),
+             check_strongly_gp(s).passed)
+            for rank, s in candidates]
+
+
+def reference_catalog(ring, candidates):
+    groups = {}
+    for (rank, s), key in zip(candidates, reference_keys(ring, candidates)):
+        if key in groups:
+            g = groups[key]
+            groups[key] = CatalogGroup(*key, g.count + 1, g.representative)
+        else:
+            groups[key] = CatalogGroup(*key, 1, tuple(c.mat for c in s.components))
+    return Catalog(len(candidates), tuple(groups[k] for k in sorted(groups)))
 
 
 class TestEnumerate:
@@ -112,6 +162,59 @@ class TestHunt:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             hunt_strongly_gp(triangular_ring(), 2, budget=100)
+
+    def test_negative_max_rank_refused(self):
+        with pytest.raises(ValueError):
+            hunt_strongly_gp(triangular_ring(), -1)
+
+    def test_sample_negative_max_rank_refused(self):
+        with pytest.raises(ValueError):
+            sample_strongly_gp(triangular_ring(), -1, 10, seed=1)
+
+
+class TestStagedClassifier:
+    """The hunter decides SC1 failures without the full check; its catalogs
+    must equal those built from the full check on every candidate."""
+
+    @pytest.mark.parametrize("make_ring, max_rank", [
+        (ground_ring, 2),
+        (dual_ring, 1),
+        (triangular_ring, 1),
+        (path_ring, 1),
+    ])
+    def test_hunt_matches_full_check_reference(self, make_ring, max_rank):
+        ring = make_ring()
+        expected = reference_catalog(ring, exhaustive(ring, max_rank))
+        assert hunt_strongly_gp(ring, max_rank) == expected
+
+    def test_sample_matches_full_check_reference(self):
+        ring = triangular_ring()
+        expected = reference_catalog(ring, sampled(ring, 2, 40, seed=3))
+        assert sample_strongly_gp(ring, 2, 40, seed=3) == expected
+
+    def test_full_checks_only_on_survivors_and_new_groups(self, monkeypatch):
+        ring = triangular_ring()
+        candidates = exhaustive(ring, 1)
+        expected = 0
+        seen = set()
+        for (rank, s), key in zip(candidates, reference_keys(ring, candidates)):
+            if check_c1(s, s)[0] or key not in seen:
+                expected += 1
+            seen.add(key)
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return check_strongly_gp(s)
+
+        monkeypatch.setattr(search, "check_strongly_gp", counting)
+        hunt_strongly_gp(ring, 1)
+        assert len(calls) == expected < len(candidates)
+
+    def test_full_check_passing_an_sc1_failure_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(search, "check_strongly_gp", lambda s: SimpleNamespace(passed=True))
+        with pytest.raises(InternalCheckError):
+            hunt_strongly_gp(dual_ring(), 1)
 
 
 class TestRandomWindow:

@@ -175,6 +175,13 @@ class TestAssembleStar:
         fa1 = tensor_map(ring.bimodule, a1, ring.model(1, p), ring.model(1, p))
         assert tm.mat.block(2, 3, 2, 3) == fa1.mat
 
+    def test_endpoints_are_the_cached_induced_frees(self):
+        ring = triangular_ring()
+        s = StarMorphism.zero(ring, 1, 2)
+        tm = ring.assemble_star(s)
+        assert tm.source is ring.ind_free(1)
+        assert tm.target is ring.ind_free(2)
+
     def test_assembled_composition_matches_matrix_product(self):
         # composing two component lists through the big matrices stays
         # lower triangular and is again determined by the first column
