@@ -28,7 +28,6 @@ from tensorgp.exactlin import (
     kron,
     quotient_maps,
     unvec,
-    vec,
     vstack,
 )
 
@@ -116,14 +115,6 @@ class Algebra:
         object.__setattr__(a, "unit", tuple(field.coerce(v) for v in unit))
         return a
 
-    @staticmethod
-    def from_consts(field: FieldSpec, consts, unit) -> "Algebra":
-        dim = len(consts)
-        return Algebra(field, dim,
-                       tuple(tuple(tuple(field.coerce(v) for v in row) for row in plane)
-                             for plane in consts),
-                       tuple(field.coerce(v) for v in unit))
-
     @cached_property
     def left_mult(self) -> tuple:
         """Matrices L_i of left multiplication by e_i (columns: e_i e_j)."""
@@ -145,19 +136,6 @@ class Algebra:
                 [[self.consts[j][i][k] for j in range(self.dim)] for k in range(self.dim)],
             ))
         return tuple(out)
-
-    @cached_property
-    def unit_column(self) -> Matrix:
-        return Matrix.column(self.field, list(self.unit))
-
-    def multiply(self, u: Matrix, v: Matrix) -> Matrix:
-        """Product of two coordinate columns."""
-        acc = Matrix.zeros(self.field, self.dim, 1)
-        for i in range(self.dim):
-            c = u[i, 0]
-            if c != self.field.zero():
-                acc = acc + (self.left_mult[i] @ v).scale(c)
-        return acc
 
     def __repr__(self):
         return f"Algebra({self.field}, dim={self.dim})"
@@ -235,14 +213,6 @@ class LeftModule:
         object.__setattr__(x, "dim", dim)
         object.__setattr__(x, "action", tuple(action))
         return x
-
-    @cached_property
-    def unit_action(self) -> Matrix:
-        return _unit_matrix(self.algebra.field, self.action, self.algebra.unit)
-
-    def act(self, coords: Matrix) -> Matrix:
-        """Action matrix of the algebra element with the given coordinates."""
-        return _unit_matrix(self.algebra.field, self.action, [coords[i, 0] for i in range(self.algebra.dim)])
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over {self.algebra!r})"

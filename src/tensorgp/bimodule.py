@@ -88,9 +88,6 @@ class Bimodule:
         object.__setattr__(b, "_cache", {})
         return b
 
-    def as_left_module(self) -> LeftModule:
-        return LeftModule(self.algebra, self.dim, self.left_action)
-
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
 
@@ -345,22 +342,6 @@ def concat_mult(m: Bimodule, a: int, b: int) -> Matrix:
         return hstack(cols) if cols else Matrix.zeros(f, pa.bim.dim, 0)
     pab = power(m, a + b)
     return pab.flat_proj @ kron(pa.flat_sect, pb.flat_sect)
-
-
-def flat_module_maps(m: Bimodule, i: int, x: LeftModule):
-    """Flattenings of F^i(x) through the free tensor space, i >= 1.
-
-    Returns (phi, psi) with phi: V_M^{(x)i} (x) V_x -> F^i(x) and psi a
-    section of phi.
-    """
-    if i < 1:
-        raise BimoduleError("flattening needs a positive power")
-    pw = power(m, i)
-    model = iterate_functor(m, i, x)
-    ix = Matrix.identity(m.algebra.field, x.dim)
-    phi = model.projection @ kron(pw.flat_proj, ix)
-    psi = kron(pw.flat_sect, ix) @ model.section
-    return phi, psi
 
 
 def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:

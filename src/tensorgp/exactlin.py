@@ -459,10 +459,6 @@ class Matrix:
 # -- free functions ------------------------------------------------------
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ExactLinError("hstack of nothing")
@@ -538,6 +534,44 @@ def is_exact_pair(f: Matrix, g: Matrix) -> bool:
     return f.rank() == g.cols - g.rank()
 
 
+def lift_or_witness(lifts: Matrix, targets: Matrix) -> Optional[int]:
+    """Index of the first column of ``targets`` outside the column span of
+    ``lifts``, or None when every column lifts.
+
+    One row reduction of [lifts | targets] decides it: the first pivot in
+    the targets part is that column, because every earlier target column
+    has no pivot and so lies in span(lifts).
+    """
+    _check_same_field(lifts, targets)
+    if lifts.rows != targets.rows:
+        raise DimensionMismatch(f"lift: {lifts.shape} vs {targets.shape}")
+    if targets.cols == 0:
+        return None
+    _, pivots = hstack([lifts, targets]).rref()
+    return next((pc - lifts.cols for pc in pivots if pc >= lifts.cols), None)
+
+
+def unlifted_solution(basis_cols: Sequence[Matrix], constraint_cols: Sequence[Matrix],
+                      image) -> Optional[Matrix]:
+    """First column of basis @ ker(constraint) outside the span of image().
+
+    ``basis_cols[i]`` and ``constraint_cols[i]`` are a basis vector and its
+    constraint value; ``image`` is a zero-argument callable returning the
+    columns to lift through, called only when the constraint has a nonzero
+    solution.  Returns None when every solution lifts.
+    """
+    if not basis_cols:
+        return None
+    coords = hstack(constraint_cols).kernel_basis()
+    if coords.cols == 0:
+        return None
+    solutions = hstack(basis_cols) @ coords
+    cols = image()
+    lifts = hstack(cols) if cols else Matrix.zeros(solutions.field, solutions.rows, 0)
+    c = lift_or_witness(lifts, solutions)
+    return None if c is None else solutions.col(c)
+
+
 def quotient_maps(relations: Matrix):
     """Projection and section for the quotient of k^n by a column span.
 
@@ -591,3 +625,16 @@ def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:
         return Matrix._from_np(field, column._data.reshape(cols, rows).T)
     grid = [[column._data[j * rows + i][0] for j in range(cols)] for i in range(rows)]
     return Matrix(field, rows, cols, grid)
+
+
+def unvec_blocks(column: Matrix, shapes: Sequence) -> list:
+    """Inverse of ``vstack([vec(m) for m in mats])`` for matrices of the
+    given (rows, cols) shapes."""
+    if column.cols != 1 or column.rows != sum(r * c for r, c in shapes):
+        raise DimensionMismatch("unvec_blocks: wrong length")
+    mats = []
+    offset = 0
+    for r, c in shapes:
+        mats.append(unvec(column.field, column.take_rows(range(offset, offset + r * c)), r, c))
+        offset += r * c
+    return mats

@@ -17,7 +17,9 @@ each checkable position:
   module, which suffices by additivity).
 
 Every failing verdict carries a witness that re-verifies through the
-low-level matrix operations alone; see :func:`replay_verdict`.
+low-level matrix operations alone; see :func:`replay_verdict`.  The
+witness of C2 and C3 is the first candidate column that does not lift,
+found by one elimination (:func:`tensorgp.exactlin.lift_or_witness`).
 
 Independent oracles: assembled-matrix exactness for C1+C2 and the literal
 Hom-complex homology for C3 (:func:`hom_complex_oracle`).
@@ -28,14 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from tensorgp.exactlin import Matrix, hstack, is_exact_pair, vec, unvec, vstack
+from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, lift_or_witness,
+                               unlifted_solution, unvec, unvec_blocks, vec, vstack)
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
     free_hom_basis,
     submodule_from_columns,
 )
-from tensorgp.bimodule import Bimodule, iterate_functor, iterate_functor_map, zero_bimodule
+from tensorgp.bimodule import (Bimodule, graft, iterate_functor, iterate_functor_map,
+                               zero_bimodule)
 from tensorgp.tensor_ring import (
     StarMorphism,
     TModule,
@@ -139,6 +143,64 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
+class PeriodicIndex:
+    """Integer indices of a window storing ``maps`` maps from ``lo`` and one
+    more rank, repeating with ``period`` when there is one.
+
+    ``error`` is the exception type the owning window raises.
+    """
+
+    lo: int
+    maps: int
+    period: Optional[int]
+    error: type
+
+    def slot(self, k: int) -> int:
+        """Storage slot of index k, unchecked."""
+        t = k - self.lo
+        return t % self.period if self.period is not None else t
+
+    def rank_slot(self, k: int) -> int:
+        t = self.slot(k)
+        if not 0 <= t <= self.maps:
+            raise self.error(f"index {k} outside the window")
+        return t
+
+    def map_slot(self, k: int) -> int:
+        t = self.slot(k)
+        if not 0 <= t < self.maps:
+            raise self.error(f"no map at index {k}")
+        return t
+
+    def positions(self) -> list:
+        """Indices k at which both the map at k-1 and the map at k exist."""
+        if self.period is not None:
+            return list(range(self.lo, self.lo + self.period))
+        return list(range(self.lo + 1, self.lo + self.maps))
+
+
+def periodic_index(lo: int, rank_families, map_families, period, error) -> PeriodicIndex:
+    """Validate window data and index it: the map families have one length
+    n, every rank family n + 1, and a period is an integer in 1..n under
+    which every family repeats where the window overlaps itself."""
+    n = len(map_families[0])
+    if any(len(f) != n for f in map_families):
+        raise error("the map families must have equal length")
+    if any(len(r) != n + 1 for r in rank_families):
+        raise error("need exactly one more rank than maps")
+    if period is not None:
+        if not isinstance(period, int) or isinstance(period, bool):
+            raise error(f"period must be an integer, got {period!r}")
+        if period < 1 or period > n:
+            raise error("period must fit inside the window")
+        for what, families in (("ranks", rank_families), ("maps", map_families)):
+            for f in families:
+                if any(f[t] != f[t + period] for t in range(len(f) - period)):
+                    raise error(f"{what} are not periodic where the window overlaps")
+    return PeriodicIndex(lo, n, period, error)
+
+
+@dataclass(frozen=True)
 class ResolutionWindow:
     """A finite, optionally periodic, segment of a candidate resolution.
 
@@ -158,57 +220,35 @@ class ResolutionWindow:
     def __post_init__(self):
         object.__setattr__(self, "ranks", tuple(self.ranks))
         object.__setattr__(self, "maps", tuple(self.maps))
-        if len(self.ranks) != len(self.maps) + 1:
-            raise ResolutionError("need exactly one more rank than maps")
+        object.__setattr__(self, "index", periodic_index(
+            self.lo, (self.ranks,), (self.maps,), self.period, ResolutionError))
         for t, s in enumerate(self.maps):
             if s.ring != self.ring:
                 raise ResolutionError("map over a different tensor ring")
             if s.source_rank != self.ranks[t] or s.target_rank != self.ranks[t + 1]:
                 raise ResolutionError(f"map {t} endpoints do not match the ranks")
-        if self.period is not None:
-            p = self.period
-            if p < 1 or p > len(self.maps):
-                raise ResolutionError("period must fit inside the window")
-            for t in range(len(self.ranks) - p):
-                if self.ranks[t] != self.ranks[t + p]:
-                    raise ResolutionError("ranks are not periodic where the window overlaps")
-            for t in range(len(self.maps) - p):
-                if self.maps[t] != self.maps[t + p]:
-                    raise ResolutionError("maps are not periodic where the window overlaps")
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.maps)
 
     def rank_at(self, k: int) -> int:
-        t = k - self.lo
-        if self.period is not None:
-            t %= self.period
-        if not (0 <= t < len(self.ranks)):
-            raise ResolutionError(f"index {k} outside the window")
-        return self.ranks[t]
+        return self.ranks[self.index.rank_slot(k)]
 
     def map_at(self, k: int) -> StarMorphism:
-        t = k - self.lo
-        if self.period is not None:
-            t %= self.period
-        if not (0 <= t < len(self.maps)):
-            raise ResolutionError(f"no map at index {k}")
-        return self.maps[t]
+        return self.maps[self.index.map_slot(k)]
 
     def assembled(self, k: int) -> Matrix:
         """The assembled big matrix of alpha^k (cached per window index)."""
-        t = (k - self.lo) % self.period if self.period is not None else k - self.lo
+        t = self.index.map_slot(k)
         cache = self._cache.setdefault("assembled", {})
         if t not in cache:
-            cache[t] = self.ring.assemble_star(self.map_at(k)).mat
+            cache[t] = self.ring.assemble_star(self.maps[t]).mat
         return cache[t]
 
     def positions(self):
         """Indices k at which both alpha^(k-1) and alpha^k are available."""
-        if self.period is not None:
-            return list(range(self.lo, self.lo + self.period))
-        return list(range(self.lo + 1, self.hi))
+        return self.index.positions()
 
 
 def zero_window(ring: TensorRing, rank: int = 0) -> ResolutionWindow:
@@ -238,18 +278,12 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
         acc = ModuleMap.zero(p, ring.model(j - 1, q2).result)
         for i in range(1, j + 1):
             lifted = iterate_functor_map(m, i - 1, s2.components[j - i])
-            g = ring_graft(ring, i - 1, j - i, q2)
+            g = graft(m, i - 1, j - i, q2).mat
             term = ModuleMap.unchecked(p, acc.target,
                                        g @ lifted.mat @ s1.components[i - 1].mat)
             acc = acc + term
         comps.append(ModuleMap(p, acc.target, acc.mat))
     return StarMorphism(ring, s1.source_rank, s2.target_rank, tuple(comps))
-
-
-def ring_graft(ring: TensorRing, a: int, b: int, x: LeftModule) -> Matrix:
-    from tensorgp.bimodule import graft
-
-    return graft(ring.bimodule, a, b, x).mat
 
 
 # -- the three conditions ----------------------------------------------------
@@ -272,32 +306,33 @@ def check_c2(prev: StarMorphism, next_: StarMorphism):
     """Kernel elements of the assembled outgoing map must lift through the
     assembled incoming map.
 
-    Evaluated elementwise on a kernel basis and cross-checked against the
-    rank identity rank(prev) = middle - rank(next); the two methods must
-    agree whenever the composite vanishes (a disagreement raises
-    :class:`InternalCheckError`).  When C1 fails the verdict is "skip".
+    Decided by :func:`kernel_lift` on the assembled matrices, with its
+    rank cross-check; the two methods must agree whenever the composite
+    vanishes.  When C1 fails the verdict is "skip".
     """
     ring = prev.ring
     ok1, _ = check_c1(prev, next_)
     if not ok1:
         return "skip", None
-    a_prev = ring.assemble_star(prev).mat
-    a_next = ring.assemble_star(next_).mat
-    kernel = a_next.kernel_basis()
-    sol = a_prev.solve(kernel) if kernel.cols else None
-    elementwise = kernel.cols == 0 or sol is not None
-    rank_form = a_prev.rank() == a_next.cols - a_next.rank()
-    if elementwise != rank_form:
+    return kernel_lift(ring.assemble_star(prev).mat, ring.assemble_star(next_).mat)
+
+
+def kernel_lift(prev: Matrix, next_: Matrix):
+    """Kernel columns of ``next_`` must lift through ``prev``.
+
+    Decided by one elimination, whose witness is the first kernel basis
+    column that does not lift, and cross-checked against the rank identity
+    rank(prev) = cols(next_) - rank(next_); a disagreement raises
+    :class:`InternalCheckError`.  Returns (status, witness).
+    """
+    kernel = next_.kernel_basis()
+    c = lift_or_witness(prev, kernel)
+    rank_form = prev.rank() == next_.cols - next_.rank()
+    if (c is None) != rank_form:
         raise InternalCheckError(
-            f"kernel-lift and rank methods disagree: {elementwise} vs {rank_form}"
+            f"kernel-lift and rank methods disagree: {c is None} vs {rank_form}"
         )
-    if elementwise:
-        return "pass", None
-    for c in range(kernel.cols):
-        col = kernel.col(c)
-        if a_prev.solve(col) is None:
-            return "fail", KernelWitness(col)
-    raise InternalCheckError("no single kernel column fails although the joint solve failed")
+    return ("pass", None) if c is None else ("fail", KernelWitness(kernel.col(c)))
 
 
 def _functional_space(ring: TensorRing, rank: int):
@@ -311,16 +346,13 @@ def _functional_space(ring: TensorRing, rank: int):
     return slots
 
 
-def _tuple_columns(ring: TensorRing, rank: int, slots) -> tuple:
-    """Raw coordinate layout for functional tuples out of a free module."""
-    n = ring.nilpotency
-    shapes = [(ring.model(i, ring.free(1)).result.dim, rank * ring.algebra.dim)
-              for i in range(n + 1)]
-    raw_dim = sum(r * c for r, c in shapes)
-    return shapes, raw_dim
+def _tuple_shapes(ring: TensorRing, rank: int) -> list:
+    """Component shapes of a functional tuple out of a free module."""
+    return [(ring.model(i, ring.free(1)).result.dim, rank * ring.algebra.dim)
+            for i in range(ring.nilpotency + 1)]
 
 
-def _stack_tuple(field, mats) -> Matrix:
+def _stack_tuple(mats) -> Matrix:
     return vstack([vec(m) for m in mats])
 
 
@@ -333,7 +365,6 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
 def _functional_constraint_data(ring: TensorRing, through: StarMorphism, rank: int):
     """Columns of f |-> components(f . through) over the slot bases for
     functional tuples out of the free module of the given rank."""
-    field = ring.algebra.field
     slots = _functional_space(ring, rank)
     basis_cols = []
     image_cols = []
@@ -343,8 +374,8 @@ def _functional_constraint_data(ring: TensorRing, through: StarMorphism, rank: i
                     if t != i else b for t in range(ring.nilpotency + 1)]
             f_star = StarMorphism(ring, rank, 1, tuple(mats))
             composed = star_compose(f_star, through)
-            basis_cols.append(_stack_tuple(field, [m.mat for m in mats]))
-            image_cols.append(_stack_tuple(field, [m.mat for m in composed.components]))
+            basis_cols.append(_stack_tuple([m.mat for m in mats]))
+            image_cols.append(_stack_tuple([m.mat for m in composed.components]))
     return basis_cols, image_cols
 
 
@@ -358,41 +389,14 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     ring = prev.ring
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
-    field = ring.algebra.field
     rank_mid = prev.target_rank
-    rank_out = next_.target_rank
-    shapes, raw_dim = _tuple_columns(ring, rank_mid, None)
-
     basis_cols, constraint_cols = _functional_constraint_data(ring, prev, rank_mid)
-    if not basis_cols:
+    col = unlifted_solution(
+        basis_cols, constraint_cols,
+        lambda: _functional_constraint_data(ring, next_, next_.target_rank)[1])
+    if col is None:
         return True, None
-    bf = hstack(basis_cols)
-    cmat = hstack(constraint_cols)
-    sol_coords = cmat.kernel_basis()
-    if sol_coords.cols == 0:
-        return True, None
-    sol_raw = bf @ sol_coords
-
-    g_basis_cols, g_image_cols = _functional_constraint_data(ring, next_, rank_out)
-    lmat = hstack(g_image_cols) if g_image_cols else Matrix.zeros(field, raw_dim, 0)
-    if lmat.solve(sol_raw) is not None:
-        return True, None
-    for c in range(sol_raw.cols):
-        col = sol_raw.col(c)
-        if lmat.solve(col) is None:
-            mats = _split_tuple(field, col, shapes)
-            return False, FunctionalWitness(tuple(mats))
-    raise InternalCheckError("joint solve failed but every column lifts")
-
-
-def _split_tuple(field, column: Matrix, shapes):
-    mats = []
-    offset = 0
-    for r, c in shapes:
-        piece = column.take_rows(range(offset, offset + r * c))
-        mats.append(unvec(field, piece, r, c))
-        offset += r * c
-    return mats
+    return False, FunctionalWitness(tuple(unvec_blocks(col, _tuple_shapes(ring, rank_mid))))
 
 
 # -- the full window check ---------------------------------------------------
@@ -518,27 +522,14 @@ def _free_rank_of(ring: TensorRing, x: LeftModule) -> int:
 
 def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_mid, rank_out):
     """Functionals into w_target killing prev must factor through next_."""
-    field = algebra.field
     basis_mid = free_hom_basis(algebra, rank_mid, w_target)
-    if not basis_mid:
+    col = unlifted_solution(
+        [vec(b.mat) for b in basis_mid], [vec(b.mat @ prev.mat) for b in basis_mid],
+        lambda: [vec(g.mat @ next_.mat) for g in free_hom_basis(algebra, rank_out, w_target)])
+    if col is None:
         return True, None
-    constraint = hstack([vec(b.mat @ prev.mat) for b in basis_mid])
-    sol_coords = constraint.kernel_basis()
-    if sol_coords.cols == 0:
-        return True, None
-    bf = hstack([vec(b.mat) for b in basis_mid])
-    sol_raw = bf @ sol_coords
-    basis_out = free_hom_basis(algebra, rank_out, w_target)
-    lmat = hstack([vec(g.mat @ next_.mat) for g in basis_out]) if basis_out \
-        else Matrix.zeros(field, sol_raw.rows, 0)
-    if lmat.solve(sol_raw) is not None:
-        return True, None
-    for c in range(sol_raw.cols):
-        col = sol_raw.col(c)
-        if lmat.solve(col) is None:
-            return False, FunctionalWitness((unvec(field, col, w_target.dim,
-                                                   rank_mid * algebra.dim),))
-    raise InternalCheckError("joint hom-lift solve failed but every column lifts")
+    return False, FunctionalWitness((unvec(algebra.field, col, w_target.dim,
+                                           rank_mid * algebra.dim),))
 
 
 def check_compatibility(m: Bimodule, pc: ResolutionWindow, levels: int) -> CheckReport:
@@ -574,15 +565,10 @@ def check_compatibility(m: Bimodule, pc: ResolutionWindow, levels: int) -> Check
             if is_exact_pair(lifted_prev.mat, lifted_next.mat):
                 verdicts.append(Verdict(f"F{i}-exact", k, "pass"))
             else:
-                witness = None
                 kernel = lifted_next.mat.kernel_basis()
-                for c in range(kernel.cols):
-                    col = kernel.col(c)
-                    if lifted_prev.mat.solve(col) is None:
-                        witness = KernelWitness(col)
-                        break
-                if witness is None:
-                    witness = BlockWitness(1, lifted_next.mat @ lifted_prev.mat)
+                c = lift_or_witness(lifted_prev.mat, kernel)
+                witness = KernelWitness(kernel.col(c)) if c is not None \
+                    else BlockWitness(1, lifted_next.mat @ lifted_prev.mat)
                 verdicts.append(Verdict(f"F{i}-exact", k, "fail", witness))
             ok, w = _hom_lift_check(algebra, target, fprev, fnext,
                                     pc.rank_at(k), pc.rank_at(k + 1))
@@ -640,9 +626,9 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
     hom_cache = {}
 
     def hom_basis(k):
-        t = (k - w.lo) % w.period if w.period is not None else k - w.lo
+        t = w.index.rank_slot(k)
         if t not in hom_cache:
-            basis = ring.hom_t(ring.ind_free(w.rank_at(k)), target)
+            basis = ring.hom_t(ring.ind_free(w.ranks[t]), target)
             cols = [vec(h.mat) for h in basis]
             stack = hstack(cols) if cols else None
             hom_cache[t] = (basis, stack)
@@ -718,7 +704,7 @@ def replay_verdict(w: ResolutionWindow, verdict: Verdict) -> bool:
             return False
         _, g_cols = _functional_constraint_data(ring, next_, next_.target_rank)
         field = ring.algebra.field
-        raw = _stack_tuple(field, [m for m in wit.components])
+        raw = _stack_tuple(wit.components)
         lmat = hstack(g_cols) if g_cols else Matrix.zeros(field, raw.rows, 0)
         return lmat.solve(raw) is None
     raise ResolutionError(f"no replay rule for label {verdict.label}")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from tensorgp.exactlin import Matrix, hstack, kron, vec, unvec, vstack
+from tensorgp.exactlin import (Matrix, direct_sum, hstack, is_exact_pair, kron,
+                               unlifted_solution, unvec_blocks, vec, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -43,9 +44,11 @@ from tensorgp.resolution import (
     BlockWitness,
     FunctionalWitness,
     InternalCheckError,
-    KernelWitness,
     ResolutionWindow,
     Verdict,
+    _hom_lift_check,
+    kernel_lift,
+    periodic_index,
 )
 
 
@@ -71,12 +74,6 @@ class ProductAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def embed_a(self, coords):
-        return list(coords) + [self.algebra.field.zero()] * self.b.dim
-
-    def embed_b(self, coords):
-        return [self.algebra.field.zero()] * self.a.dim + list(coords)
 
 
 def product_algebra(a: Algebra, b: Algebra) -> ProductAlgebra:
@@ -261,7 +258,6 @@ def trivext_checks(d: TrivialExtData, w: ResolutionWindow) -> CheckReport:
     for k in w.positions():
         prev = w.map_at(k - 1)
         next_ = w.map_at(k)
-        p_prev, p_mid = prev.components[0].source, next_.components[0].source
         a1p, a2p = prev.components
         a1n, a2n = next_.components
         f_a1n = tensor_map(m, a1n, ring.model(1, a1n.source), ring.model(1, a1n.target))
@@ -282,7 +278,7 @@ def trivext_checks(d: TrivialExtData, w: ResolutionWindow) -> CheckReport:
         else:
             big_prev = _two_block(a1p, a2p, f_a1p)
             big_next = _two_block(a1n, a2n, f_a1n)
-            status, wit = _kernel_lift(big_prev, big_next)
+            status, wit = kernel_lift(big_prev, big_next)
             verdicts.append(Verdict("C2", k, status, wit))
 
         ok3, wit3 = _trivext_c3(d, prev, next_)
@@ -291,24 +287,10 @@ def trivext_checks(d: TrivialExtData, w: ResolutionWindow) -> CheckReport:
 
 
 def _two_block(a1: ModuleMap, a2: ModuleMap, f_a1: ModuleMap) -> Matrix:
+    """The lower block triangular matrix [[a1, 0], [a2, f_a1]]."""
     top = hstack([a1.mat, Matrix.zeros(a1.mat.field, a1.mat.rows, f_a1.mat.cols)])
     bot = hstack([a2.mat, f_a1.mat])
     return vstack([top, bot])
-
-
-def _kernel_lift(big_prev: Matrix, big_next: Matrix):
-    kernel = big_next.kernel_basis()
-    ok = kernel.cols == 0 or big_prev.solve(kernel) is not None
-    rank_form = big_prev.rank() == big_next.cols - big_next.rank()
-    if ok != rank_form:
-        raise InternalCheckError("kernel-lift and rank methods disagree")
-    if ok:
-        return "pass", None
-    for c in range(kernel.cols):
-        col = kernel.col(c)
-        if big_prev.solve(col) is None:
-            return "fail", KernelWitness(col)
-    raise InternalCheckError("joint solve failed but every column lifts")
 
 
 def _trivext_c3(d: TrivialExtData, prev: StarMorphism, next_: StarMorphism):
@@ -345,28 +327,13 @@ def _trivext_c3(d: TrivialExtData, prev: StarMorphism, next_: StarMorphism):
         return basis_cols, image_cols
 
     basis_cols, constraint_cols = tuple_columns(rank_mid, prev)
-    if not basis_cols:
+    col = unlifted_solution(basis_cols, constraint_cols,
+                            lambda: tuple_columns(rank_out, next_)[1])
+    if col is None:
         return True, None
-    bf = hstack(basis_cols)
-    cmat = hstack(constraint_cols)
-    sol_coords = cmat.kernel_basis()
-    if sol_coords.cols == 0:
-        return True, None
-    sol_raw = bf @ sol_coords
-    _, g_cols = tuple_columns(rank_out, next_)
-    lmat = hstack(g_cols) if g_cols else Matrix.zeros(fld, sol_raw.rows, 0)
-    if lmat.solve(sol_raw) is not None:
-        return True, None
-    for c in range(sol_raw.cols):
-        col = sol_raw.col(c)
-        if lmat.solve(col) is None:
-            f1 = unvec(fld, col.take_rows(range(algebra.dim * rank_mid * algebra.dim)),
-                       algebra.dim, rank_mid * algebra.dim)
-            f2 = unvec(fld, col.take_rows(range(algebra.dim * rank_mid * algebra.dim,
-                                                col.rows)),
-                       fr1.dim, rank_mid * algebra.dim)
-            return False, FunctionalWitness((f1, f2))
-    raise InternalCheckError("joint solve failed but every column lifts")
+    width = rank_mid * algebra.dim
+    return False, FunctionalWitness(tuple(unvec_blocks(col, [(algebra.dim, width),
+                                                             (fr1.dim, width)])))
 
 
 # -- Morita context rings ------------------------------------------------------
@@ -474,56 +441,22 @@ class MoritaWindow:
     def __post_init__(self):
         for name in ("ranks_p", "ranks_q", "tau", "sigma", "beta", "gamma"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = len(self.tau)
-        if not (len(self.sigma) == len(self.beta) == len(self.gamma) == n):
-            raise SpecialRingError("the four families must have equal length")
-        if len(self.ranks_p) != n + 1 or len(self.ranks_q) != n + 1:
-            raise SpecialRingError("need one more rank than maps")
-        if self.period is not None:
-            p = self.period
-            if p < 1 or p > n:
-                raise SpecialRingError("period must fit inside the window")
-            for t in range(n + 1 - p):
-                if self.ranks_p[t] != self.ranks_p[t + p] or self.ranks_q[t] != self.ranks_q[t + p]:
-                    raise SpecialRingError("ranks are not periodic")
-            for t in range(n - p):
-                for fam in (self.tau, self.sigma, self.beta, self.gamma):
-                    if fam[t] != fam[t + p]:
-                        raise SpecialRingError("maps are not periodic")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.tau)
-
-    def _idx(self, k: int) -> int:
-        t = k - self.lo
-        if self.period is not None:
-            t %= self.period
-        if not (0 <= t < len(self.tau)):
-            raise SpecialRingError(f"no maps at index {k}")
-        return t
+        object.__setattr__(self, "index", periodic_index(
+            self.lo, (self.ranks_p, self.ranks_q),
+            (self.tau, self.sigma, self.beta, self.gamma), self.period, SpecialRingError))
 
     def at(self, k: int):
-        t = self._idx(k)
+        t = self.index.map_slot(k)
         return self.tau[t], self.sigma[t], self.beta[t], self.gamma[t]
 
     def positions(self):
-        if self.period is not None:
-            return list(range(self.lo, self.lo + self.period))
-        return list(range(self.lo + 1, self.hi))
+        return self.index.positions()
 
 
 def _pair_kernel_lift(tau_p, beta_p, vs_p, tau_n, beta_n, vs_n):
     """Kernel elements of [[tau_n, 0], [beta_n, vs_n]] must lift through the
     same shape at the previous index."""
-    f = tau_n.mat.field
-
-    def big(t, b, v):
-        top = hstack([t.mat, Matrix.zeros(f, t.mat.rows, v.mat.cols)])
-        bot = hstack([b.mat, v.mat])
-        return vstack([top, bot])
-
-    return _kernel_lift(big(tau_p, beta_p, vs_p), big(tau_n, beta_n, vs_n))
+    return kernel_lift(_two_block(tau_p, beta_p, vs_p), _two_block(tau_n, beta_n, vs_n))
 
 
 def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
@@ -636,34 +569,15 @@ def _morita_c3(d: MoritaData, w: MoritaWindow, k: int):
     rank_q_mid = _free_rank(d.b, sigma_p.target)
     rank_p_out = _free_rank(d.a, tau_n.target)
     rank_q_out = _free_rank(d.b, sigma_n.target)
-    fld = d.a.field
 
     basis_cols, constraint_cols, shapes = _morita_quadruple_columns(
         d, tau_p, sigma_p, beta_p, gamma_p, rank_p_mid, rank_q_mid)
-    if not basis_cols:
+    col = unlifted_solution(basis_cols, constraint_cols,
+                            lambda: _morita_quadruple_columns(
+                                d, tau_n, sigma_n, beta_n, gamma_n, rank_p_out, rank_q_out)[1])
+    if col is None:
         return True, None
-    bf = hstack(basis_cols)
-    cmat = hstack(constraint_cols)
-    sol_coords = cmat.kernel_basis()
-    if sol_coords.cols == 0:
-        return True, None
-    sol_raw = bf @ sol_coords
-    g_basis, g_images, _ = _morita_quadruple_columns(
-        d, tau_n, sigma_n, beta_n, gamma_n, rank_p_out, rank_q_out)
-    lmat = hstack(g_images) if g_images else Matrix.zeros(fld, sol_raw.rows, 0)
-    if lmat.solve(sol_raw) is not None:
-        return True, None
-    for c in range(sol_raw.cols):
-        col = sol_raw.col(c)
-        if lmat.solve(col) is None:
-            mats = []
-            offset = 0
-            for r, cc in shapes:
-                piece = col.take_rows(range(offset, offset + r * cc))
-                mats.append(unvec(fld, piece, r, cc))
-                offset += r * cc
-            return False, FunctionalWitness(tuple(mats))
-    raise InternalCheckError("joint solve failed but every column lifts")
+    return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
 
 
 # -- triangular matrix rings ----------------------------------------------------
@@ -696,9 +610,15 @@ class TriangularWindow:
     beta: tuple
     period: Optional[int] = None
 
+    def __post_init__(self):
+        for name in ("ranks_p", "ranks_q", "tau", "sigma", "beta"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "index", periodic_index(
+            self.lo, (self.ranks_p, self.ranks_q), (self.tau, self.sigma, self.beta),
+            self.period, SpecialRingError))
+
     def as_morita(self, d: TriangularData) -> MoritaWindow:
         md = d.as_morita()
-        u1 = block_power_module(md.u, 1)
         gamma = tuple(
             ModuleMap.zero(free_module(d.b, self.ranks_q[t]),
                            block_power_module(md.u, self.ranks_p[t + 1]))
@@ -708,20 +628,10 @@ class TriangularWindow:
                             self.tau, self.sigma, self.beta, gamma, self.period)
 
     def positions(self):
-        if self.period is not None:
-            return list(range(self.lo, self.lo + self.period))
-        return list(range(self.lo + 1, self.lo + len(self.tau)))
-
-    def _idx(self, k):
-        t = k - self.lo
-        if self.period is not None:
-            t %= self.period
-        if not (0 <= t < len(self.tau)):
-            raise SpecialRingError(f"no maps at index {k}")
-        return t
+        return self.index.positions()
 
     def at(self, k):
-        t = self._idx(k)
+        t = self.index.map_slot(k)
         return self.tau[t], self.sigma[t], self.beta[t]
 
 
@@ -736,10 +646,7 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
     not required; it is reported separately as an informational note when
     it happens to hold.
     """
-    from tensorgp.resolution import _hom_lift_check
-
     verdicts = []
-    fld = d.a.field
     for k in w.positions():
         tau_p, sigma_p, beta_p = w.at(k - 1)
         tau_n, sigma_n, beta_n = w.at(k)
@@ -751,7 +658,7 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
                                 None if top_complex else
                                 BlockWitness(1, tau_n.mat @ tau_p.mat),
                                 note="top complex is also exact" if top_complex and
-                                _is_exact(tau_p, tau_n) else ""))
+                                is_exact_pair(tau_p.mat, tau_n.mat) else ""))
         ok_lift, wit_lift = _hom_lift_check(
             d.a, free_module(d.a, 1), tau_p, tau_n,
             _free_rank(d.a, tau_p.target), _free_rank(d.a, tau_n.target))
@@ -771,7 +678,7 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
             verdicts.append(Verdict("(ii) exact", k, "skip", note="not a complex"))
             verdicts.append(Verdict("(iv)", k, "skip", note="not a complex"))
         else:
-            status_b, wit_b = _kernel_lift(sigma_p.mat, sigma_n.mat)
+            status_b, wit_b = kernel_lift(sigma_p.mat, sigma_n.mat)
             verdicts.append(Verdict("(ii) exact", k, status_b, wit_b))
             status_a, wit_a = _pair_kernel_lift(tau_p, beta_p, vs_p, tau_n, beta_n, vs_n)
             verdicts.append(Verdict("(iv)", k, status_a, wit_a))
@@ -779,12 +686,6 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
         ok5, wit5 = _triangular_v(d, tau_p, sigma_p, beta_p, tau_n, sigma_n, beta_n)
         verdicts.append(Verdict("(v)", k, "pass" if ok5 else "fail", wit5))
     return CheckReport("triangular", tuple(verdicts), window_local=w.period is None)
-
-
-def _is_exact(prev: ModuleMap, next_: ModuleMap) -> bool:
-    from tensorgp.exactlin import is_exact_pair
-
-    return is_exact_pair(prev.mat, next_.mat)
 
 
 def _triangular_v(d: TriangularData, tau_p, sigma_p, beta_p, tau_n, sigma_n, beta_n):
@@ -818,26 +719,11 @@ def _triangular_v(d: TriangularData, tau_p, sigma_p, beta_p, tau_n, sigma_n, bet
 
     basis_cols, constraint_cols, shapes = columns(rank_p_mid, rank_q_mid,
                                                   tau_p, sigma_p, beta_p)
-    if not basis_cols:
+    col = unlifted_solution(basis_cols, constraint_cols,
+                            lambda: columns(rank_p_out, rank_q_out, tau_n, sigma_n, beta_n)[1])
+    if col is None:
         return True, None
-    bf = hstack(basis_cols)
-    cmat = hstack(constraint_cols)
-    sol_coords = cmat.kernel_basis()
-    if sol_coords.cols == 0:
-        return True, None
-    sol_raw = bf @ sol_coords
-    _, g_cols, _ = columns(rank_p_out, rank_q_out, tau_n, sigma_n, beta_n)
-    lmat = hstack(g_cols) if g_cols else Matrix.zeros(fld, sol_raw.rows, 0)
-    if lmat.solve(sol_raw) is not None:
-        return True, None
-    for c in range(sol_raw.cols):
-        col = sol_raw.col(c)
-        if lmat.solve(col) is None:
-            r0c0 = shapes[0][0] * shapes[0][1]
-            f = unvec(fld, col.take_rows(range(r0c0)), *shapes[0])
-            g = unvec(fld, col.take_rows(range(r0c0, col.rows)), *shapes[1])
-            return False, FunctionalWitness((f, g))
-    raise InternalCheckError("joint solve failed but every column lifts")
+    return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
 
 
 # -- transport into the generic language -----------------------------------------
@@ -900,18 +786,12 @@ def _block_sum_module(d: MoritaData, n: int) -> LeftModule:
     for i in range(pa.a.dim):
         za = Matrix.zeros(fld, du, du)
         vb = kron(eye_n, d.v.left_action[i]) if n and d.v.dim else Matrix.zeros(fld, dv, dv)
-        action.append(_diag2(za, vb))
+        action.append(direct_sum(za, vb))
     for j in range(pa.b.dim):
         ub = kron(eye_n, d.u.left_action[j]) if n and d.u.dim else Matrix.zeros(fld, du, du)
         zv = Matrix.zeros(fld, dv, dv)
-        action.append(_diag2(ub, zv))
+        action.append(direct_sum(ub, zv))
     return LeftModule(pa.algebra, du + dv, tuple(action))
-
-
-def _diag2(a: Matrix, b: Matrix) -> Matrix:
-    from tensorgp.exactlin import direct_sum
-
-    return direct_sum(a, b)
 
 
 def _interleavers(d: MoritaData, n: int):

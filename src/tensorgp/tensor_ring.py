@@ -409,9 +409,6 @@ class InducedModule(TModule):
     base: LeftModule = None
     offsets: tuple = ()
 
-    def block_range(self, i: int):
-        return self.offsets[i], self.offsets[i + 1]
-
     def __repr__(self):
         return f"InducedModule(base dim={self.base.dim}, total dim={self.x.dim})"
 

@@ -85,6 +85,63 @@ class TestValidate:
             getattr(formats, f"{kind}_from_doc")(doc)
 
 
+def triangular_period_two_doc():
+    """A triangular file with period 2 whose top ranks alternate 1, 0, so
+    that no other period fits it."""
+    from tensorgp.algebra import ModuleMap, free_module
+    from tensorgp.special_rings import (PairBimodule, TriangularData, TriangularWindow,
+                                        block_power_module)
+
+    a = dual_numbers(F2)
+    b = ground_algebra(F2)
+    d = TriangularData(a, b, PairBimodule.zero(a, b))
+    ranks_p, ranks_q = (1, 0, 1), (1, 1, 1)
+    tau = tuple(ModuleMap.zero(free_module(a, ranks_p[t]), free_module(a, ranks_p[t + 1]))
+                for t in range(2))
+    sigma = tuple(ModuleMap.zero(free_module(b, 1), free_module(b, 1)) for _ in range(2))
+    beta = tuple(ModuleMap.zero(free_module(a, ranks_p[t]), block_power_module(d.v, 1))
+                 for t in range(2))
+    w = TriangularWindow(0, ranks_p, ranks_q, tau, sigma, beta, period=2)
+    return formats.triangular_to_doc(d, w)
+
+
+class TestPeriodRefused:
+    @pytest.mark.parametrize("period", ["1", "1.5", "a"])
+    def test_bad_triangular_period(self, tmp_path, capsys, period):
+        text = formats.render(triangular_period_two_doc())
+        assert "  period: 2\n" in text
+        path = tmp_path / "triangular.yaml"
+        path.write_text(text)
+        assert main(["specialize", str(path)]) in (0, 1)
+        path.write_text(text.replace("  period: 2\n", f"  period: {period}\n"))
+        assert main(["specialize", str(path)]) == 2
+        assert "triangular.window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,command", [("x_window.yaml", "check"),
+                                              ("incompatible_complex.yaml", "compat")])
+    def test_boolean_period_in_window_and_complex(self, tmp_path, capsys, name, command):
+        text = Path(fixture(name)).read_text()
+        assert "  period: 1\n" in text
+        bad = tmp_path / name
+        bad.write_text(text.replace("  period: 1\n", "  period: true\n"))
+        assert main([command, str(bad)]) == 2
+        assert "period must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["morita", "triangular"])
+    def test_boolean_period_in_context_windows(self, tmp_path, capsys, kind):
+        rng = random.Random(13)
+        if kind == "morita":
+            d = random_morita_data(rng, F2)
+            doc = formats.morita_to_doc(d, random_morita_window(d, rng, max_rank=1))
+        else:
+            doc = triangular_period_two_doc()
+        doc["window"]["period"] = True
+        path = tmp_path / f"{kind}.yaml"
+        path.write_text(formats.render(doc))
+        assert main(["specialize", str(path)]) == 2
+        assert "period must be an integer" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_x_window_passes(self, tmp_path, capsys):
         out = tmp_path / "report.yaml"

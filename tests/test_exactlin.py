@@ -17,7 +17,10 @@ from tensorgp.exactlin import (
     hstack,
     is_exact_pair,
     kron,
+    lift_or_witness,
+    unlifted_solution,
     unvec,
+    unvec_blocks,
     vec,
     vstack,
 )
@@ -280,7 +283,7 @@ def matrices(field, rows, cols):
     if field.is_prime:
         scalar = st.integers(min_value=0, max_value=field.p - 1)
     else:
-        scalar = st.fractions(max_numerator=4, max_denominator=4)
+        scalar = st.fractions(min_value=-4, max_value=4, max_denominator=4)
     return st.lists(st.lists(scalar, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(
         lambda rows_: Matrix.from_rows(field, rows_) if rows_ else Matrix.zeros(field, 0, cols))
@@ -308,3 +311,68 @@ class TestHypothesisProperties:
         assert (x is not None) == consistent
         if x is not None:
             assert a @ x == b
+
+
+FIELDS = [F2, F3, QQ]
+
+
+def columns(m):
+    return [m.col(c) for c in range(m.cols)]
+
+
+class TestLiftPrimitives:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), rows=st.integers(0, 4),
+           lcols=st.integers(0, 3), inside=st.integers(0, 2), outside=st.integers(0, 3))
+    def test_lift_or_witness_is_first_unsolvable_column(self, data, field, rows, lcols,
+                                                        inside, outside):
+        lifts = data.draw(matrices(field, rows, lcols))
+        # some target columns in span(lifts) first, then arbitrary ones
+        spanned = lifts @ data.draw(matrices(field, lcols, inside))
+        targets = hstack([spanned, data.draw(matrices(field, rows, outside))])
+        expected = next((c for c in range(targets.cols)
+                         if lifts.solve(targets.col(c)) is None), None)
+        assert lift_or_witness(lifts, targets) == expected
+
+    def test_lift_or_witness_shapes(self):
+        assert lift_or_witness(Matrix.zeros(F2, 2, 0), Matrix.zeros(F2, 2, 0)) is None
+        assert lift_or_witness(Matrix.zeros(F2, 2, 0), M(F2, [[0, 1], [0, 0]])) == 1
+        with pytest.raises(DimensionMismatch):
+            lift_or_witness(Matrix.zeros(F2, 2, 1), Matrix.zeros(F2, 3, 1))
+        with pytest.raises(FieldMismatch):
+            lift_or_witness(Matrix.zeros(F2, 2, 1), Matrix.zeros(F3, 2, 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS),
+           shapes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=4))
+    def test_unvec_blocks_inverts_stacked_vec(self, data, field, shapes):
+        mats = [data.draw(matrices(field, r, c)) for r, c in shapes]
+        assert unvec_blocks(vstack([vec(m) for m in mats]), shapes) == mats
+
+    def test_unvec_blocks_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            unvec_blocks(Matrix.zeros(F2, 5, 1), [(2, 2)])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), n=st.integers(0, 4),
+           crows=st.integers(0, 4), brows=st.integers(0, 4), icols=st.integers(0, 3))
+    def test_unlifted_solution(self, data, field, n, crows, brows, icols):
+        constraint = data.draw(matrices(field, crows, n))
+        basis = data.draw(matrices(field, brows, n))
+        image = data.draw(matrices(field, brows, icols))
+        calls = []
+
+        def image_cols():
+            calls.append(1)
+            return columns(image)
+
+        found = unlifted_solution(columns(basis), columns(constraint), image_cols)
+        has_solution = n > 0 and constraint.rank() < n
+        assert len(calls) == (1 if has_solution else 0)
+        expected = None
+        if has_solution:
+            solutions = basis @ constraint.kernel_basis()
+            expected = next((solutions.col(c) for c in range(solutions.cols)
+                             if image.solve(solutions.col(c)) is None), None)
+        assert found == expected
