@@ -351,6 +351,9 @@ def cmd_hunt(args) -> int:
         _say(f"--max-rank must be non-negative, got {args.max_rank}")
         return EXIT_INVALID
     ring = formats.bundle_from_doc(doc)
+    if not ring.algebra.field.is_prime:
+        _say(f"{args.bundle}: hunting enumerates a finite field, not {ring.algebra.field}")
+        return EXIT_INVALID
     try:
         catalog = hunt_strongly_gp(ring, args.max_rank, budget=args.budget)
         mode = "exhaustive"

@@ -9,9 +9,12 @@ are reproducible across runs.
 Zero-sized matrices (0 x n and n x 0) are legal; they are the unique maps
 to and from the zero space and compose like any other matrix.
 
-Prime-field arithmetic runs on int64 numpy buffers, which is exact for the
-supported range (p < 2**20 at desk-scale dimensions).  Rational matrices
-use pure ``Fraction`` arithmetic.
+Every matrix is one numpy array, and one code path serves both fields: an
+int64 array of residues over F_p, which is exact for the supported range
+(p < 2**20 at desk-scale dimensions), and an ``object`` array of
+``Fraction`` over Q.  The field enters only through a few hooks on
+:class:`FieldSpec`: the canonical array of given scalars, a zero array,
+``reduce`` (``% p``, or nothing over Q), and the hash key.
 """
 
 from __future__ import annotations
@@ -119,6 +122,36 @@ class FieldSpec:
             raise ExactLinError("cannot enumerate the rationals")
         return range(self.p)
 
+    # -- array hooks: the only field-specific code under Matrix ----------
+
+    def array(self, data, rows: int, cols: int) -> np.ndarray:
+        """Canonical rows x cols array of the given rows of scalars."""
+        if self.is_prime:
+            return np.array(data, dtype=np.int64).reshape(rows, cols) % self.p
+        grid = [[Fraction(v) for v in row] for row in data]
+        if len(grid) != rows or any(len(r) != cols for r in grid):
+            raise DimensionMismatch("ragged entry grid")
+        return np.array(grid, dtype=object).reshape(rows, cols)
+
+    def zeros(self, shape) -> np.ndarray:
+        """Zero-filled array of the given shape.
+
+        Over Q the zeros must be filled in: numpy's own ``zeros`` and
+        ``eye`` with ``dtype=object`` hold ``int`` entries.
+        """
+        if self.is_prime:
+            return np.zeros(shape, dtype=np.int64)
+        return np.full(shape, Fraction(0), dtype=object)
+
+    def reduce(self, arr: np.ndarray) -> np.ndarray:
+        """Canonical form of a sum of products of canonical arrays."""
+        return arr % self.p if self.is_prime else arr
+
+    def key(self, arr: np.ndarray):
+        """Hashable value of an array; the bytes of an object array are
+        pointers, so Q hashes its entries."""
+        return arr.tobytes() if self.is_prime else tuple(arr.flat)
+
     def __repr__(self):
         return f"F_{self.p}" if self.kind == "prime" else "Q"
 
@@ -138,9 +171,11 @@ def _check_same_field(a: "Matrix", b: "Matrix"):
 class Matrix:
     """Immutable exact dense matrix over a fixed :class:`FieldSpec`.
 
-    Entries are stored row-major: int64 numpy for prime fields, nested
-    tuples of ``Fraction`` for the rationals.  All results of arithmetic
-    are fully reduced.
+    Entries are one read-only numpy array, ``_data``, canonical for the
+    field: int64 residues in [0, p), or an ``object`` array of ``Fraction``
+    over Q.  Every method is written once, on the array, and passes results
+    through ``field.reduce``; ``entries`` and indexing return ``int`` over
+    F_p and ``Fraction`` over Q.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "_hash", "_rref")
@@ -153,18 +188,10 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_rref", None)
-        if _raw:
-            object.__setattr__(self, "_data", data)
-            return
-        if field.is_prime:
-            arr = np.array(data, dtype=np.int64).reshape(rows, cols) % field.p
-            arr.setflags(write=False)
-            object.__setattr__(self, "_data", arr)
-        else:
-            grid = tuple(tuple(Fraction(v) for v in row) for row in data)
-            if len(grid) != rows or any(len(r) != cols for r in grid):
-                raise DimensionMismatch("ragged entry grid")
-            object.__setattr__(self, "_data", grid)
+        if not _raw:
+            data = field.array(data, rows, cols)
+            data.setflags(write=False)
+        object.__setattr__(self, "_data", data)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -174,31 +201,17 @@ class Matrix:
     @staticmethod
     def from_rows(field: FieldSpec, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
-        c = len(rows[0]) if r else 0
-        if field.is_prime:
-            return Matrix(field, r, c, rows if r else np.zeros((0, 0)))
-        return Matrix(field, r, c, rows)
+        return Matrix(field, r, len(rows[0]) if r else 0, rows)
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        if field.is_prime:
-            arr = np.zeros((rows, cols), dtype=np.int64)
-            arr.setflags(write=False)
-            return Matrix(field, rows, cols, arr, _raw=True)
-        z = Fraction(0)
-        return Matrix(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)), _raw=True)
+        return Matrix._from_np(field, field.zeros((rows, cols)))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        if field.is_prime:
-            arr = np.eye(n, dtype=np.int64)
-            arr.setflags(write=False)
-            return Matrix(field, n, n, arr, _raw=True)
-        return Matrix(
-            field, n, n,
-            tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)),
-            _raw=True,
-        )
+        arr = field.zeros((n, n))
+        np.fill_diagonal(arr, field.one())
+        return Matrix._from_np(field, arr)
 
     @staticmethod
     def column(field: FieldSpec, entries: Sequence) -> "Matrix":
@@ -213,7 +226,8 @@ class Matrix:
 
     @staticmethod
     def _from_np(field: FieldSpec, arr: np.ndarray) -> "Matrix":
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        """Wrap an array that is already canonical for the field."""
+        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         return Matrix(field, arr.shape[0], arr.shape[1], arr, _raw=True)
 
@@ -226,36 +240,24 @@ class Matrix:
     @property
     def entries(self):
         """Row-major tuple-of-row-tuples of canonical scalars."""
-        if self.field.is_prime:
-            return tuple(tuple(int(v) for v in row) for row in self._data)
-        return self._data
+        return tuple(map(tuple, self._data.tolist()))
 
     def __getitem__(self, ij) -> Scalar:
-        i, j = ij
-        if self.field.is_prime:
-            return int(self._data[i, j])
-        return self._data[i][j]
+        return self._data.item(*ij)
 
     def is_zero(self) -> bool:
-        if self.field.is_prime:
-            return not self._data.any()
-        return all(v == 0 for row in self._data for v in row)
+        return not self._data.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape:
             return False
-        if self.field.is_prime:
-            return bool(np.array_equal(self._data, other._data))
-        return self._data == other._data
+        return bool(np.array_equal(self._data, other._data))
 
     def __hash__(self):
         if self._hash is None:
-            if self.field.is_prime:
-                h = hash((self.field, self.rows, self.cols, self._data.tobytes()))
-            else:
-                h = hash((self.field, self.rows, self.cols, self._data))
+            h = hash((self.field, self.rows, self.cols, self.field.key(self._data)))
             object.__setattr__(self, "_hash", h)
         return self._hash
 
@@ -270,64 +272,37 @@ class Matrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, (self._data @ other._data) % self.field.p)
-        z = Fraction(0)
-        out = []
-        bt = other._data
-        for row in self._data:
-            out.append(tuple(
-                sum((row[k] * bt[k][j] for k in range(self.cols)), z)
-                for j in range(other.cols)
-            ))
-        return Matrix(self.field, self.rows, other.cols, tuple(out), _raw=True)
+        if self.cols == 0:
+            # an object product with no terms sums to int 0
+            return Matrix.zeros(self.field, self.rows, other.cols)
+        return Matrix._from_np(self.field, self.field.reduce(self._data @ other._data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, (self._data + other._data) % self.field.p)
-        return Matrix(self.field, self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._data, other._data)
-        ), _raw=True)
+        return Matrix._from_np(self.field, self.field.reduce(self._data + other._data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, (-self._data) % self.field.p)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(-v for v in row) for row in self._data), _raw=True)
+        return Matrix._from_np(self.field, self.field.reduce(-self._data))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, (self._data * c) % self.field.p)
-        return Matrix(self.field, self.rows, self.cols,
-                      tuple(tuple(c * v for v in row) for row in self._data), _raw=True)
+        return Matrix._from_np(self.field, self.field.reduce(self._data * c))
 
     def transpose(self) -> "Matrix":
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, self._data.T)
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(tuple(self._data[i][j] for i in range(self.rows))
-                            for j in range(self.cols)), _raw=True)
+        return Matrix._from_np(self.field, self._data.T)
 
     # -- block operations ----------------------------------------------
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, self._data[list(indices), :].reshape(len(indices), self.cols))
-        return Matrix(self.field, len(indices), self.cols,
-                      tuple(self._data[i] for i in indices), _raw=True)
+        return Matrix._from_np(self.field, self._data[list(indices), :].reshape(len(indices), self.cols))
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        if self.field.is_prime:
-            return Matrix._from_np(self.field, self._data[:, list(indices)].reshape(self.rows, len(indices)))
-        return Matrix(self.field, self.rows, len(indices),
-                      tuple(tuple(row[j] for j in indices) for row in self._data), _raw=True)
+        return Matrix._from_np(self.field, self._data[:, list(indices)].reshape(self.rows, len(indices)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Contiguous submatrix with rows [r0, r1) and columns [c0, c1)."""
@@ -339,53 +314,31 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def _compute_rref(self):
-        if self.field.is_prime:
-            R = self._data.copy()
-            p = self.field.p
-            m, n = R.shape
-            pivots = []
-            r = 0
-            for c in range(n):
-                if r == m:
-                    break
-                nz = np.nonzero(R[r:, c])[0]
-                if nz.size == 0:
-                    continue
-                pr = r + int(nz[0])
-                if pr != r:
-                    R[[r, pr]] = R[[pr, r]]
-                pv = int(R[r, c])
-                if pv != 1:
-                    R[r] = (R[r] * pow(pv, p - 2, p)) % p
-                col = R[:, c].copy()
-                col[r] = 0
-                if col.any():
-                    R = (R - np.outer(col, R[r])) % p
-                pivots.append(c)
-                r += 1
-            return Matrix._from_np(self.field, R), tuple(pivots)
-        rows = [list(row) for row in self._data]
-        m, n = self.rows, self.cols
+        f = self.field
+        R = self._data.copy()
+        m, n = R.shape
         pivots = []
         r = 0
         for c in range(n):
             if r == m:
                 break
-            pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pr is None:
+            nz = np.flatnonzero(R[r:, c])
+            if nz.size == 0:
                 continue
+            pr = r + int(nz[0])
             if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-            pv = rows[r][c]
+                R[[r, pr]] = R[[pr, r]]
+            pv = R[r, c]
             if pv != 1:
-                rows[r] = [v / pv for v in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                R[r] = f.reduce(R[r] * f.inv(pv))
+            # only the rows with a nonzero entry in the pivot column change
+            others = np.flatnonzero(R[:, c])
+            others = others[others != r]
+            if others.size:
+                R[others] = f.reduce(R[others] - np.outer(R[others, c], R[r]))
             pivots.append(c)
             r += 1
-        return Matrix(self.field, m, n, rows), tuple(pivots)
+        return Matrix._from_np(f, R), tuple(pivots)
 
     def rref(self):
         """Reduced row echelon form and its pivot columns (cached)."""
@@ -405,20 +358,10 @@ class Matrix:
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        k = len(free)
-        if self.field.is_prime:
-            K = np.zeros((self.cols, k), dtype=np.int64)
-            for idx, f in enumerate(free):
-                K[f, idx] = 1
-                for t, pc in enumerate(pivots):
-                    K[pc, idx] = (-R._data[t, f]) % self.field.p
-            return Matrix._from_np(self.field, K)
-        K = [[Fraction(0)] * k for _ in range(self.cols)]
-        for idx, f in enumerate(free):
-            K[f][idx] = Fraction(1)
-            for t, pc in enumerate(pivots):
-                K[pc][idx] = -R._data[t][f]
-        return Matrix(self.field, self.cols, k, K)
+        K = self.field.zeros((self.cols, len(free)))
+        K[free, range(len(free))] = self.field.one()
+        K[list(pivots), :] = self.field.reduce(-R._data[:len(pivots), free])
+        return Matrix._from_np(self.field, K)
 
     def image_basis(self) -> "Matrix":
         """Original columns at the pivot positions: a basis of the column space."""
@@ -437,15 +380,9 @@ class Matrix:
         R, pivots = aug.rref()
         if any(pc >= self.cols for pc in pivots):
             return None
-        if self.field.is_prime:
-            x = np.zeros((self.cols, b.cols), dtype=np.int64)
-            for t, pc in enumerate(pivots):
-                x[pc, :] = R._data[t, self.cols:]
-            return Matrix._from_np(self.field, x)
-        x = [[Fraction(0)] * b.cols for _ in range(self.cols)]
-        for t, pc in enumerate(pivots):
-            x[pc] = list(R._data[t][self.cols:])
-        return Matrix(self.field, self.cols, b.cols, x)
+        x = self.field.zeros((self.cols, b.cols))
+        x[list(pivots), :] = R._data[:len(pivots), self.cols:]
+        return Matrix._from_np(self.field, x)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -462,31 +399,21 @@ class Matrix:
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ExactLinError("hstack of nothing")
-    field = mats[0].field
-    rows = mats[0].rows
     for m in mats[1:]:
         _check_same_field(mats[0], m)
-        if m.rows != rows:
+        if m.rows != mats[0].rows:
             raise DimensionMismatch("hstack: row counts differ")
-    if field.is_prime:
-        return Matrix._from_np(field, np.concatenate([m._data for m in mats], axis=1))
-    return Matrix(field, rows, sum(m.cols for m in mats),
-                  tuple(tuple(v for m in mats for v in m._data[i]) for i in range(rows)), _raw=True)
+    return Matrix._from_np(mats[0].field, np.concatenate([m._data for m in mats], axis=1))
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
     if not mats:
         raise ExactLinError("vstack of nothing")
-    field = mats[0].field
-    cols = mats[0].cols
     for m in mats[1:]:
         _check_same_field(mats[0], m)
-        if m.cols != cols:
+        if m.cols != mats[0].cols:
             raise DimensionMismatch("vstack: column counts differ")
-    if field.is_prime:
-        return Matrix._from_np(field, np.concatenate([m._data for m in mats], axis=0))
-    return Matrix(field, sum(m.rows for m in mats), cols,
-                  tuple(row for m in mats for row in m._data), _raw=True)
+    return Matrix._from_np(mats[0].field, np.concatenate([m._data for m in mats], axis=0))
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -504,20 +431,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at (i_a * b.rows + i_b, j_a * b.cols + j_b) is a[i_a, j_a] * b[i_b, j_b].
     """
     _check_same_field(a, b)
-    if a.field.is_prime:
-        return Matrix._from_np(a.field, np.kron(a._data, b._data) % a.field.p)
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for ia in range(a.rows):
-        for ja in range(a.cols):
-            v = a._data[ia][ja]
-            if v == 0:
-                continue
-            for ib in range(b.rows):
-                for jb in range(b.cols):
-                    out[ia * b.rows + ib][ja * b.cols + jb] = v * b._data[ib][jb]
-    return Matrix(a.field, rows, cols, out)
+    return Matrix._from_np(a.field, a.field.reduce(np.kron(a._data, b._data)))
 
 
 def is_exact_pair(f: Matrix, g: Matrix) -> bool:
@@ -586,45 +500,30 @@ def quotient_maps(relations: Matrix):
     R, pivots = relations.transpose().rref()
     pivset = set(pivots)
     free_coords = [c for c in range(n) if c not in pivset]
-    q = len(free_coords)
-    proj = Matrix.from_rows(
-        field,
-        [[field.one() if c == fc else field.zero() for c in range(n)] for fc in free_coords],
-    ) if q else Matrix.zeros(field, 0, n)
+    ident = Matrix.identity(field, n)
+    proj = ident.take_rows(free_coords)
     if pivots:
-        sel = Matrix.from_rows(
-            field,
-            [[field.one() if c == pc else field.zero() for c in range(n)] for pc in pivots],
-        )
-        red = Matrix.identity(field, n) - (R.take_rows(range(len(pivots))).transpose() @ sel)
+        sel = ident.take_rows(pivots)
+        red = ident - (R.take_rows(range(len(pivots))).transpose() @ sel)
         proj = proj @ red
-    sect = Matrix.from_rows(
-        field,
-        [[field.one() if free_coords[j] == i else field.zero() for j in range(q)] for i in range(n)],
-    ) if q else Matrix.zeros(field, n, 0)
+    sect = ident.take_cols(free_coords)
     if not (proj @ relations).is_zero():
         raise ExactLinError("internal: projection does not kill the relation span")
-    if proj @ sect != Matrix.identity(field, q):
+    if proj @ sect != Matrix.identity(field, len(free_coords)):
         raise ExactLinError("internal: section does not split the projection")
     return proj, sect
 
 
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization, as a (rows*cols) x 1 matrix."""
-    if m.field.is_prime:
-        return Matrix._from_np(m.field, m._data.T.reshape(-1, 1))
-    out = [[m._data[i][j]] for j in range(m.cols) for i in range(m.rows)]
-    return Matrix(m.field, m.rows * m.cols, 1, out)
+    return Matrix._from_np(m.field, m._data.T.reshape(-1, 1))
 
 
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of :func:`vec` for a single column."""
     if column.rows != rows * cols or column.cols != 1:
         raise DimensionMismatch("unvec: wrong length")
-    if field.is_prime:
-        return Matrix._from_np(field, column._data.reshape(cols, rows).T)
-    grid = [[column._data[j * rows + i][0] for j in range(cols)] for i in range(rows)]
-    return Matrix(field, rows, cols, grid)
+    return Matrix._from_np(field, column._data.reshape(cols, rows).T)
 
 
 def unvec_blocks(column: Matrix, shapes: Sequence) -> list:

@@ -19,7 +19,7 @@ from typing import Optional
 import yaml
 
 from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
-from tensorgp.algebra import Algebra, ModuleMap, free_module
+from tensorgp.algebra import Algebra, AlgebraError, ModuleMap, free_module
 from tensorgp.bimodule import Bimodule
 from tensorgp.tensor_ring import StarMorphism, TModule, TensorRing
 from tensorgp.resolution import (
@@ -237,9 +237,12 @@ def algebra_from_doc(field: FieldSpec, node, where: str, checked: bool = True):
     if not isinstance(unit, list) or len(unit) != dim:
         raise FormatError(f"{where}.unit", f"expected {dim} coordinates")
     unit_t = tuple(scalar_from_doc(field, v, f"{where}.unit") for v in unit)
-    if checked:
+    if not checked:
+        return Algebra.unchecked(field, dim, tuple(parsed), unit_t)
+    try:
         return Algebra(field, dim, tuple(parsed), unit_t)
-    return Algebra.unchecked(field, dim, tuple(parsed), unit_t)
+    except AlgebraError as exc:
+        raise FormatError(where, str(exc))
 
 
 def bimodule_to_doc(m: Bimodule) -> dict:
@@ -266,9 +269,12 @@ def bimodule_from_doc(algebra: Algebra, node, where: str, checked: bool = True):
     for i, mat in enumerate(left + right):
         if mat.shape != (dim, dim):
             raise FormatError(where, f"action matrix {i} is not {dim} x {dim}")
-    if checked:
+    if not checked:
+        return Bimodule.unchecked(algebra, dim, left, right)
+    try:
         return Bimodule(algebra, dim, left, right)
-    return Bimodule.unchecked(algebra, dim, left, right)
+    except AlgebraError as exc:
+        raise FormatError(where, str(exc))
 
 
 def bundle_to_doc(algebra: Algebra, bimodule: Bimodule, nilpotency: int) -> dict:

@@ -189,38 +189,22 @@ def induced_block_map(pb: PairBimodule, f: ModuleMap) -> ModuleMap:
     tgt = block_power_module(pb, n_tgt)
     if pb.dim == 0 or n_src == 0 or n_tgt == 0:
         return ModuleMap.zero(src, tgt)
+    # column i is the image of the unit of source copy i; its rows
+    # j * d .. j * d + d - 1 are the algebra entry of f at (copy j, copy i)
+    unit = Matrix.column(fld, f.source.algebra.unit)
+    images = f.mat @ kron(Matrix.identity(fld, n_src), unit)
     rows = []
     for j in range(n_tgt):
         cells = []
         for i in range(n_src):
-            # algebra entry of f at (copy j, copy i): the image of the unit
-            s_coords = _apply_to_unit(f, i, j, d, fld)
             block = Matrix.zeros(fld, pb.dim, pb.dim)
-            for t, c in enumerate(s_coords):
+            for t in range(d):
+                c = images[j * d + t, i]
                 if c != fld.zero():
                     block = block + pb.right_action[t].scale(c)
             cells.append(block)
         rows.append(hstack(cells))
     return ModuleMap(src, tgt, vstack(rows))
-
-
-def _apply_to_unit(f: ModuleMap, copy_src: int, copy_tgt: int, d: int, fld):
-    """Coordinates (in the right algebra) of the (copy_tgt, copy_src) entry
-    of a map between free modules: the image of the unit of the source copy
-    restricted to the target copy."""
-    unit = f.source.algebra.unit
-    col = [fld.zero()] * d
-    for t in range(d):
-        acc = fld.zero()
-        for s, c in enumerate(unit):
-            if c != fld.zero():
-                term = f.mat[copy_tgt * d + t, copy_src * d + s]
-                if fld.is_prime:
-                    acc = (acc + c * term) % fld.p
-                else:
-                    acc = acc + c * term
-        col[t] = acc
-    return col
 
 
 # -- trivial extensions -------------------------------------------------------

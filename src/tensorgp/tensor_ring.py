@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from tensorgp.exactlin import Matrix, hstack, kron, vec, vstack
+from tensorgp.exactlin import Matrix, hstack, kron, unvec, vec, vstack
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -318,30 +318,17 @@ class TensorRing:
         m2 = self.model(1, t2.x)
         im = Matrix.identity(f, self.bimodule.dim)
         cols = []
-        for jj in range(b):
-            for ii in range(a):
-                e_rows = [[f.zero()] * b for _ in range(a)]
-                e_rows[ii][jj] = f.one()
-                e = Matrix.from_rows(f, e_rows)
-                parts = []
-                for s in range(self.algebra.dim):
-                    parts.append(vec(e @ t1.x.action[s] - t2.x.action[s] @ e))
-                fe = m2.projection @ kron(im, e) @ m1.section
-                parts.append(vec(e @ t1.u - t2.u @ fe))
-                cols.append(vstack(parts))
-        system = hstack(cols)
-        ker = system.kernel_basis()
-        out = []
-        for c in range(ker.cols):
-            coords = ker.col(c)
-            grid = [[f.zero()] * b for _ in range(a)]
-            idx = 0
-            for jj in range(b):
-                for ii in range(a):
-                    grid[ii][jj] = coords[idx, 0]
-                    idx += 1
-            out.append(TMorphism(t1, t2, Matrix.from_rows(f, grid)))
-        return out
+        # the matrix units in the column-major order of vec
+        for idx in range(a * b):
+            e = unvec(f, Matrix.basis_column(f, a * b, idx), a, b)
+            parts = []
+            for s in range(self.algebra.dim):
+                parts.append(vec(e @ t1.x.action[s] - t2.x.action[s] @ e))
+            fe = m2.projection @ kron(im, e) @ m1.section
+            parts.append(vec(e @ t1.u - t2.u @ fe))
+            cols.append(vstack(parts))
+        ker = hstack(cols).kernel_basis()
+        return [TMorphism(t1, t2, unvec(f, ker.col(c), a, b)) for c in range(ker.cols)]
 
 
 def _block_row_selector(field, offsets, i, total) -> Matrix:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from tensorgp.exactlin import Matrix, is_exact_pair
+from tensorgp.exactlin import QQ, Matrix, is_exact_pair
 from tensorgp.algebra import ModuleMap, free_module, hom_space
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import StarMorphism, TModule, TensorRing
@@ -58,9 +58,9 @@ from helpers import (
 _COLLECTED_FAILURES = []
 
 
-def _ring_pool():
+def _ring_pool(fields=(F2, F3)):
     rings = []
-    for field in (F2, F3):
+    for field in fields:
         r_dual = dual_numbers(field)
         r_prod = product_fields(field, 2)
         rings.append(TensorRing(r_dual, zero_bimodule(r_dual), 0))
@@ -73,23 +73,30 @@ def _ring_pool():
     return rings
 
 
-def _window_corpus(count=312):
-    """Seeded corpus of periodic windows: both fields, nilpotency 0..2,
-    ranks up to 2, periods 1 and 2."""
-    rings = _ring_pool()
+def _window_corpus(count=312, fields=(F2, F3), seed=10_000, path_rank=2):
+    """Seeded corpus of periodic windows: nilpotency 0..2, ranks up to 2
+    (up to ``path_rank`` on the nilpotency-2 path ring), periods 1 and 2."""
+    rings = _ring_pool(fields)
     windows = []
     for i in range(count):
         ring = rings[i % len(rings)]
-        rng = random.Random(10_000 + i)
+        rng = random.Random(seed + i)
         period = 1 + (i % 2)
-        ranks = tuple(rng.randrange(3) for _ in range(period))
-        windows.append(random_window(ring, 20_000 + i, ranks))
+        cap = path_rank if ring.nilpotency == 2 else 2
+        ranks = tuple(min(rng.randrange(3), cap) for _ in range(period))
+        windows.append(random_window(ring, 2 * seed + i, ranks))
     return windows
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    return _window_corpus()
+    """The F_2 and F_3 corpus, then a small one over Q: rank-2 windows on
+    the path ring cost seconds each over Q, so its ranks stop at 1 there."""
+    return _window_corpus() + _window_corpus(20, (QQ,), seed=30_000, path_rank=1)
+
+
+def _over_q(windows):
+    return sum(w.ring.algebra.field == QQ for w in windows)
 
 
 def _collect_failures(window, report):
@@ -110,8 +117,8 @@ def test_criterion_1_complex_and_exactness_against_assembled_matrices(corpus):
             assert paper == oracle[k], f"disagreement at k={k}"
             positions += 1
     elapsed = time.time() - start
-    print(f"criterion 1: PASS ({len(corpus)} windows, {positions} positions, "
-          f"0 disagreements, {elapsed:.1f}s)")
+    print(f"criterion 1: PASS ({len(corpus)} windows, {_over_q(corpus)} of them over Q, "
+          f"{positions} positions, 0 disagreements, {elapsed:.1f}s)")
 
 
 def test_criterion_2_functional_lifting_against_hom_complex(corpus):
@@ -125,8 +132,8 @@ def test_criterion_2_functional_lifting_against_hom_complex(corpus):
                 f"disagreement at k={k}"
             positions += 1
     elapsed = time.time() - start
-    print(f"criterion 2: PASS ({len(corpus)} windows, {positions} positions, "
-          f"0 disagreements, {elapsed:.1f}s)")
+    print(f"criterion 2: PASS ({len(corpus)} windows, {_over_q(corpus)} of them over Q, "
+          f"{positions} positions, 0 disagreements, {elapsed:.1f}s)")
 
 
 def test_criterion_3_canonical_worked_example():
@@ -405,7 +412,7 @@ def test_criterion_9_witness_integrity():
     from tensorgp.resolution import replay_compat_verdict
 
     start = time.time()
-    replayed = 0
+    replayed = replayed_q = 0
     for item in _COLLECTED_FAILURES:
         if item[0] == "compat":
             _, (m, pc), v = item
@@ -413,6 +420,7 @@ def test_criterion_9_witness_integrity():
         else:
             w, v = item
             assert replay_verdict(w, v)
+            replayed_q += _over_q([w])
         replayed += 1
     adversarial = 0
     for w, report in _adversarial_fixtures():
@@ -421,5 +429,5 @@ def test_criterion_9_witness_integrity():
             adversarial += 1
     assert adversarial >= 50
     elapsed = time.time() - start
-    print(f"criterion 9: PASS ({replayed} corpus failures and {adversarial} "
-          f"adversarial failures replayed, {elapsed:.1f}s)")
+    print(f"criterion 9: PASS ({replayed} corpus failures ({replayed_q} over Q) and "
+          f"{adversarial} adversarial failures replayed, {elapsed:.1f}s)")

@@ -85,6 +85,41 @@ class TestValidate:
             getattr(formats, f"{kind}_from_doc")(doc)
 
 
+def invalid_bundle_window(tmp_path, part: str) -> str:
+    """x_window.yaml with the algebra of bad_assoc_bundle.yaml, or with a
+    bimodule on which the unit acts as zero."""
+    doc = yaml.safe_load(Path(fixture("x_window.yaml")).read_text())
+    if part == "algebra":
+        bad = yaml.safe_load(Path(fixture("bad_assoc_bundle.yaml")).read_text())
+        doc["bundle"]["algebra"] = bad["algebra"]
+    else:
+        zero = {"rows": 1, "cols": 1, "entries": [[0]]}
+        doc["bundle"]["bimodule"] = {"dim": 1, "left_action": [zero, zero],
+                                     "right_action": [zero, zero]}
+    path = tmp_path / f"bad_{part}_window.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+class TestInvalidBundleRefused:
+    @pytest.mark.parametrize("command,source", [
+        ("hunt", "bad_assoc_bundle.yaml"),
+        ("hunt", "nonassoc_bundle.yaml"),
+        ("check", "algebra"),
+        ("strong", "algebra"),
+        ("extract-gp", "algebra"),
+        ("validate", "algebra"),
+        ("check", "bimodule"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, source):
+        if source.endswith(".yaml"):
+            path, part = fixture(source), "algebra"
+        else:
+            path, part = invalid_bundle_window(tmp_path, source), source
+        assert main([command, path]) == 2
+        assert f"bundle.{part}: invalid {part}" in capsys.readouterr().err
+
+
 def triangular_period_two_doc():
     """A triangular file with period 2 whose top ranks alternate 1, 0, so
     that no other period fits it."""
@@ -162,6 +197,37 @@ class TestCheck:
         assert main(["check", fixture("x_window.yaml"), "--mode", "oracle"]) == 0
         assert main(["check", fixture("x_window.yaml"), "--mode", "both"]) == 0
         assert main(["check", fixture("identity_window.yaml"), "--mode", "both"]) == 1
+
+    def test_rational_window_both_modes_round_trip(self, tmp_path, capsys):
+        from tensorgp.exactlin import QQ
+        from tensorgp.resolution import (BlockWitness, CheckReport, FunctionalWitness,
+                                         KernelWitness, Verdict, replay_verdict)
+
+        out = tmp_path / "report.yaml"
+        assert main(["check", fixture("q_window.yaml"), "--mode", "both",
+                     "--output", str(out)]) == 1
+        assert "checker and oracle agree at every position" in capsys.readouterr().err
+        text = out.read_text()
+        assert "'1/3'" in text
+        # rebuild the report, witnesses included, and render it again
+        verdicts = []
+        for node in formats.load(text)["verdicts"]:
+            wd = node.get("witness")
+            witness = None
+            if wd is not None and wd["type"] == "block":
+                witness = BlockWitness(wd["j"], formats.matrix_from_doc(QQ, wd["component"], "w"))
+            elif wd is not None and wd["type"] == "kernel":
+                witness = KernelWitness(formats.matrix_from_doc(QQ, wd["vector"], "w"))
+            elif wd is not None:
+                witness = FunctionalWitness(tuple(formats.matrix_from_doc(QQ, m, "w")
+                                                  for m in wd["components"]))
+            verdicts.append(Verdict(node["label"], node.get("k"), node["status"], witness,
+                                    node.get("note", "")))
+        doc = formats.load(text)
+        report = CheckReport(doc["scheme"], tuple(verdicts), window_local=doc["window_local"])
+        assert formats.render(formats.report_to_doc(QQ, report)) == text
+        w = formats.window_from_doc(formats.load(Path(fixture("q_window.yaml")).read_text()))
+        assert report.failures() and all(replay_verdict(w, v) for v in report.failures())
 
     def test_period_flag_upgrades_window(self, tmp_path, capsys):
         # strip the period from the fixture, then impose it from the flag
@@ -306,6 +372,15 @@ class TestHunt:
     def test_negative_max_rank_refused(self, capsys):
         assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "-1"]) == 2
         assert "max-rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--seed", "7"]])
+    def test_rational_field_refused(self, tmp_path, capsys, extra):
+        text = Path(fixture("triangular_bundle.yaml")).read_text()
+        assert "\nfield: 2\n" in text
+        path = tmp_path / "q_bundle.yaml"
+        path.write_text(text.replace("\nfield: 2\n", "\nfield: Q\n"))
+        assert main(["hunt", str(path)] + extra) == 2
+        assert "finite field" in capsys.readouterr().err
 
     def test_catalog_reverifies_after_reload(self, tmp_path):
         from tensorgp.search import reverify_catalog

@@ -289,6 +289,9 @@ def matrices(field, rows, cols):
         lambda rows_: Matrix.from_rows(field, rows_) if rows_ else Matrix.zeros(field, 0, cols))
 
 
+FIELDS = [F2, F3, QQ]
+
+
 class TestHypothesisProperties:
     @settings(max_examples=60, deadline=None)
     @given(a=matrices(F3, 3, 3), b=matrices(F3, 3, 3), c=matrices(F3, 3, 3))
@@ -297,23 +300,23 @@ class TestHypothesisProperties:
         assert a @ (b + c) == a @ b + a @ c
 
     @settings(max_examples=60, deadline=None)
-    @given(a=matrices(F2, 3, 4))
-    def test_rref_idempotent_and_rank_stable(self, a):
+    @given(data=st.data(), field=st.sampled_from(FIELDS))
+    def test_rref_idempotent_and_rank_stable(self, data, field):
+        a = data.draw(matrices(field, 3, 4))
         r, pivots = a.rref()
         r2, pivots2 = r.rref()
         assert r == r2 and pivots == pivots2
 
     @settings(max_examples=40, deadline=None)
-    @given(a=matrices(F3, 2, 4), b=matrices(F3, 2, 1))
-    def test_solve_agrees_with_rank_test(self, a, b):
+    @given(data=st.data(), field=st.sampled_from(FIELDS))
+    def test_solve_agrees_with_rank_test(self, data, field):
+        a = data.draw(matrices(field, 2, 4))
+        b = data.draw(matrices(field, 2, 1))
         x = a.solve(b)
         consistent = hstack([a, b]).rank() == a.rank()
         assert (x is not None) == consistent
         if x is not None:
             assert a @ x == b
-
-
-FIELDS = [F2, F3, QQ]
 
 
 def columns(m):
@@ -376,3 +379,115 @@ class TestLiftPrimitives:
             expected = next((solutions.col(c) for c in range(solutions.cols)
                              if image.solve(solutions.col(c)) is None), None)
         assert found == expected
+
+
+# -- the array elimination against plain-Python elimination ----------------------
+
+
+def reference_rref(field, entries, ncols):
+    """Gauss-Jordan elimination on lists of scalars with the library's
+    pivot rule (the first nonzero entry in column order), inverting pivots
+    through ``field.inv``."""
+    rows = [list(r) for r in entries]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.coerce(v * inv) for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [field.coerce(x - f * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+def reference_kernel(field, entries, ncols):
+    rows, pivots = reference_rref(field, entries, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    grid = [[field.zero()] * len(free) for _ in range(ncols)]
+    for k, f in enumerate(free):
+        grid[f][k] = field.one()
+        for t, pc in enumerate(pivots):
+            grid[pc][k] = field.coerce(-rows[t][f])
+    return grid
+
+
+def reference_solve(field, a, b):
+    rows, pivots = reference_rref(
+        field, [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)], a.cols + b.cols)
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    x = [[field.zero()] * b.cols for _ in range(a.cols)]
+    for t, pc in enumerate(pivots):
+        x[pc] = rows[t][a.cols:]
+    return x
+
+
+def grid(m):
+    return [list(row) for row in m.entries]
+
+
+def assert_canonical(m):
+    """Every entry is a reduced int over F_p and a Fraction over Q."""
+    kind = int if m.field.is_prime else Fraction
+    values = [v for row in m.entries for v in row]
+    values += [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    assert all(type(v) is kind for v in values)
+    if m.field.is_prime:
+        assert all(0 <= v < m.field.p for v in values)
+
+
+class TestReferenceElimination:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), rows=st.integers(0, 5),
+           cols=st.integers(0, 5), bcols=st.integers(0, 2))
+    def test_rref_kernel_and_solve_match_reference(self, data, field, rows, cols, bcols):
+        a = data.draw(matrices(field, rows, cols))
+        r, pivots = a.rref()
+        want_r, want_pivots = reference_rref(field, a.entries, cols)
+        assert grid(r) == want_r and pivots == want_pivots
+        kernel = a.kernel_basis()
+        assert kernel.shape == (cols, cols - len(pivots))
+        assert grid(kernel) == reference_kernel(field, a.entries, cols)
+        b = data.draw(matrices(field, rows, bcols))
+        x = a.solve(b)
+        want_x = reference_solve(field, a, b)
+        assert (x is None) == (want_x is None)
+        if x is not None:
+            assert x.shape == (cols, bcols) and grid(x) == want_x
+            assert_canonical(x)
+        for m in (r, kernel):
+            assert_canonical(m)
+
+
+class TestRationalStorage:
+    def test_results_hold_fractions_also_without_terms(self):
+        a = M(QQ, [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])
+        no_cols = Matrix.zeros(QQ, 2, 0)
+        x = no_cols.solve(Matrix.zeros(QQ, 2, 3))
+        results = [
+            no_cols @ Matrix.zeros(QQ, 0, 3),
+            kron(no_cols, a), kron(a, Matrix.zeros(QQ, 0, 2)), kron(a, a),
+            no_cols.kernel_basis(), x, no_cols @ x, no_cols @ no_cols.kernel_basis(),
+            Matrix.zeros(QQ, 2, 2), Matrix.identity(QQ, 3), a.kernel_basis(),
+            a.rref()[0], a.solve(Matrix.identity(QQ, 2)), -a, a.scale(2), a.transpose(),
+            vec(a), unvec(QQ, vec(a), 2, 2), hstack([a, no_cols]), vstack([a, a]),
+        ]
+        assert x.shape == (0, 3) and results[0].shape == (2, 3)
+        for m in results:
+            assert_canonical(m)
+
+    def test_equal_matrices_hash_equal(self):
+        built = M(QQ, [[1, 0], [0, 1]])
+        product = M(QQ, [[2, 0], [0, 4]]) @ M(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 4)]])
+        reduced = M(QQ, [[2, 1], [4, 3]]).rref()[0]
+        for m in (product, reduced, Matrix.identity(QQ, 2)):
+            assert m == built and hash(m) == hash(built)
+        zero = Matrix.zeros(QQ, 2, 0) @ Matrix.zeros(QQ, 0, 3)
+        assert zero == M(QQ, [[0, 0, 0]] * 2) and hash(zero) == hash(M(QQ, [[0, 0, 0]] * 2))
+        assert len({built, product, reduced}) == 1
