@@ -319,14 +319,11 @@ class ModuleMap:
 def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """The composite f after g.
 
-    Composites of valid maps are valid, so no re-validation is performed
-    outside of debug mode (python -O disables the assertion).
+    Composites of valid maps are valid, so the result is not re-validated.
     """
     if g.target != f.source:
         raise InvalidMap("not composable")
-    out = ModuleMap.unchecked(g.source, f.target, f.mat @ g.mat)
-    assert ModuleMap(out.source, out.target, out.mat) is not None
-    return out
+    return ModuleMap.unchecked(g.source, f.target, f.mat @ g.mat)
 
 
 def is_exact_at(f: ModuleMap, g: ModuleMap) -> bool:
@@ -334,6 +331,19 @@ def is_exact_at(f: ModuleMap, g: ModuleMap) -> bool:
     if f.target != g.source:
         raise InvalidMap("maps do not share a middle module")
     return is_exact_pair(f.mat, g.mat)
+
+
+def intertwining_system(x: LeftModule, y: LeftModule) -> Matrix:
+    """The equations T rho_x(e_i) = rho_y(e_i) T on the column-major
+    vec(T) of a map T: x -> y, one block kron(rho_x(e_i)^T, I) -
+    kron(I, rho_y(e_i)) per basis index, stacked in index order."""
+    f = x.algebra.field
+    m, n = y.dim, x.dim
+    im = Matrix.identity(f, m)
+    i_n = Matrix.identity(f, n)
+    blocks = [kron(x.action[i].transpose(), im) - kron(i_n, y.action[i])
+              for i in range(x.algebra.dim)]
+    return vstack(blocks) if blocks else Matrix.zeros(f, 0, m * n)
 
 
 def hom_space(x: LeftModule, y: LeftModule) -> list:
@@ -349,13 +359,7 @@ def hom_space(x: LeftModule, y: LeftModule) -> list:
     m, n = y.dim, x.dim
     if m * n == 0:
         return []
-    blocks = []
-    im = Matrix.identity(f, m)
-    i_n = Matrix.identity(f, n)
-    for i in range(x.algebra.dim):
-        blocks.append(kron(x.action[i].transpose(), im) - kron(i_n, y.action[i]))
-    system = vstack(blocks) if blocks else Matrix.zeros(f, 0, m * n)
-    ker = system.kernel_basis()
+    ker = intertwining_system(x, y).kernel_basis()
     basis = []
     for j in range(ker.cols):
         basis.append(ModuleMap(x, y, unvec(f, ker.col(j), m, n)))

@@ -112,10 +112,10 @@ def _validate_bundle_doc(path: str, node) -> list:
             problems.append(f"{path}: bimodule: {kind} violated at {witness}")
         return problems
     bimodule = formats.bimodule_from_doc(algebra, node["bimodule"], f"{path}: bimodule")
-    n = node.get("nilpotency")
-    if not isinstance(n, int) or n < 0:
-        problems.append(f"{path}: nilpotency must be a non-negative integer")
-        return problems
+    try:
+        n = formats.int_from_doc(node.get("nilpotency"), f"{path}: nilpotency", 0)
+    except FormatError as exc:
+        return [str(exc)]
     if not certify_nilpotent(bimodule, n):
         dims = power_dims(bimodule, n + 1)
         problems.append(

@@ -127,9 +127,13 @@ def render(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
+# libyaml's parser when PyYAML was built with it; the documents are the same
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise FormatError("<input>", f"parse error: {exc}")
     if not isinstance(doc, dict):
@@ -137,7 +141,27 @@ def load(text: str) -> dict:
     return doc
 
 
-# -- scalars, matrices, fields ---------------------------------------------------
+# -- integers, scalars, matrices, fields -------------------------------------------
+
+
+def int_from_doc(v, where: str, minimum: Optional[int] = None) -> int:
+    """An integer field of a file: ``v`` must be an ``int`` that is not a
+    boolean, and at least ``minimum`` when one is given."""
+    if isinstance(v, int) and not isinstance(v, bool) and (minimum is None or v >= minimum):
+        return v
+    want = "an integer" if minimum is None else f"an integer >= {minimum}"
+    raise FormatError(where, f"expected {want}, got {v!r}")
+
+
+def ranks_from_doc(v, maps: int, where: str) -> tuple:
+    """A rank list of a window, complex, context-ring or triangular file:
+    non-negative integers, one more than there are maps."""
+    if not isinstance(v, list):
+        raise FormatError(where, "expected a list of non-negative ranks")
+    if len(v) != maps + 1:
+        raise FormatError(where, f"need exactly one more rank than maps, "
+                                 f"got {len(v)} ranks for {maps} maps")
+    return tuple(int_from_doc(r, f"{where}[{i}]", 0) for i, r in enumerate(v))
 
 
 def scalar_to_doc(field: FieldSpec, v):
@@ -185,10 +209,9 @@ def matrix_to_doc(m: Matrix) -> dict:
 def matrix_from_doc(field: FieldSpec, node, where: str) -> Matrix:
     if not isinstance(node, dict) or not {"rows", "cols", "entries"} <= set(node):
         raise FormatError(where, "matrix needs rows, cols, entries")
-    rows, cols = node["rows"], node["cols"]
+    rows = int_from_doc(node["rows"], f"{where}.rows", 0)
+    cols = int_from_doc(node["cols"], f"{where}.cols", 0)
     entries = node["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
-        raise FormatError(where, "bad matrix dimensions")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(where, f"expected {rows} entry rows")
     grid = []
@@ -215,9 +238,7 @@ def algebra_to_doc(a: Algebra) -> dict:
 def algebra_from_doc(field: FieldSpec, node, where: str, checked: bool = True):
     if not isinstance(node, dict) or not {"dim", "unit", "struct_consts"} <= set(node):
         raise FormatError(where, "algebra needs dim, unit, struct_consts")
-    dim = node["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError(where, "algebra dimension must be a positive integer")
+    dim = int_from_doc(node["dim"], f"{where}.dim", 1)
     consts = node["struct_consts"]
     unit = node["unit"]
     if not isinstance(consts, list) or len(consts) != dim:
@@ -254,9 +275,7 @@ def bimodule_to_doc(m: Bimodule) -> dict:
 def bimodule_from_doc(algebra: Algebra, node, where: str, checked: bool = True):
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "bimodule needs dim, left_action, right_action")
-    dim = node["dim"]
-    if not isinstance(dim, int) or dim < 0:
-        raise FormatError(where, "bimodule dimension must be a non-negative integer")
+    dim = int_from_doc(node["dim"], f"{where}.dim", 0)
     def acts(key):
         nodes = node[key]
         if not isinstance(nodes, list) or len(nodes) != algebra.dim:
@@ -294,9 +313,7 @@ def bundle_from_doc(node, where: str = "bundle"):
     field = field_from_doc(node["field"], f"{where}.field")
     algebra = algebra_from_doc(field, node["algebra"], f"{where}.algebra")
     bimodule = bimodule_from_doc(algebra, node["bimodule"], f"{where}.bimodule")
-    n = node["nilpotency"]
-    if not isinstance(n, int) or n < 0:
-        raise FormatError(f"{where}.nilpotency", "must be a non-negative integer")
+    n = int_from_doc(node["nilpotency"], f"{where}.nilpotency", 0)
     return TensorRing(algebra, bimodule, n)
 
 
@@ -320,14 +337,6 @@ def window_to_doc(w: ResolutionWindow) -> dict:
     return node
 
 
-def _lo_from(node: dict, where: str) -> int:
-    """The optional first index of a window or complex section, default 0."""
-    lo = node.get("lo", 0)
-    if not isinstance(lo, int) or isinstance(lo, bool):
-        raise FormatError(where, f"expected an integer, got {lo!r}")
-    return lo
-
-
 def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
     if doc.get("kind") != "window":
         raise FormatError(where, f"expected kind 'window', got {doc.get('kind')!r}")
@@ -335,22 +344,18 @@ def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
     node = doc.get("window")
     if not isinstance(node, dict):
         raise FormatError(where, "missing window section")
-    lo = _lo_from(node, f"{where}.lo")
-    ranks = node.get("ranks")
+    lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
     maps_node = node.get("maps")
     period = node.get("period")
-    if not isinstance(ranks, list) or not all(isinstance(r, int) and r >= 0 for r in ranks):
-        raise FormatError(f"{where}.ranks", "expected a list of non-negative ranks")
     if not isinstance(maps_node, list):
         raise FormatError(f"{where}.maps", "expected a list of component lists")
+    ranks = ranks_from_doc(node.get("ranks"), len(maps_node), f"{where}.ranks")
     stars = []
     for t, mnode in enumerate(maps_node):
         comps_node = mnode.get("components") if isinstance(mnode, dict) else None
         if not isinstance(comps_node, list) or len(comps_node) != ring.nilpotency + 1:
             raise FormatError(f"{where}.maps[{t}]",
                               f"expected {ring.nilpotency + 1} components")
-        if t + 1 >= len(ranks):
-            raise FormatError(f"{where}.maps[{t}]", "more maps than rank intervals")
         p = ring.free(ranks[t])
         comps = []
         for i, cnode in enumerate(comps_node):
@@ -363,25 +368,12 @@ def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
                 raise FormatError(f"{where}.maps[{t}].components[{i}]", str(exc))
         stars.append(StarMorphism(ring, ranks[t], ranks[t + 1], tuple(comps)))
     try:
-        return ResolutionWindow(ring, lo, tuple(ranks), tuple(stars), period=period)
+        return ResolutionWindow(ring, lo, ranks, tuple(stars), period=period)
     except Exception as exc:
         raise FormatError(where, str(exc))
 
 
 # -- base complexes ---------------------------------------------------------------
-
-
-def complex_to_doc(ring: TensorRing, pc: ResolutionWindow,
-                   bimodule: Bimodule, levels: int) -> dict:
-    """Complex file: a base-ring complex plus the bimodule to test against."""
-    return {"kind": "complex",
-            "bundle": bundle_to_doc(ring.algebra, bimodule, levels),
-            "complex": {
-                "lo": pc.lo,
-                "ranks": Inline(list(pc.ranks)),
-                **({"period": pc.period} if pc.period is not None else {}),
-                "maps": [matrix_to_doc(s.components[0].mat) for s in pc.maps],
-            }}
 
 
 def complex_from_doc(doc, where: str = "complex"):
@@ -394,17 +386,15 @@ def complex_from_doc(doc, where: str = "complex"):
     field = field_from_doc(bundle.get("field"), f"{where}.bundle.field")
     algebra = algebra_from_doc(field, bundle.get("algebra"), f"{where}.bundle.algebra")
     bimodule = bimodule_from_doc(algebra, bundle.get("bimodule"), f"{where}.bundle.bimodule")
-    levels = bundle.get("nilpotency")
-    if not isinstance(levels, int) or levels < 0:
-        raise FormatError(f"{where}.bundle.nilpotency", "must be a non-negative integer")
+    levels = int_from_doc(bundle.get("nilpotency"), f"{where}.bundle.nilpotency", 0)
     node = doc.get("complex")
     if not isinstance(node, dict):
         raise FormatError(where, "missing complex section")
-    ranks = node.get("ranks")
     maps_node = node.get("maps")
-    if not isinstance(ranks, list) or not isinstance(maps_node, list):
+    if not isinstance(maps_node, list):
         raise FormatError(where, "complex needs ranks and maps")
-    lo = _lo_from(node, f"{where}.lo")
+    ranks = ranks_from_doc(node.get("ranks"), len(maps_node), f"{where}.ranks")
+    lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
     maps = []
     for t, mnode in enumerate(maps_node):
         mat = matrix_from_doc(field, mnode, f"{where}.maps[{t}]")
@@ -505,7 +495,7 @@ def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: s
 
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "pair bimodule needs dim, left_action, right_action")
-    dim = node["dim"]
+    dim = int_from_doc(node["dim"], f"{where}.dim", 0)
     field = left_alg.field
 
     def acts(key, alg):
@@ -526,12 +516,11 @@ def _context_maps_from_doc(d, node, with_gamma: bool, where: str):
     from tensorgp.special_rings import block_power_module
 
     field = d.a.field
-    ranks_p = node.get("ranks_p")
-    ranks_q = node.get("ranks_q")
     maps_node = node.get("maps")
-    if not isinstance(ranks_p, list) or not isinstance(ranks_q, list) \
-            or not isinstance(maps_node, list):
+    if not isinstance(maps_node, list):
         raise FormatError(where, "window needs ranks_p, ranks_q and maps")
+    ranks_p = ranks_from_doc(node.get("ranks_p"), len(maps_node), f"{where}.ranks_p")
+    ranks_q = ranks_from_doc(node.get("ranks_q"), len(maps_node), f"{where}.ranks_q")
     tau, sigma, beta, gamma = [], [], [], []
     for t, mnode in enumerate(maps_node):
         if not isinstance(mnode, dict):
@@ -603,9 +592,9 @@ def morita_from_doc(doc, where: str = "morita"):
         raise FormatError(where, "missing window section")
     ranks_p, ranks_q, tau, sigma, beta, gamma = _context_maps_from_doc(
         d, node, True, f"{where}.window")
-    lo = _lo_from(node, f"{where}.window.lo")
+    lo = int_from_doc(node.get("lo", 0), f"{where}.window.lo")
     try:
-        w = MoritaWindow(lo, tuple(ranks_p), tuple(ranks_q),
+        w = MoritaWindow(lo, ranks_p, ranks_q,
                          tuple(tau), tuple(sigma), tuple(beta), tuple(gamma),
                          period=node.get("period"))
     except Exception as exc:
@@ -651,9 +640,9 @@ def triangular_from_doc(doc, where: str = "triangular"):
         raise FormatError(where, "missing window section")
     ranks_p, ranks_q, tau, sigma, beta, _ = _context_maps_from_doc(
         d, node, False, f"{where}.window")
-    lo = _lo_from(node, f"{where}.window.lo")
+    lo = int_from_doc(node.get("lo", 0), f"{where}.window.lo")
     try:
-        w = TriangularWindow(lo, tuple(ranks_p), tuple(ranks_q),
+        w = TriangularWindow(lo, ranks_p, ranks_q,
                              tuple(tau), tuple(sigma), tuple(beta),
                              period=node.get("period"))
     except Exception as exc:

@@ -10,11 +10,13 @@ each checkable position:
 - C1: all composite components vanish (the window is a complex);
 - C2: every kernel element of the assembled outgoing map lifts through
   the assembled incoming map (exactness), cross-checked against the
-  equivalent rank identity;
+  equivalent rank identity; decided where C1 holds, "skip" elsewhere;
 - C3: every component tuple of functionals into the induced test module
   that kills the incoming map factors through the outgoing map
   (Hom-exactness against induced projectives, with the rank-one test
-  module, which suffices by additivity).
+  module, which suffices by additivity).  The components of f . alpha are
+  A(f) V, with A(f) the assembled matrix of f, memoised per ring and rank
+  for a basis of tuples, and V the stacked components of alpha.
 
 Every failing verdict carries a witness that re-verifies through the
 low-level matrix operations alone; see :func:`replay_verdict`.  The
@@ -28,9 +30,10 @@ Hom-complex homology for C3 (:func:`hom_complex_oracle`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import Optional
 
-from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, lift_or_witness,
+from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witness,
                                unlifted_solution, unvec, unvec_blocks, vec, vstack)
 from tensorgp.algebra import (
     LeftModule,
@@ -243,7 +246,7 @@ class ResolutionWindow:
         t = self.index.map_slot(k)
         cache = self._cache.setdefault("assembled", {})
         if t not in cache:
-            cache[t] = self.ring.assemble_star(self.maps[t]).mat
+            cache[t] = self.ring.assemble_star(self.maps[t])
         return cache[t]
 
     def positions(self):
@@ -302,19 +305,16 @@ def check_c1(prev: StarMorphism, next_: StarMorphism):
     return True, None
 
 
-def check_c2(prev: StarMorphism, next_: StarMorphism):
-    """Kernel elements of the assembled outgoing map must lift through the
-    assembled incoming map.
+def check_c2(w: ResolutionWindow, k: int):
+    """Kernel elements of the assembled alpha^k must lift through the
+    assembled alpha^(k-1).
 
-    Decided by :func:`kernel_lift` on the assembled matrices, with its
-    rank cross-check; the two methods must agree whenever the composite
-    vanishes.  When C1 fails the verdict is "skip".
+    Decided by :func:`kernel_lift` on the window's assembled matrices, with
+    its rank cross-check; the two methods agree whenever the composite
+    vanishes, so the caller decides C1 first (:func:`check_complete`
+    records "skip" when it fails).
     """
-    ring = prev.ring
-    ok1, _ = check_c1(prev, next_)
-    if not ok1:
-        return "skip", None
-    return kernel_lift(ring.assemble_star(prev).mat, ring.assemble_star(next_).mat)
+    return kernel_lift(w.assembled(k - 1), w.assembled(k))
 
 
 def kernel_lift(prev: Matrix, next_: Matrix):
@@ -335,17 +335,6 @@ def kernel_lift(prev: Matrix, next_: Matrix):
     return ("pass", None) if c is None else ("fail", KernelWitness(kernel.col(c)))
 
 
-def _functional_space(ring: TensorRing, rank: int):
-    """Bases of the component slots Hom(P, F^(i-1)(R)) for P free of the
-    given rank, with the flattened coordinate layout (slot-major)."""
-    n = ring.nilpotency
-    slots = []
-    for i in range(n + 1):
-        target = ring.model(i, ring.free(1)).result
-        slots.append(free_hom_basis(ring.algebra, rank, target))
-    return slots
-
-
 def _tuple_shapes(ring: TensorRing, rank: int) -> list:
     """Component shapes of a functional tuple out of a free module."""
     return [(ring.model(i, ring.free(1)).result.dim, rank * ring.algebra.dim)
@@ -362,21 +351,48 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
     return StarMorphism(ring, rank, 1, tuple(comps))
 
 
-def _functional_constraint_data(ring: TensorRing, through: StarMorphism, rank: int):
-    """Columns of f |-> components(f . through) over the slot bases for
-    functional tuples out of the free module of the given rank."""
-    slots = _functional_space(ring, rank)
-    basis_cols = []
-    image_cols = []
-    for i, slot in enumerate(slots):
-        for b in slot:
-            mats = [ModuleMap.zero(ring.free(rank), ring.model(t, ring.free(1)).result)
-                    if t != i else b for t in range(ring.nilpotency + 1)]
-            f_star = StarMorphism(ring, rank, 1, tuple(mats))
-            composed = star_compose(f_star, through)
-            basis_cols.append(_stack_tuple([m.mat for m in mats]))
-            image_cols.append(_stack_tuple([m.mat for m in composed.components]))
-    return basis_cols, image_cols
+def _functional_basis(ring: TensorRing, rank: int):
+    """The slot-basis functional tuples b out of the free module of the
+    given rank (one basis map of a slot, zeros elsewhere; slot-major),
+    memoised per (ring, rank): their stacked coordinate columns and, per
+    block j of Ind(R), its height and the columns vec(A(b)_j) of the j-th
+    row blocks of their assembled matrices (None when there are no
+    tuples)."""
+    cache = ring._cache.setdefault("functional_basis", {})
+    if rank not in cache:
+        p = ring.free(rank)
+        targets = [ring.model(i, ring.free(1)).result for i in range(ring.nilpotency + 1)]
+        zeros = [ModuleMap.unchecked(p, t, Matrix.zeros(ring.algebra.field, t.dim, p.dim))
+                 for t in targets]
+        offsets = [0, *accumulate(t.dim for t in targets)]
+        basis_cols, block_cols = [], [[] for _ in targets]
+        for i, target in enumerate(targets):
+            for b in free_hom_basis(ring.algebra, rank, target):
+                comps = zeros[:i] + [b] + zeros[i + 1:]
+                basis_cols.append(_stack_tuple([c.mat for c in comps]))
+                a = ring.assemble_star(StarMorphism(ring, rank, 1, tuple(comps)))
+                for j, cols in enumerate(block_cols):
+                    cols.append(vec(a.block(offsets[j], offsets[j + 1], 0, a.cols)))
+        cache[rank] = (basis_cols, [(t.dim, hstack(c)) for t, c in zip(targets, block_cols)]
+                       if basis_cols else None)
+    return cache[rank]
+
+
+def _functional_constraints(ring: TensorRing, through: StarMorphism) -> list:
+    """Columns of f |-> components(f . through) over the slot-basis tuples f
+    out of the free module of the target rank of ``through``.
+
+    The components of f . through are the row blocks A(f)_j V of A(f) V,
+    with V the stacked components of ``through`` (the first block column
+    of its assembled matrix), so vec(A(f)_j V) = (V^T (x) I) vec(A(f)_j).
+    """
+    _, blocks = _functional_basis(ring, through.target_rank)
+    if blocks is None:
+        return []
+    vt = vstack([c.mat for c in through.components]).transpose()
+    field = ring.algebra.field
+    image = vstack([kron(vt, Matrix.identity(field, h)) @ blk for h, blk in blocks])
+    return [image.col(c) for c in range(image.cols)]
 
 
 def check_c3(prev: StarMorphism, next_: StarMorphism):
@@ -390,10 +406,9 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
     rank_mid = prev.target_rank
-    basis_cols, constraint_cols = _functional_constraint_data(ring, prev, rank_mid)
-    col = unlifted_solution(
-        basis_cols, constraint_cols,
-        lambda: _functional_constraint_data(ring, next_, next_.target_rank)[1])
+    basis_cols, _ = _functional_basis(ring, rank_mid)
+    col = unlifted_solution(basis_cols, _functional_constraints(ring, prev),
+                            lambda: _functional_constraints(ring, next_))
     if col is None:
         return True, None
     return False, FunctionalWitness(tuple(unvec_blocks(col, _tuple_shapes(ring, rank_mid))))
@@ -415,9 +430,10 @@ def check_complete(w: ResolutionWindow) -> CheckReport:
         next_ = w.map_at(k)
         ok1, w1 = check_c1(prev, next_)
         verdicts.append(Verdict("C1", k, "pass" if ok1 else "fail", w1))
-        status2, w2 = check_c2(prev, next_)
-        verdicts.append(Verdict("C2", k, status2, w2,
-                                note="" if status2 != "skip" else "C1 failed"))
+        if ok1:
+            verdicts.append(Verdict("C2", k, *check_c2(w, k)))
+        else:
+            verdicts.append(Verdict("C2", k, "skip", note="C1 failed"))
         ok3, w3 = check_c3(prev, next_)
         verdicts.append(Verdict("C3", k, "pass" if ok3 else "fail", w3))
     return CheckReport("generic", tuple(verdicts), window_local=w.period is None)
@@ -626,35 +642,30 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
     hom_cache = {}
 
     def hom_basis(k):
+        """Size and vec columns of the hom_t basis out of Ind P^k."""
         t = w.index.rank_slot(k)
         if t not in hom_cache:
-            basis = ring.hom_t(ring.ind_free(w.ranks[t]), target)
-            cols = [vec(h.mat) for h in basis]
-            stack = hstack(cols) if cols else None
-            hom_cache[t] = (basis, stack)
+            cols = [vec(h.mat) for h in ring.hom_t(ring.ind_free(w.ranks[t]), target)]
+            hom_cache[t] = (len(cols), hstack(cols) if cols else None)
         return hom_cache[t]
 
     def differential(k):
-        """Matrix of precomposition with alpha^k in the chosen bases."""
-        src_basis, _ = hom_basis(k + 1)
-        tgt_basis, tgt_stack = hom_basis(k)
+        """Matrix of precomposition with alpha^k in the chosen bases:
+        vec(h alpha^k) = (alpha^k^T (x) I) vec(h), solved for all h at once."""
+        src_dim, src_stack = hom_basis(k + 1)
+        tgt_dim, tgt_stack = hom_basis(k)
+        if not src_dim:
+            return Matrix.zeros(field, tgt_dim, 0)
         a = w.assembled(k)
-        if not src_basis:
-            rows = len(tgt_basis)
-            return Matrix.zeros(field, rows, 0)
-        cols = []
-        for h in src_basis:
-            composed = vec(h.mat @ a)
-            if tgt_stack is None:
-                if not composed.is_zero():
-                    raise InternalCheckError("composite leaves the morphism space")
-                cols.append(Matrix.zeros(field, 0, 1))
-                continue
-            coords = tgt_stack.solve(composed)
-            if coords is None:
-                raise InternalCheckError("composite is not a morphism of pairs")
-            cols.append(coords)
-        return hstack(cols)
+        composed = kron(a.transpose(), Matrix.identity(field, target.x.dim)) @ src_stack
+        if tgt_stack is None:
+            if not composed.is_zero():
+                raise InternalCheckError("composite leaves the morphism space")
+            return Matrix.zeros(field, 0, src_dim)
+        coords = tgt_stack.solve(composed)
+        if coords is None:
+            raise InternalCheckError("composite is not a morphism of pairs")
+        return coords
 
     out = {}
     for k in w.positions():
@@ -702,7 +713,7 @@ def replay_verdict(w: ResolutionWindow, verdict: Verdict) -> bool:
             return False
         if any(not c.is_zero() for c in star_compose(f_star, prev).components):
             return False
-        _, g_cols = _functional_constraint_data(ring, next_, next_.target_rank)
+        g_cols = _functional_constraints(ring, next_)
         field = ring.algebra.field
         raw = _stack_tuple(wit.components)
         lmat = hstack(g_cols) if g_cols else Matrix.zeros(field, raw.rows, 0)

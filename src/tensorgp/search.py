@@ -128,7 +128,7 @@ def _classify(ring: TensorRing, candidates) -> Catalog:
     for rank, s in candidates:
         c1_passed, _ = check_c1(s, s)
         passed = c1_passed and check_strongly_gp(s).passed
-        kernel_dim = ring.ind_free(rank).x.dim - ring.assemble_star(s).mat.rank()
+        kernel_dim = ring.ind_free(rank).x.dim - ring.assemble_star(s).rank()
         key = (rank, kernel_dim, passed)
         g = groups.get(key)
         if g is None:
@@ -171,7 +171,7 @@ def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
                       for i, m in enumerate(g.representative))
         s = StarMorphism(ring, g.rank, g.rank, comps)
         report = check_strongly_gp(s)
-        kernel_dim = ring.ind_free(g.rank).x.dim - ring.assemble_star(s).mat.rank()
+        kernel_dim = ring.ind_free(g.rank).x.dim - ring.assemble_star(s).rank()
         if report.passed != g.passed or kernel_dim != g.kernel_dim:
             return False
     return True

@@ -9,8 +9,11 @@ block morphisms between induced modules, and two independent oracles: a
 structure-constant model of the tensor ring itself, and the translation
 of pairs into modules over that model.
 
-Every morphism construction is re-validated against the defining
-equations, so a successful return certifies the result.
+Pairs, morphisms of pairs and component lists are validated against their
+defining equations when constructed from outside.  What is built from
+validated data by construction is not validated again: the assembled
+block matrix of a component list and the basis that :meth:`TensorRing.hom_t`
+reads off the kernel of its equations.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from tensorgp.exactlin import Matrix, hstack, kron, unvec, vec, vstack
+from tensorgp.exactlin import Matrix, hstack, kron, unvec, vstack
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
     LeftModule,
     ModuleMap,
     free_module,
+    intertwining_system,
     quotient_by_columns,
 )
 from tensorgp.bimodule import (
@@ -238,12 +242,13 @@ class TensorRing:
 
     # -- block morphisms ---------------------------------------------------
 
-    def assemble_star(self, s: "StarMorphism") -> "TMorphism":
-        """The lower-triangular block matrix of a component list.
+    def assemble_star(self, s: "StarMorphism") -> Matrix:
+        """The lower-triangular block matrix of a component list, a map
+        Ind(free source rank) -> Ind(free target rank).
 
         Block (j, i), 1-indexed and lower triangular, is the grafted
-        (j-i+1)-th component under the (i-1)-st functor power; the result
-        is validated as a morphism of pairs.
+        (j-i+1)-th component under the (i-1)-st functor power.  Every such
+        matrix is a morphism of pairs, so it is not re-validated.
         """
         if s.ring != self:
             raise TensorRingError("star morphism belongs to a different ring")
@@ -266,8 +271,7 @@ class TensorRing:
                     g = graft(m, i - 1, j - i, q)
                     cells.append(g.mat @ lifted.mat)
             rows.append(hstack(cells))
-        big = vstack(rows)
-        return TMorphism(self.ind_free(s.source_rank), self.ind_free(s.target_rank), big)
+        return vstack(rows)
 
     def decompose_star(self, t: "TMorphism") -> "StarMorphism":
         """Read the components of a morphism between induced free modules
@@ -285,11 +289,11 @@ class TensorRing:
             components.append(ModuleMap(self.free(rank_p), self.model(j - 1, q).result, blk))
         star = StarMorphism(self, rank_p, rank_q, tuple(components))
         redone = self.assemble_star(star)
-        if redone.mat != t.mat:
+        if redone != t.mat:
             for j in range(1, n + 2):
                 for i in range(1, n + 2):
-                    a = redone.mat.block(tgt.offsets[j - 1], tgt.offsets[j],
-                                         src.offsets[i - 1], src.offsets[i])
+                    a = redone.block(tgt.offsets[j - 1], tgt.offsets[j],
+                                     src.offsets[i - 1], src.offsets[i])
                     b = t.mat.block(tgt.offsets[j - 1], tgt.offsets[j],
                                     src.offsets[i - 1], src.offsets[i])
                     if a != b:
@@ -306,29 +310,24 @@ class TensorRing:
     def hom_t(self, t1: "TModule", t2: "TModule") -> list:
         """Basis of the space of morphisms of pairs t1 -> t2.
 
-        Solves the combined system: linearity over the base algebra plus
-        compatibility with both structure maps, assembled column by column
-        over the matrix units and reduced exactly.
+        An unknown e: t1.x -> t2.x is linear over the base algebra and
+        satisfies e u1 = u2 F(e) with F(e) = P2 (I (x) e) S1.  With S1_k the
+        k-th row block of S1 and (u2 P2)_k the k-th column block of u2 P2,
+        that is (u1^T (x) I - sum_k S1_k^T (x) (u2 P2)_k) vec(e) = 0.  The
+        basis is the canonical kernel of both systems stacked.
         """
         f = self.algebra.field
         a, b = t2.x.dim, t1.x.dim
         if a * b == 0:
             return []
-        m1 = self.model(1, t1.x)
-        m2 = self.model(1, t2.x)
-        im = Matrix.identity(f, self.bimodule.dim)
-        cols = []
-        # the matrix units in the column-major order of vec
-        for idx in range(a * b):
-            e = unvec(f, Matrix.basis_column(f, a * b, idx), a, b)
-            parts = []
-            for s in range(self.algebra.dim):
-                parts.append(vec(e @ t1.x.action[s] - t2.x.action[s] @ e))
-            fe = m2.projection @ kron(im, e) @ m1.section
-            parts.append(vec(e @ t1.u - t2.u @ fe))
-            cols.append(vstack(parts))
-        ker = hstack(cols).kernel_basis()
-        return [TMorphism(t1, t2, unvec(f, ker.col(c), a, b)) for c in range(ker.cols)]
+        s1 = self.model(1, t1.x).section
+        u2p2 = t2.u @ self.model(1, t2.x).projection
+        structure = kron(t1.u.transpose(), Matrix.identity(f, a))
+        for k in range(self.bimodule.dim):
+            structure = structure - kron(s1.block(k * b, (k + 1) * b, 0, s1.cols).transpose(),
+                                         u2p2.block(0, a, k * a, (k + 1) * a))
+        ker = vstack([intertwining_system(t1.x, t2.x), structure]).kernel_basis()
+        return [TMorphism.unchecked(t1, t2, unvec(f, ker.col(c), a, b)) for c in range(ker.cols)]
 
 
 def _block_row_selector(field, offsets, i, total) -> Matrix:
@@ -427,11 +426,6 @@ class TMorphism:
         object.__setattr__(t, "target", target)
         object.__setattr__(t, "mat", mat)
         return t
-
-    def __matmul__(self, other: "TMorphism") -> "TMorphism":
-        if other.target != self.source:
-            raise TensorRingError("not composable")
-        return TMorphism.unchecked(other.source, self.target, self.mat @ other.mat)
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()

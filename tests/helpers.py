@@ -1,11 +1,13 @@
 """Shared constructors for the small algebras, bimodules and maps used
 across the suite.  Everything here is deterministic."""
 
+import random
 from fractions import Fraction
 
 from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
 from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_module
 from tensorgp.bimodule import Bimodule, zero_bimodule
+from tensorgp.tensor_ring import TensorRing
 
 F2 = GF(2)
 F3 = GF(3)
@@ -95,6 +97,42 @@ def augmentation_bimodule(field: FieldSpec) -> Bimodule:
     one = Matrix.from_rows(field, [[1]])
     zero = Matrix.zeros(field, 1, 1)
     return Bimodule(r, 1, (one, zero), (one, zero))
+
+
+def ring_pool(fields=(F2, F3)):
+    """Per field: the dual numbers and k x k with the zero bimodule at
+    nilpotency 0, the triangular corner ring, the dual numbers at
+    nilpotency 1, and the three-vertex path ring."""
+    rings = []
+    for field in fields:
+        r_dual = dual_numbers(field)
+        r_prod = product_fields(field, 2)
+        rings.append(TensorRing(r_dual, zero_bimodule(r_dual), 0))
+        rings.append(TensorRing(r_prod, zero_bimodule(r_prod), 0))
+        m = corner_bimodule(field)
+        rings.append(TensorRing(m.algebra, m, 1))
+        rings.append(TensorRing(r_dual, zero_bimodule(r_dual), 1))
+        p = path_bimodule(field, 3)
+        rings.append(TensorRing(p.algebra, p, 2))
+    return rings
+
+
+def window_corpus(count=312, fields=(F2, F3), seed=10_000, path_rank=2):
+    """Seeded corpus of periodic windows over :func:`ring_pool`:
+    nilpotency 0..2, ranks up to 2 (up to ``path_rank`` on the
+    nilpotency-2 path ring), periods 1 and 2."""
+    from tensorgp.search import random_window
+
+    rings = ring_pool(fields)
+    windows = []
+    for i in range(count):
+        ring = rings[i % len(rings)]
+        rng = random.Random(seed + i)
+        period = 1 + (i % 2)
+        cap = path_rank if ring.nilpotency == 2 else 2
+        ranks = tuple(min(rng.randrange(3), cap) for _ in range(period))
+        windows.append(random_window(ring, 2 * seed + i, ranks))
+    return windows
 
 
 def random_scalar(field, rng):
@@ -237,3 +275,52 @@ def random_triangular_window(d, rng, max_rank=2, period=1):
                                block_power_module(d.v, ranks_q[t + 1]), rng))
     return TriangularWindow(0, tuple(ranks_p), tuple(ranks_q), tuple(tau), tuple(sigma),
                             tuple(beta), period=period)
+
+
+# -- references for the matrix-identity builders --------------------------------
+
+
+def reference_hom_t_system(ring, t1, t2):
+    """The system of morphisms of pairs t1 -> t2 built one matrix unit at
+    a time: column idx holds the intertwining residues and the structure
+    residue e u1 - u2 F(e) of the idx-th unit e in column-major order."""
+    from tensorgp.exactlin import hstack, kron, unvec, vec, vstack
+
+    f = ring.algebra.field
+    a, b = t2.x.dim, t1.x.dim
+    m1 = ring.model(1, t1.x)
+    m2 = ring.model(1, t2.x)
+    im = Matrix.identity(f, ring.bimodule.dim)
+    cols = []
+    for idx in range(a * b):
+        e = unvec(f, Matrix.basis_column(f, a * b, idx), a, b)
+        parts = [vec(e @ t1.x.action[s] - t2.x.action[s] @ e)
+                 for s in range(ring.algebra.dim)]
+        fe = m2.projection @ kron(im, e) @ m1.section
+        parts.append(vec(e @ t1.u - t2.u @ fe))
+        cols.append(vstack(parts))
+    return hstack(cols)
+
+
+def reference_c3_columns(ring, through):
+    """Coordinate and constraint columns of the slot-basis functional
+    tuples f out of the free module of the target rank of ``through``,
+    each constraint column composed with star_compose: the stacked
+    components of f . through."""
+    from tensorgp.algebra import free_hom_basis
+    from tensorgp.exactlin import vec, vstack
+    from tensorgp.resolution import star_compose
+    from tensorgp.tensor_ring import StarMorphism
+
+    rank = through.target_rank
+    n = ring.nilpotency
+    p = ring.free(rank)
+    targets = [ring.model(i, ring.free(1)).result for i in range(n + 1)]
+    basis_cols, image_cols = [], []
+    for i, target in enumerate(targets):
+        for b in free_hom_basis(ring.algebra, rank, target):
+            mats = [ModuleMap.zero(p, targets[t]) if t != i else b for t in range(n + 1)]
+            composed = star_compose(StarMorphism(ring, rank, 1, tuple(mats)), through)
+            basis_cols.append(vstack([vec(m.mat) for m in mats]))
+            image_cols.append(vstack([vec(m.mat) for m in composed.components]))
+    return basis_cols, image_cols

@@ -51,6 +51,8 @@ from helpers import (
     random_morita_window,
     random_triangular_data,
     random_triangular_window,
+    ring_pool,
+    window_corpus,
     x_multiplication,
 )
 
@@ -58,41 +60,11 @@ from helpers import (
 _COLLECTED_FAILURES = []
 
 
-def _ring_pool(fields=(F2, F3)):
-    rings = []
-    for field in fields:
-        r_dual = dual_numbers(field)
-        r_prod = product_fields(field, 2)
-        rings.append(TensorRing(r_dual, zero_bimodule(r_dual), 0))
-        rings.append(TensorRing(r_prod, zero_bimodule(r_prod), 0))
-        m = corner_bimodule(field)
-        rings.append(TensorRing(m.algebra, m, 1))
-        rings.append(TensorRing(r_dual, zero_bimodule(r_dual), 1))
-        p = path_bimodule(field, 3)
-        rings.append(TensorRing(p.algebra, p, 2))
-    return rings
-
-
-def _window_corpus(count=312, fields=(F2, F3), seed=10_000, path_rank=2):
-    """Seeded corpus of periodic windows: nilpotency 0..2, ranks up to 2
-    (up to ``path_rank`` on the nilpotency-2 path ring), periods 1 and 2."""
-    rings = _ring_pool(fields)
-    windows = []
-    for i in range(count):
-        ring = rings[i % len(rings)]
-        rng = random.Random(seed + i)
-        period = 1 + (i % 2)
-        cap = path_rank if ring.nilpotency == 2 else 2
-        ranks = tuple(min(rng.randrange(3), cap) for _ in range(period))
-        windows.append(random_window(ring, 2 * seed + i, ranks))
-    return windows
-
-
 @pytest.fixture(scope="module")
 def corpus():
     """The F_2 and F_3 corpus, then a small one over Q: rank-2 windows on
     the path ring cost seconds each over Q, so its ranks stop at 1 there."""
-    return _window_corpus() + _window_corpus(20, (QQ,), seed=30_000, path_rank=1)
+    return window_corpus() + window_corpus(20, (QQ,), seed=30_000, path_rank=1)
 
 
 def _over_q(windows):
@@ -210,7 +182,7 @@ def _sum_modules(m1, a, m2, b):
 
 def test_criterion_5_adjunction_dimensions():
     start = time.time()
-    rings = _ring_pool()
+    rings = ring_pool()
     checked_ind = 0
     checked_stalk = 0
     rng = random.Random(500)
@@ -383,7 +355,7 @@ def test_criterion_8_compatibility_and_lift_coherence():
 
 def _adversarial_fixtures():
     """Fifty crafted failing windows across the ring pool."""
-    rings = _ring_pool()
+    rings = ring_pool()
     fixtures = []
     i = 0
     while len(fixtures) < 50:

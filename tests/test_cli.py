@@ -177,6 +177,58 @@ class TestPeriodRefused:
         assert "period must be an integer" in capsys.readouterr().err
 
 
+class TestIntegerFieldsRefused:
+    @pytest.mark.parametrize("command,source,old,new,where", [
+        (command, "semisimple_complex.yaml", "ranks: [1, 1, 1]", ranks, "complex.ranks")
+        for command in ("compat", "validate")
+        for ranks in ("ranks: [a, 1, 1]", "ranks: [-1, 1, 1]", "ranks: [1, 1]")
+    ] + [
+        ("specialize", "triangular", "ranks_p: [1, 0, 1]", ranks, "window.ranks_p")
+        for ranks in ("ranks_p: [a, 0, 1]", "ranks_p: [-1, 0, 1]", "ranks_p: [1, 0]")
+    ] + [
+        ("specialize", "triangular", "ranks_q: [1, 1, 1]", "ranks_q: [1, 1, 1, 1]",
+         "window.ranks_q"),
+        ("check", "x_window.yaml", "ranks: [1, 1]", "ranks: [true, true]", "window.ranks"),
+        ("check", "x_window.yaml", "  lo: 0", "  lo: false", "window.lo"),
+        ("check", "x_window.yaml", "rows: 2, cols", "rows: true, cols", ".rows"),
+        ("validate", "triangular_bundle.yaml", "nilpotency: 1", "nilpotency: true",
+         "nilpotency"),
+        ("hunt", "triangular_bundle.yaml", "nilpotency: 1", "nilpotency: true", "nilpotency"),
+        ("validate", "triangular_bundle.yaml", "  dim: 2", "  dim: true", "algebra.dim"),
+        ("validate", "triangular_bundle.yaml", "  dim: 1", "  dim: -1", "bimodule.dim"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, source, old, new, where):
+        if source == "triangular":
+            text = formats.render(triangular_period_two_doc())
+        else:
+            text = Path(fixture(source)).read_text()
+        assert old in text
+        path = tmp_path / "input.yaml"
+        path.write_text(text.replace(old, new, 1))
+        assert main([command, str(path)]) == 2
+        assert where in capsys.readouterr().err
+
+
+class TestYamlLoader:
+    def documents(self):
+        texts = [p.read_text() for p in sorted(FIXTURES.glob("*.yaml"))]
+        texts.append(formats.render(triangular_period_two_doc()))
+        return texts
+
+    def test_both_loaders_give_equal_documents(self):
+        loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+        for text in self.documents():
+            doc = formats.load(text)
+            for loader in loaders:
+                assert yaml.load(text, Loader=loader) == doc
+
+    def test_parse_error_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("kind: window\nwindow: [1, 2\n")
+        assert main(["check", str(path)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_x_window_passes(self, tmp_path, capsys):
         out = tmp_path / "report.yaml"

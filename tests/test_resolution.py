@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tensorgp.exactlin import Matrix, is_exact_pair
+from tensorgp.exactlin import QQ, Matrix, is_exact_pair
 from tensorgp.algebra import ModuleMap, free_module, hom_space
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import StarMorphism, TMorphism, TensorRing
@@ -36,11 +36,15 @@ from tensorgp.resolution import (
     replay_verdict,
     star_compose,
     zero_window,
+    _functional_basis,
+    _functional_constraints,
 )
 
 from helpers import (
     F2,
     F3,
+    reference_c3_columns,
+    ring_pool,
     augmentation_bimodule,
     corner_bimodule,
     dual_numbers,
@@ -101,8 +105,8 @@ class TestStarCompose:
             for _ in range(10):
                 s1 = random_star(ring, 1, 2, rng)
                 s2 = random_star(ring, 2, 1, rng)
-                lhs = ring.assemble_star(star_compose(s2, s1)).mat
-                rhs = ring.assemble_star(s2).mat @ ring.assemble_star(s1).mat
+                lhs = ring.assemble_star(star_compose(s2, s1))
+                rhs = ring.assemble_star(s2) @ ring.assemble_star(s1)
                 assert lhs == rhs
 
 
@@ -134,22 +138,25 @@ class TestC2:
     def test_zero_maps_on_nonzero_module_fail(self):
         ring = dual_ring()
         z = StarMorphism.zero(ring, 1, 1)
-        status, wit = check_c2(z, z)
+        status, wit = check_c2(ResolutionWindow(ring, 0, (1, 1), (z,), period=1), 0)
         assert status == "fail"
         assert isinstance(wit, KernelWitness)
 
     def test_x_period_one_passes(self):
         ring = dual_ring()
-        s = x_star(ring)
-        status, _ = check_c2(s, s)
+        status, _ = check_c2(x_window(ring), 0)
         assert status == "pass"
 
     def test_skip_when_not_a_complex(self):
+        # check_c2 decides exactness alone; check_complete skips it when
+        # C1 fails
         ring = dual_ring()
         p = ring.free(1)
         ident = StarMorphism(ring, 1, 1, (ModuleMap.identity(p),))
-        status, _ = check_c2(ident, ident)
-        assert status == "skip"
+        report = check_complete(ResolutionWindow(ring, 0, (1, 1), (ident,), period=1))
+        assert report.status(0, "C1") == "fail"
+        c2 = [v for v in report.verdicts if v.label == "C2"]
+        assert [(v.status, v.witness, v.note) for v in c2] == [("skip", None, "C1 failed")]
 
 
 class TestC3:
@@ -175,6 +182,20 @@ class TestC3:
         # the witness functional kills multiplication by x
         assert (wit.components[0] @ s.components[0].mat).is_zero()
         assert not wit.components[0].is_zero()
+
+
+class TestC3Operator:
+    def test_columns_match_star_compose_reference(self):
+        # memoised assembled functionals times raw components give the
+        # columns that star_compose gives one basis tuple at a time
+        rng = random.Random(43)
+        for ring in ring_pool((F2, F3, QQ)):
+            for rank_src in range(3):
+                for rank in range(3):
+                    through = random_star(ring, rank_src, rank, rng)
+                    basis, constraint = reference_c3_columns(ring, through)
+                    assert _functional_basis(ring, rank)[0] == basis
+                    assert _functional_constraints(ring, through) == constraint
 
 
 class TestCheckComplete:
@@ -394,7 +415,7 @@ class TestLift:
         for s in lifted.maps:
             star = ring.decompose_star(
                 TMorphism(ring.ind_free(s.source_rank), ring.ind_free(s.target_rank),
-                          ring.assemble_star(s).mat))
+                          ring.assemble_star(s)))
             heads.append(star.components[0])
         base = complex_window(heads, period=lifted.period)
         assert check_complete(base).passed

@@ -81,7 +81,7 @@ def reference_keys(ring, candidates):
     """(rank, kernel dimension, verdict) of every candidate, each verdict
     from the full one-periodic check."""
     return [(rank,
-             ring.ind_free(rank).x.dim - ring.assemble_star(s).mat.rank(),
+             ring.ind_free(rank).x.dim - ring.assemble_star(s).rank(),
              check_strongly_gp(s).passed)
             for rank, s in candidates]
 

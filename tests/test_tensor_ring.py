@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tensorgp.exactlin import Matrix, is_exact_pair
+from tensorgp.exactlin import QQ, Matrix, is_exact_pair, unvec
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
@@ -36,6 +36,8 @@ from helpers import (
     product_fields,
     random_hom,
     random_module,
+    reference_hom_t_system,
+    ring_pool,
     simple_over_product,
     x_multiplication,
 )
@@ -150,8 +152,7 @@ class TestAssembleStar:
         ring = trivial_ring()
         x = x_multiplication(F2)
         s = StarMorphism(ring, 1, 1, (x,))
-        tm = ring.assemble_star(s)
-        assert tm.mat == x.mat
+        assert ring.assemble_star(s) == x.mat
 
     def test_zero_components(self):
         ring = triangular_ring()
@@ -166,21 +167,20 @@ class TestAssembleStar:
         a1 = random_hom(p, p, rng)
         a2 = random_hom(p, fq, rng)
         s = StarMorphism(ring, 1, 1, (a1, a2))
-        tm = ring.assemble_star(s)
-        t = ring.ind_free(1)
+        big = ring.assemble_star(s)
         # block (1,1) = a1, (2,1) = a2, (1,2) = 0, (2,2) = F(a1)
-        assert tm.mat.block(0, 2, 0, 2) == a1.mat
-        assert tm.mat.block(2, 3, 0, 2) == a2.mat
-        assert tm.mat.block(0, 2, 2, 3).is_zero()
+        assert big.block(0, 2, 0, 2) == a1.mat
+        assert big.block(2, 3, 0, 2) == a2.mat
+        assert big.block(0, 2, 2, 3).is_zero()
         fa1 = tensor_map(ring.bimodule, a1, ring.model(1, p), ring.model(1, p))
-        assert tm.mat.block(2, 3, 2, 3) == fa1.mat
+        assert big.block(2, 3, 2, 3) == fa1.mat
 
     def test_endpoints_are_the_cached_induced_frees(self):
         ring = triangular_ring()
         s = StarMorphism.zero(ring, 1, 2)
-        tm = ring.assemble_star(s)
-        assert tm.source is ring.ind_free(1)
-        assert tm.target is ring.ind_free(2)
+        big = ring.assemble_star(s)
+        assert big.shape == (ring.ind_free(2).x.dim, ring.ind_free(1).x.dim)
+        TMorphism(ring.ind_free(1), ring.ind_free(2), big)
 
     def test_assembled_composition_matches_matrix_product(self):
         # composing two component lists through the big matrices stays
@@ -194,10 +194,23 @@ class TestAssembleStar:
                        for i in range(ring.nilpotency + 1))
         s1 = StarMorphism(ring, 1, 1, comps1)
         s2 = StarMorphism(ring, 1, 1, comps2)
-        big = ring.assemble_star(s2).mat @ ring.assemble_star(s1).mat
+        big = ring.assemble_star(s2) @ ring.assemble_star(s1)
         composed = TMorphism(ring.ind_free(1), ring.ind_free(1), big)
         back = ring.decompose_star(composed)
-        assert ring.assemble_star(back).mat == big
+        assert ring.assemble_star(back) == big
+
+
+    def test_assembled_matrices_are_morphisms_of_pairs(self):
+        rng = random.Random(41)
+        for ring in ring_pool((F2, F3, QQ)):
+            for rank_p in range(3):
+                for rank_q in range(3):
+                    comps = tuple(random_hom(ring.free(rank_p),
+                                             ring.model(i, ring.free(rank_q)).result, rng)
+                                  for i in range(ring.nilpotency + 1))
+                    s = StarMorphism(ring, rank_p, rank_q, comps)
+                    TMorphism(ring.ind_free(rank_p), ring.ind_free(rank_q),
+                              ring.assemble_star(s))
 
 
 class TestDecomposeStar:
@@ -210,7 +223,8 @@ class TestDecomposeStar:
                 comps = tuple(random_hom(p, ring.model(i, q).result, rng)
                               for i in range(ring.nilpotency + 1))
                 s = StarMorphism(ring, 1, 2, comps)
-                back = ring.decompose_star(ring.assemble_star(s))
+                back = ring.decompose_star(
+                    TMorphism(ring.ind_free(1), ring.ind_free(2), ring.assemble_star(s)))
                 assert all(a.mat == b.mat for a, b in zip(back.components, s.components))
 
     def test_identity_decomposes_to_identity_head(self):
@@ -355,6 +369,42 @@ class TestHomT:
             pairwise = len(ring.hom_t(t1, t2))
             model_side = len(hom_space(ring.to_algebra_module(t1), ring.to_algebra_module(t2)))
             assert pairwise == model_side
+
+
+def _random_pair(ring, rng):
+    x = random_module(ring.algebra, rng)
+    return TModule(ring, x, random_hom(ring.model(1, x).result, x, rng).mat)
+
+
+class TestHomTSystem:
+    def test_matches_per_unit_reference(self):
+        # the Kronecker system has the kernel of the system built one
+        # matrix unit at a time, basis and order included, over induced
+        # frees of rank 0-2, induced and stalk modules and random pairs
+        rng = random.Random(37)
+        compared = 0
+        for ring in ring_pool((F2, F3, QQ)):
+            top = 1 if ring.algebra.field == QQ and ring.nilpotency == 2 else 2
+            pairs = [(ring.ind_free(r1), ring.ind_free(r2))
+                     for r1 in range(top + 1) for r2 in range(top + 1)]
+            for _ in range(2):
+                x = random_module(ring.algebra, rng)
+                pairs.append((ring.ind(x), _random_pair(ring, rng)))
+                pairs.append((_random_pair(ring, rng), ring.stalk(x)))
+                pairs.append((_random_pair(ring, rng), _random_pair(ring, rng)))
+            for t1, t2 in pairs:
+                got = [h.mat for h in ring.hom_t(t1, t2)]
+                a, b = t2.x.dim, t1.x.dim
+                if a * b == 0:
+                    assert got == []
+                    continue
+                ker = reference_hom_t_system(ring, t1, t2).kernel_basis()
+                assert got == [unvec(ring.algebra.field, ker.col(c), a, b)
+                               for c in range(ker.cols)]
+                for h in got:
+                    TMorphism(t1, t2, h)
+                compared += 1
+        assert compared >= 90
 
 
 class TestExactnessTransfer:
