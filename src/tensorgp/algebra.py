@@ -252,17 +252,8 @@ def free_module(a: Algebra, n: int) -> LeftModule:
     representation, basis ordered copy-major."""
     if n < 0:
         raise AlgebraError("negative rank")
-    action = []
-    for i in range(a.dim):
-        block = a.left_mult[i]
-        rows = []
-        for copy in range(n):
-            rows.append(hstack(
-                [Matrix.zeros(a.field, a.dim, a.dim * copy), block,
-                 Matrix.zeros(a.field, a.dim, a.dim * (n - copy - 1))]
-            ) if n > 1 else block)
-        action.append(vstack(rows) if rows else Matrix.zeros(a.field, 0, 0))
-    return LeftModule(a, n * a.dim, tuple(action))
+    eye = Matrix.identity(a.field, n)
+    return LeftModule(a, n * a.dim, tuple(kron(eye, block) for block in a.left_mult))
 
 
 @dataclass(frozen=True)

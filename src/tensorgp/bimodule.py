@@ -218,6 +218,9 @@ class BimoduleModel(NamedTuple):
 
 
 def tensor_bimodule_model(m1: Bimodule, m2: Bimodule) -> BimoduleModel:
+    """The tensor product of two bimodules with its projection and section;
+    the tensor product of valid bimodules is valid, so it is built
+    unchecked."""
     if m1.algebra != m2.algebra:
         raise BimoduleError("algebra mismatch")
     a = m1.algebra
@@ -228,7 +231,7 @@ def tensor_bimodule_model(m1: Bimodule, m2: Bimodule) -> BimoduleModel:
     i2 = Matrix.identity(f, m2.dim)
     left = tuple(proj @ kron(m1.left_action[i], i2) @ sect for i in range(a.dim))
     right = tuple(proj @ kron(i1, m2.right_action[i]) @ sect for i in range(a.dim))
-    return BimoduleModel(Bimodule(a, proj.rows, left, right), proj, sect)
+    return BimoduleModel(Bimodule.unchecked(a, proj.rows, left, right), proj, sect)
 
 
 def tensor_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:

@@ -125,6 +125,13 @@ def _validate_bundle_doc(path: str, node) -> list:
 
 
 def cmd_validate(args) -> int:
+    want = args.field
+    if want not in (None, "Q"):
+        try:
+            want = int(want)
+        except ValueError:
+            _say(f"--field must be a prime or Q, got {want!r}")
+            return EXIT_INVALID
     status = EXIT_PASS
     for path in args.paths:
         try:
@@ -134,10 +141,10 @@ def cmd_validate(args) -> int:
             status = EXIT_INVALID
             continue
         kind = doc.get("kind")
-        if args.field is not None:
-            declared = doc.get("field") if kind not in ("window", "complex") \
-                else doc.get("bundle", {}).get("field")
-            want = "Q" if args.field == "Q" else int(args.field)
+        if want is not None:
+            # window, complex and trivext files declare their field in the bundle
+            node = doc.get("bundle") if kind in ("window", "complex", "trivext") else doc
+            declared = node.get("field") if isinstance(node, dict) else None
             if declared != want:
                 _say(f"{path}: field is {declared!r}, expected {want!r}")
                 status = EXIT_INVALID

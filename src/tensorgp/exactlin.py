@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -416,12 +417,44 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix._from_np(mats[0].field, np.concatenate([m._data for m in mats], axis=0))
 
 
+def block_matrix(blocks, heights=None, widths=None) -> Matrix:
+    """The matrix with the given grid of blocks, ``None`` meaning a zero
+    block.
+
+    Row block i has height ``heights[i]`` and column block j width
+    ``widths[j]``; either list may be omitted when every row (column) of
+    the grid holds a block to read it from.  Every block must have the
+    shape of its cell and the field of the first block.
+    """
+    given = [m for row in blocks for m in row if m is not None]
+    if not given:
+        raise ExactLinError("block_matrix needs at least one block")
+    field = given[0].field
+    if heights is None:
+        heights = [next(m.rows for m in row if m is not None) for row in blocks]
+    if widths is None:
+        widths = [next(row[j].cols for row in blocks if row[j] is not None)
+                  for j in range(len(blocks[0]))]
+    r_off = [0, *accumulate(heights)]
+    c_off = [0, *accumulate(widths)]
+    arr = field.zeros((r_off[-1], c_off[-1]))
+    for i, row in enumerate(blocks):
+        if len(row) != len(widths):
+            raise DimensionMismatch("block_matrix: ragged block grid")
+        for j, m in enumerate(row):
+            if m is None:
+                continue
+            _check_same_field(given[0], m)
+            if m.shape != (heights[i], widths[j]):
+                raise DimensionMismatch(f"block_matrix: block ({i}, {j}) has shape "
+                                        f"{m.shape}, not {(heights[i], widths[j])}")
+            arr[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = m._data
+    return Matrix._from_np(field, arr)
+
+
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     """Block diagonal sum a (+) b."""
-    _check_same_field(a, b)
-    top = hstack([a, Matrix.zeros(a.field, a.rows, b.cols)])
-    bot = hstack([Matrix.zeros(a.field, b.rows, a.cols), b])
-    return vstack([top, bot])
+    return block_matrix([[a, None], [None, b]])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -465,24 +498,22 @@ def lift_or_witness(lifts: Matrix, targets: Matrix) -> Optional[int]:
     return next((pc - lifts.cols for pc in pivots if pc >= lifts.cols), None)
 
 
-def unlifted_solution(basis_cols: Sequence[Matrix], constraint_cols: Sequence[Matrix],
-                      image) -> Optional[Matrix]:
+def unlifted_solution(basis: Matrix, constraint: Matrix, image) -> Optional[Matrix]:
     """First column of basis @ ker(constraint) outside the span of image().
 
-    ``basis_cols[i]`` and ``constraint_cols[i]`` are a basis vector and its
-    constraint value; ``image`` is a zero-argument callable returning the
-    columns to lift through, called only when the constraint has a nonzero
-    solution.  Returns None when every solution lifts.
+    Column i of ``basis`` is a vector of the search space and column i of
+    ``constraint`` its constraint value; ``image`` is a zero-argument
+    callable returning the matrix whose columns are lifted through, called
+    only when the constraint has a nonzero solution.  Returns None when
+    every solution lifts.
     """
-    if not basis_cols:
+    if basis.cols == 0:
         return None
-    coords = hstack(constraint_cols).kernel_basis()
+    coords = constraint.kernel_basis()
     if coords.cols == 0:
         return None
-    solutions = hstack(basis_cols) @ coords
-    cols = image()
-    lifts = hstack(cols) if cols else Matrix.zeros(solutions.field, solutions.rows, 0)
-    c = lift_or_witness(lifts, solutions)
+    solutions = basis @ coords
+    c = lift_or_witness(image(), solutions)
     return None if c is None else solutions.col(c)
 
 
@@ -517,6 +548,12 @@ def quotient_maps(relations: Matrix):
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization, as a (rows*cols) x 1 matrix."""
     return Matrix._from_np(m.field, m._data.T.reshape(-1, 1))
+
+
+def vec_columns(field: FieldSpec, rows: int, mats: Sequence[Matrix]) -> Matrix:
+    """The matrix whose columns are vec(m) for the given matrices, each
+    with ``rows`` entries; rows x 0 when there are none."""
+    return hstack([vec(m) for m in mats]) if mats else Matrix.zeros(field, rows, 0)
 
 
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:

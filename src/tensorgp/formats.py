@@ -465,12 +465,18 @@ def catalog_from_doc(field: FieldSpec, doc, where: str = "catalog") -> Catalog:
         raise FormatError(where, "expected kind 'catalog'")
     groups = []
     for i, g in enumerate(doc.get("groups", [])):
+        at = f"{where}.groups[{i}]"
+        if not isinstance(g, dict) or not isinstance(g.get("representative"), list):
+            raise FormatError(at, "expected a group with a representative list")
+        if not isinstance(g.get("passed"), bool):
+            raise FormatError(f"{at}.passed", f"expected a boolean, got {g.get('passed')!r}")
         groups.append(CatalogGroup(
-            g["rank"], g["kernel_dim"], bool(g["passed"]), g["count"],
-            tuple(matrix_from_doc(field, m, f"{where}.groups[{i}]")
-                  for m in g["representative"]),
+            int_from_doc(g.get("rank"), f"{at}.rank", 0),
+            int_from_doc(g.get("kernel_dim"), f"{at}.kernel_dim", 0), g["passed"],
+            int_from_doc(g.get("count"), f"{at}.count", 0),
+            tuple(matrix_from_doc(field, m, at) for m in g["representative"]),
         ))
-    return Catalog(doc.get("total", 0), tuple(groups))
+    return Catalog(int_from_doc(doc.get("total"), f"{where}.total", 0), tuple(groups))
 
 
 def tmodule_to_doc(t: TModule) -> dict:

@@ -34,7 +34,8 @@ from itertools import accumulate
 from typing import Optional
 
 from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witness,
-                               unlifted_solution, unvec, unvec_blocks, vec, vstack)
+                               unlifted_solution, unvec, unvec_blocks, vec, vec_columns,
+                               vstack)
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
@@ -354,10 +355,10 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
 def _functional_basis(ring: TensorRing, rank: int):
     """The slot-basis functional tuples b out of the free module of the
     given rank (one basis map of a slot, zeros elsewhere; slot-major),
-    memoised per (ring, rank): their stacked coordinate columns and, per
-    block j of Ind(R), its height and the columns vec(A(b)_j) of the j-th
-    row blocks of their assembled matrices (None when there are no
-    tuples)."""
+    memoised per (ring, rank): the matrix of their stacked coordinate
+    columns and, per block j of Ind(R), its height and the columns
+    vec(A(b)_j) of the j-th row blocks of their assembled matrices.  Only
+    rank 0 has no tuples, and there every such column has length 0."""
     cache = ring._cache.setdefault("functional_basis", {})
     if rank not in cache:
         p = ring.free(rank)
@@ -373,13 +374,14 @@ def _functional_basis(ring: TensorRing, rank: int):
                 a = ring.assemble_star(StarMorphism(ring, rank, 1, tuple(comps)))
                 for j, cols in enumerate(block_cols):
                     cols.append(vec(a.block(offsets[j], offsets[j + 1], 0, a.cols)))
-        cache[rank] = (basis_cols, [(t.dim, hstack(c)) for t, c in zip(targets, block_cols)]
-                       if basis_cols else None)
+        empty = Matrix.zeros(ring.algebra.field, 0, 0)
+        cache[rank] = (hstack(basis_cols) if basis_cols else empty,
+                       [(t.dim, hstack(c) if c else empty) for t, c in zip(targets, block_cols)])
     return cache[rank]
 
 
-def _functional_constraints(ring: TensorRing, through: StarMorphism) -> list:
-    """Columns of f |-> components(f . through) over the slot-basis tuples f
+def _functional_constraints(ring: TensorRing, through: StarMorphism) -> Matrix:
+    """Matrix of f |-> components(f . through) over the slot-basis tuples f
     out of the free module of the target rank of ``through``.
 
     The components of f . through are the row blocks A(f)_j V of A(f) V,
@@ -387,12 +389,9 @@ def _functional_constraints(ring: TensorRing, through: StarMorphism) -> list:
     of its assembled matrix), so vec(A(f)_j V) = (V^T (x) I) vec(A(f)_j).
     """
     _, blocks = _functional_basis(ring, through.target_rank)
-    if blocks is None:
-        return []
-    vt = vstack([c.mat for c in through.components]).transpose()
     field = ring.algebra.field
-    image = vstack([kron(vt, Matrix.identity(field, h)) @ blk for h, blk in blocks])
-    return [image.col(c) for c in range(image.cols)]
+    vt = vstack([c.mat for c in through.components]).transpose()
+    return vstack([kron(vt, Matrix.identity(field, h)) @ blk for h, blk in blocks])
 
 
 def check_c3(prev: StarMorphism, next_: StarMorphism):
@@ -406,8 +405,8 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
     rank_mid = prev.target_rank
-    basis_cols, _ = _functional_basis(ring, rank_mid)
-    col = unlifted_solution(basis_cols, _functional_constraints(ring, prev),
+    basis, _ = _functional_basis(ring, rank_mid)
+    col = unlifted_solution(basis, _functional_constraints(ring, prev),
                             lambda: _functional_constraints(ring, next_))
     if col is None:
         return True, None
@@ -537,11 +536,17 @@ def _free_rank_of(ring: TensorRing, x: LeftModule) -> int:
 
 
 def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_mid, rank_out):
-    """Functionals into w_target killing prev must factor through next_."""
-    basis_mid = free_hom_basis(algebra, rank_mid, w_target)
-    col = unlifted_solution(
-        [vec(b.mat) for b in basis_mid], [vec(b.mat @ prev.mat) for b in basis_mid],
-        lambda: [vec(g.mat @ next_.mat) for g in free_hom_basis(algebra, rank_out, w_target)])
+    """Functionals into w_target killing prev must factor through next_:
+    vec(b . f) = (f^T (x) I) vec(b) over the free_hom_basis maps b."""
+    eye = Matrix.identity(algebra.field, w_target.dim)
+
+    def basis(rank):
+        return vec_columns(algebra.field, w_target.dim * rank * algebra.dim,
+                           [b.mat for b in free_hom_basis(algebra, rank, w_target)])
+
+    basis_mid = basis(rank_mid)
+    col = unlifted_solution(basis_mid, kron(prev.mat.transpose(), eye) @ basis_mid,
+                            lambda: kron(next_.mat.transpose(), eye) @ basis(rank_out))
     if col is None:
         return True, None
     return False, FunctionalWitness((unvec(algebra.field, col, w_target.dim,
@@ -713,11 +718,7 @@ def replay_verdict(w: ResolutionWindow, verdict: Verdict) -> bool:
             return False
         if any(not c.is_zero() for c in star_compose(f_star, prev).components):
             return False
-        g_cols = _functional_constraints(ring, next_)
-        field = ring.algebra.field
-        raw = _stack_tuple(wit.components)
-        lmat = hstack(g_cols) if g_cols else Matrix.zeros(field, raw.rows, 0)
-        return lmat.solve(raw) is None
+        return _functional_constraints(ring, next_).solve(_stack_tuple(wit.components)) is None
     raise ResolutionError(f"no replay rule for label {verdict.label}")
 
 
@@ -752,6 +753,6 @@ def replay_compat_verdict(m: Bimodule, pc: ResolutionWindow, verdict: Verdict) -
     algebra = m.algebra
     target = iterate_functor(m, i, pc.ring.free(1)).result
     basis_out = free_hom_basis(algebra, pc.rank_at(k + 1), target)
-    lmat = hstack([vec(g.mat @ fnext.mat) for g in basis_out]) if basis_out \
-        else Matrix.zeros(algebra.field, phi.rows * phi.cols, 0)
+    lmat = vec_columns(algebra.field, phi.rows * phi.cols,
+                       [g.mat @ fnext.mat for g in basis_out])
     return lmat.solve(vec(phi)) is None

@@ -302,8 +302,14 @@ def reference_hom_t_system(ring, t1, t2):
     return hstack(cols)
 
 
+def _column_matrix(field, rows, cols):
+    from tensorgp.exactlin import hstack
+
+    return hstack(cols) if cols else Matrix.zeros(field, rows, 0)
+
+
 def reference_c3_columns(ring, through):
-    """Coordinate and constraint columns of the slot-basis functional
+    """Coordinate and constraint matrices of the slot-basis functional
     tuples f out of the free module of the target rank of ``through``,
     each constraint column composed with star_compose: the stacked
     components of f . through."""
@@ -323,4 +329,130 @@ def reference_c3_columns(ring, through):
             composed = star_compose(StarMorphism(ring, rank, 1, tuple(mats)), through)
             basis_cols.append(vstack([vec(m.mat) for m in mats]))
             image_cols.append(vstack([vec(m.mat) for m in composed.components]))
-    return basis_cols, image_cols
+    f = ring.algebra.field
+    width = ring.algebra.dim
+    return (_column_matrix(f, sum(t.dim for t in targets) * rank * width, basis_cols),
+            _column_matrix(f, sum(t.dim for t in targets) * through.source_rank * width,
+                           image_cols))
+
+
+# -- references for the special-ring block builders -----------------------------
+
+
+def reference_induced_block_map(pb, f):
+    """The matrix of V (x) f built entry by entry: block (j, i) is the sum
+    over t of the e_t-coordinate of f's entry at (copy j, copy i) times the
+    right action of e_t."""
+    from tensorgp.exactlin import hstack, kron, vstack
+
+    balg = pb.right_alg
+    d = balg.dim
+    fld = balg.field
+    n_src, n_tgt = f.source.dim // d, f.target.dim // d
+    if pb.dim == 0 or n_src == 0 or n_tgt == 0:
+        return Matrix.zeros(fld, pb.dim * n_tgt, pb.dim * n_src)
+    unit = Matrix.column(fld, balg.unit)
+    images = f.mat @ kron(Matrix.identity(fld, n_src), unit)
+    rows = []
+    for j in range(n_tgt):
+        cells = []
+        for i in range(n_src):
+            block = Matrix.zeros(fld, pb.dim, pb.dim)
+            for t in range(d):
+                c = images[j * d + t, i]
+                if c != fld.zero():
+                    block = block + pb.right_action[t].scale(c)
+            cells.append(block)
+        rows.append(hstack(cells))
+    return vstack(rows)
+
+
+def _padded_columns(fld, slot_shapes, residual_shapes, entries):
+    """Basis and image matrices from per-basis-vector entries (slot,
+    basis map, residual matrices with None for zero): each basis column is
+    the stacked vecs of the slots with zeros padded in the other slots,
+    each image column the stacked vecs of the residuals, padded the same
+    way."""
+    from tensorgp.exactlin import vec, vstack
+
+    def stack(mats, shapes):
+        return vstack([vec(m if m is not None else Matrix.zeros(fld, r, c))
+                       for m, (r, c) in zip(mats, shapes)])
+
+    basis_cols, image_cols = [], []
+    for slot, b, residuals in entries:
+        mats = [None] * len(slot_shapes)
+        mats[slot] = b
+        basis_cols.append(stack(mats, slot_shapes))
+        image_cols.append(stack(residuals, residual_shapes))
+    return (_column_matrix(fld, sum(r * c for r, c in slot_shapes), basis_cols),
+            _column_matrix(fld, sum(r * c for r, c in residual_shapes), image_cols))
+
+
+def reference_trivext_c3_columns(d, through):
+    """The trivial extension C3 system one basis vector at a time, slots
+    (f1 into the rank-one free, f2 into its tensor block) out of the target
+    rank of ``through``; residuals (f1.a1, (M (x) f1).a2 + f2.a1)."""
+    from tensorgp.algebra import free_hom_basis
+    from tensorgp.bimodule import tensor_map
+
+    ring = d.ring
+    fld = d.r.field
+    free1 = ring.free(1)
+    fr1 = ring.model(1, free1).result
+    rank = through.target_rank
+    a1, a2 = through.components
+    width, src_width = rank * d.r.dim, through.source_rank * d.r.dim
+    entries = []
+    for b in free_hom_basis(d.r, rank, free1):
+        fb = tensor_map(d.m, b, ring.model(1, ring.free(rank)), ring.model(1, free1))
+        entries.append((0, b.mat, [b.mat @ a1.mat, fb.mat @ a2.mat]))
+    for b in free_hom_basis(d.r, rank, fr1):
+        entries.append((1, b.mat, [None, b.mat @ a1.mat]))
+    return _padded_columns(fld, [(d.r.dim, width), (fr1.dim, width)],
+                           [(d.r.dim, src_width), (fr1.dim, src_width)], entries)
+
+
+def reference_morita_c3_columns(d, tau, sigma, beta, gamma, rank_p, rank_q):
+    """The context ring C3 system one basis vector at a time, slots
+    (f1, f2, u1, u2) out of the given ranks; residuals (f1.tau, f2.sigma,
+    (V (x) f2).beta + u1.tau, (U (x) f1).gamma + u2.sigma)."""
+    from tensorgp.algebra import free_hom_basis
+    from tensorgp.special_rings import block_power_module
+
+    fld = d.a.field
+    da, db, dv, du = d.a.dim, d.b.dim, d.v.dim, d.u.dim
+    entries = []
+    for b in free_hom_basis(d.a, rank_p, free_module(d.a, 1)):
+        uf = reference_induced_block_map(d.u, b)
+        entries.append((0, b.mat, [b.mat @ tau.mat, None, None, uf @ gamma.mat]))
+    for b in free_hom_basis(d.b, rank_q, free_module(d.b, 1)):
+        vf = reference_induced_block_map(d.v, b)
+        entries.append((1, b.mat, [None, b.mat @ sigma.mat, vf @ beta.mat, None]))
+    for b in free_hom_basis(d.a, rank_p, block_power_module(d.v, 1)):
+        entries.append((2, b.mat, [None, None, b.mat @ tau.mat, None]))
+    for b in free_hom_basis(d.b, rank_q, block_power_module(d.u, 1)):
+        entries.append((3, b.mat, [None, None, None, b.mat @ sigma.mat]))
+    sp, sq = tau.source.dim, sigma.source.dim
+    return _padded_columns(
+        fld, [(da, rank_p * da), (db, rank_q * db), (dv, rank_p * da), (du, rank_q * db)],
+        [(da, sp), (db, sq), (dv, sp), (du, sq)], entries)
+
+
+def reference_triangular_c3_columns(d, tau, sigma, beta, rank_p, rank_q):
+    """The triangular condition (v) one basis vector at a time, slots (f
+    into the rank-one power of v, g into the rank-one free over b) out of
+    the given ranks; residuals (f.tau + (V (x) g).beta, g.sigma)."""
+    from tensorgp.algebra import free_hom_basis
+    from tensorgp.special_rings import block_power_module
+
+    fld = d.a.field
+    dv, db = d.v.dim, d.b.dim
+    entries = []
+    for b in free_hom_basis(d.a, rank_p, block_power_module(d.v, 1)):
+        entries.append((0, b.mat, [b.mat @ tau.mat, None]))
+    for b in free_hom_basis(d.b, rank_q, free_module(d.b, 1)):
+        vg = reference_induced_block_map(d.v, b)
+        entries.append((1, b.mat, [vg @ beta.mat, b.mat @ sigma.mat]))
+    return _padded_columns(fld, [(dv, rank_p * d.a.dim), (db, rank_q * db)],
+                           [(dv, tau.source.dim), (db, sigma.source.dim)], entries)

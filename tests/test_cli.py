@@ -53,6 +53,17 @@ class TestValidate:
         assert main(["validate", fixture("triangular_bundle.yaml"), "--field", "3"]) == 2
         assert main(["validate", fixture("triangular_bundle.yaml"), "--field", "2"]) == 0
 
+    @pytest.mark.parametrize("name, field, code, message", [
+        ("trivext_window.yaml", "2", 0, "valid"),
+        ("trivext_window.yaml", "3", 2, "field is 2, expected 3"),
+        ("x_window.yaml", "Q", 2, "field is 2, expected 'Q'"),
+        ("q_window.yaml", "Q", 0, "valid"),
+        ("trivext_window.yaml", "abc", 2, "--field must be a prime or Q, got 'abc'"),
+    ])
+    def test_field_flag_reads_the_declared_field(self, capsys, name, field, code, message):
+        assert main(["validate", fixture(name), "--field", field]) == code
+        assert message in capsys.readouterr().err
+
     def test_window_and_complex_files_validate(self):
         assert main(["validate", fixture("x_window.yaml"),
                      fixture("semisimple_complex.yaml"),
@@ -445,6 +456,27 @@ class TestHunt:
         ring = TensorRing(m.algebra, m, 1)
         catalog = formats.catalog_from_doc(F2, doc)
         assert reverify_catalog(ring, catalog)
+
+    @pytest.mark.parametrize("group, total, where", [
+        ({"rank": True, "kernel_dim": "x", "count": -3, "passed": "no",
+          "representative": []}, 1, "catalog.groups[0].passed"),
+        ({"rank": True, "kernel_dim": 0, "count": 1, "passed": True,
+          "representative": []}, 1, "catalog.groups[0].rank"),
+        ({"rank": 1, "kernel_dim": 0, "count": -3, "passed": True,
+          "representative": []}, 1, "catalog.groups[0].count"),
+        ({"rank": 1, "kernel_dim": 0, "passed": True, "representative": []},
+         1, "catalog.groups[0].count"),
+        ({"rank": 1, "kernel_dim": 0, "count": 1, "passed": True}, 1, "catalog.groups[0]"),
+        ({"rank": 1, "kernel_dim": 0, "count": 1, "passed": True,
+          "representative": []}, None, "catalog.total"),
+    ])
+    def test_catalog_fields_refused(self, group, total, where):
+        doc = {"kind": "catalog", "groups": [group]}
+        if total is not None:
+            doc["total"] = total
+        with pytest.raises(formats.FormatError) as exc:
+            formats.catalog_from_doc(F2, doc)
+        assert str(exc.value).startswith(f"{where}:")
 
 
 class TestCanonicalRoundTrip:

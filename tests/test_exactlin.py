@@ -13,6 +13,7 @@ from tensorgp.exactlin import (
     FieldMismatch,
     FieldSpec,
     Matrix,
+    block_matrix,
     direct_sum,
     hstack,
     is_exact_pair,
@@ -22,6 +23,7 @@ from tensorgp.exactlin import (
     unvec,
     unvec_blocks,
     vec,
+    vec_columns,
     vstack,
 )
 
@@ -319,8 +321,42 @@ class TestHypothesisProperties:
             assert a @ x == b
 
 
-def columns(m):
-    return [m.col(c) for c in range(m.cols)]
+class TestBlockMatrix:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS),
+           heights=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           widths=st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    def test_matches_padded_stacks(self, data, field, heights, widths):
+        """Every grid, with zero blocks given as None, equals the stack of
+        its blocks padded with explicit zero matrices."""
+        grid = [[data.draw(st.one_of(st.none(), matrices(field, h, w))) for w in widths]
+                for h in heights]
+        grid[0][0] = data.draw(matrices(field, heights[0], widths[0]))
+        padded = vstack([hstack([m if m is not None else Matrix.zeros(field, h, w)
+                                 for m, w in zip(row, widths)])
+                         for row, h in zip(grid, heights)])
+        assert block_matrix(grid, heights, widths) == padded
+
+    def test_shapes_inferred_from_the_blocks(self):
+        a = M(F3, [[1, 2]])
+        b = M(F3, [[1], [2]])
+        assert block_matrix([[a, None], [None, b]]) == direct_sum(a, b)
+        assert block_matrix([[None, a], [b, None]]).shape == (3, 3)
+
+    def test_refused(self):
+        with pytest.raises(DimensionMismatch):
+            block_matrix([[M(F2, [[1]]), M(F2, [[1, 1]])]], [1], [1, 1])
+        with pytest.raises(DimensionMismatch):
+            block_matrix([[M(F2, [[1]])], [M(F2, [[1]]), None]])
+        with pytest.raises(FieldMismatch):
+            block_matrix([[M(F2, [[1]]), M(F3, [[1]])]])
+        with pytest.raises(ExactLinError):
+            block_matrix([[None]], [1], [1])
+
+    def test_vec_columns(self):
+        a, b = M(F2, [[1, 0], [1, 1]]), M(F2, [[0, 1], [0, 0]])
+        assert vec_columns(F2, 4, [a, b]) == hstack([vec(a), vec(b)])
+        assert vec_columns(F2, 4, []) == Matrix.zeros(F2, 4, 0)
 
 
 class TestLiftPrimitives:
@@ -366,11 +402,11 @@ class TestLiftPrimitives:
         image = data.draw(matrices(field, brows, icols))
         calls = []
 
-        def image_cols():
+        def image_matrix():
             calls.append(1)
-            return columns(image)
+            return image
 
-        found = unlifted_solution(columns(basis), columns(constraint), image_cols)
+        found = unlifted_solution(basis, constraint, image_matrix)
         has_solution = n > 0 and constraint.rank() < n
         assert len(calls) == (1 if has_solution else 0)
         expected = None

@@ -1,20 +1,30 @@
-"""Golden digest of the bytes the checkers and oracles produce on seeded
-inputs: rendered reports with their witnesses, exactness-oracle results
-and Hom-complex defects of windows over F_2, F_3 and Q, and one rendered
-hunt catalog.  A refactor that changes any verdict, witness or oracle
-figure changes the digest."""
+"""Golden digests of the bytes the checkers and oracles produce on seeded
+inputs.  The first covers rendered reports with their witnesses,
+exactness-oracle results and Hom-complex defects of windows over F_2, F_3
+and Q, and one rendered hunt catalog.  The second covers the rendered
+specialized reports of trivial extension, context ring and triangular ring
+instances over the same fields, each next to the report it is compared
+with.  A refactor that changes any verdict, witness or oracle figure
+changes a digest."""
 
 import hashlib
+import random
 
 from tensorgp import formats
 from tensorgp.exactlin import QQ
 from tensorgp.tensor_ring import TensorRing
+from tensorgp.bimodule import zero_bimodule
 from tensorgp.resolution import check_complete, exactness_oracle, hom_complex_oracle
 from tensorgp.search import hunt_strongly_gp, random_window
+from tensorgp.special_rings import (TrivialExtData, morita_checks, mu_transport,
+                                    triangular_checks, trivext_checks)
 
-from helpers import F2, F3, corner_bimodule, ring_pool, window_corpus
+from helpers import (F2, F3, corner_bimodule, dual_numbers, random_morita_data,
+                     random_morita_window, random_triangular_data,
+                     random_triangular_window, ring_pool, window_corpus)
 
 GOLDEN = "ad2d0b8dd3582a0277b68c15d0db17c2fcd852424f681c24e0d7c8210c66144c"
+GOLDEN_SPECIAL = "8e48460a71fbfae146ad53f3d32bd10d80e472fa4110cecb9a2e9bf849f9595e"
 
 
 def _windows():
@@ -42,3 +52,44 @@ def golden_digest() -> str:
 
 def test_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def _special_reports():
+    """Per field, seeded instances of the three families: each specialized
+    report followed by its counterpart (generic for the trivial extension
+    and the context ring, context ring for the triangular ring)."""
+    for field in (F2, F3, QQ):
+        m = corner_bimodule(field)
+        r = dual_numbers(field)
+        pool = [TrivialExtData(m.algebra, m), TrivialExtData(r, zero_bimodule(r))]
+        for i in range(6):
+            d = pool[i % 2]
+            rng = random.Random(80_000 + i)
+            periodic = i < 4
+            ranks = tuple(rng.randrange(3) for _ in range(1 + i % 2 if periodic else 3))
+            w = random_window(d.ring, 81_000 + i, ranks, periodic=periodic)
+            yield field, trivext_checks(d, w)
+            yield field, check_complete(w)
+        for i in range(6):
+            rng = random.Random(82_000 + i)
+            d = random_morita_data(rng, field)
+            w = random_morita_window(d, rng, max_rank=2, period=1 + i % 2)
+            yield field, morita_checks(d, w)
+            yield field, check_complete(mu_transport(d, w))
+        for i in range(6):
+            rng = random.Random(83_000 + i)
+            d = random_triangular_data(rng, field)
+            w = random_triangular_window(d, rng, max_rank=2, period=1 + i % 2)
+            yield field, triangular_checks(d, w)
+            yield field, morita_checks(d.as_morita(), w.as_morita(d))
+
+
+def special_digest() -> str:
+    h = hashlib.sha256()
+    for field, report in _special_reports():
+        h.update(formats.render(formats.report_to_doc(field, report)).encode())
+    return h.hexdigest()
+
+
+def test_golden_special_digest():
+    assert special_digest() == GOLDEN_SPECIAL

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tensorgp.exactlin import Matrix
+from tensorgp.exactlin import QQ, Matrix
 from tensorgp.algebra import ModuleMap, free_module
 from tensorgp.bimodule import certify_nilpotent, tensor_bimodule
 from tensorgp.tensor_ring import StarMorphism, TensorRing
@@ -20,6 +20,9 @@ from tensorgp.special_rings import (
     TriangularWindow,
     TrivialExtData,
     block_model_iso,
+    _morita_quadruple_columns,
+    _triangular_columns,
+    _trivext_columns,
     block_power_module,
     embed_pair_bimodule,
     induced_block_map,
@@ -36,6 +39,10 @@ from helpers import (
     F2,
     F3,
     corner_bimodule,
+    reference_induced_block_map,
+    reference_morita_c3_columns,
+    reference_triangular_c3_columns,
+    reference_trivext_c3_columns,
     corner_pair,
     dual_numbers,
     full_tensor_pair,
@@ -87,11 +94,74 @@ class TestPairBimodule:
         for _ in range(10):
             f = random_free_map(b, 2, 1, rng)
             g = random_free_map(b, 1, 2, rng)
-            lhs = induced_block_map(v, f @ g)
-            rhs = induced_block_map(v, f) @ induced_block_map(v, g)
-            assert lhs.mat == rhs.mat
+            assert induced_block_map(v, f @ g) == induced_block_map(v, f) @ induced_block_map(v, g)
         ident = ModuleMap.identity(free_module(b, 2))
-        assert induced_block_map(v, ident).mat == Matrix.identity(F2, v.dim * 2)
+        assert induced_block_map(v, ident) == Matrix.identity(F2, v.dim * 2)
+
+
+class TestBlockBuilders:
+    """The block-matrix builders against the per-basis-vector references,
+    over F_2, F_3 and Q, at ranks 0 to 2 (empty slots included: rank 0 and
+    the zero pair bimodules)."""
+
+    FIELDS = (F2, F3, QQ)
+
+    def test_induced_block_map_matches_reference(self):
+        rng = random.Random(29)
+        for field in self.FIELDS:
+            for a, b in ((dual_numbers(field), product_fields(field, 2)),
+                         (ground_algebra(field), dual_numbers(field))):
+                for v in (PairBimodule.zero(a, b), full_tensor_pair(a, b)):
+                    for n_src in range(3):
+                        for n_tgt in range(3):
+                            f = random_free_map(b, n_src, n_tgt, rng)
+                            assert induced_block_map(v, f) == reference_induced_block_map(v, f)
+
+    def test_trivext_columns_match_reference(self):
+        from tensorgp.bimodule import zero_bimodule
+        from tensorgp.search import random_star
+
+        rng = random.Random(31)
+        for field in self.FIELDS:
+            m, r = corner_bimodule(field), dual_numbers(field)
+            for d in (TrivialExtData(m.algebra, m), TrivialExtData(r, zero_bimodule(r))):
+                for rank_src in range(3):
+                    for rank in range(3):
+                        through = random_star(d.ring, rank_src, rank, rng)
+                        assert _trivext_columns(d, through)[:2] == \
+                            reference_trivext_c3_columns(d, through)
+
+    def test_morita_columns_match_reference(self):
+        rng = random.Random(37)
+        for field in self.FIELDS:
+            for _ in range(4):
+                d = random_morita_data(rng, field)
+                for rank_p in range(3):
+                    for rank_q in range(3):
+                        sp, sq = rng.randrange(3), rng.randrange(3)
+                        maps = (random_free_map(d.a, sp, rank_p, rng),
+                                random_free_map(d.b, sq, rank_q, rng),
+                                random_hom(free_module(d.a, sp),
+                                           block_power_module(d.v, rank_q), rng),
+                                random_hom(free_module(d.b, sq),
+                                           block_power_module(d.u, rank_p), rng))
+                        assert _morita_quadruple_columns(d, *maps, rank_p, rank_q)[:2] == \
+                            reference_morita_c3_columns(d, *maps, rank_p, rank_q)
+
+    def test_triangular_columns_match_reference(self):
+        rng = random.Random(41)
+        for field in self.FIELDS:
+            for _ in range(4):
+                d = random_triangular_data(rng, field)
+                for rank_p in range(3):
+                    for rank_q in range(3):
+                        sp, sq = rng.randrange(3), rng.randrange(3)
+                        maps = (random_free_map(d.a, sp, rank_p, rng),
+                                random_free_map(d.b, sq, rank_q, rng),
+                                random_hom(free_module(d.a, sp),
+                                           block_power_module(d.v, rank_q), rng))
+                        assert _triangular_columns(d, *maps, rank_p, rank_q)[:2] == \
+                            reference_triangular_c3_columns(d, *maps, rank_p, rank_q)
 
 
 class TestTrivialExtension:

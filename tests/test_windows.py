@@ -15,7 +15,7 @@ from tensorgp.special_rings import (
     block_power_module,
 )
 
-from helpers import F2, dual_numbers, x_multiplication
+from helpers import F2, dual_numbers, full_tensor_pair, x_multiplication
 
 A = dual_numbers(F2)
 V = PairBimodule.zero(A, A)
@@ -105,3 +105,41 @@ def test_generic_rank_lookup():
     with pytest.raises(ResolutionError):
         w.rank_at(3)
     assert generic((1, 0, 1), (False, False), 2).rank_at(3) == 0
+
+
+@pytest.mark.parametrize("make", [morita, triangular])
+def test_maps_must_match_the_stored_ranks(make):
+    """Rank-one maps stored under rank two are refused, as the generic
+    window refuses them, on either side of a context or triangular
+    window."""
+    make((1, 1), (True,), 1)
+    with pytest.raises(SpecialRingError, match="tau map 0"):
+        make((2, 2), (True,), 1)
+    tau, sigma, beta = context_families((1, 1), (True,))
+    with pytest.raises(SpecialRingError, match="sigma map 0"):
+        if make is morita:
+            MoritaWindow(0, (1, 1), (2, 2), tau, sigma, beta, beta, period=1)
+        else:
+            TriangularWindow(0, (1, 1), (2, 2), tau, sigma, beta, period=1)
+
+
+@pytest.mark.parametrize("kind", ["morita", "triangular"])
+def test_block_powers_must_match_the_stored_ranks(kind):
+    """Every map into a block power has the block dimension of the first
+    one: a rank-one power stored under rank two is refused."""
+    v = full_tensor_pair(A, A)
+    ranks_q = (1, 1, 2)
+    tau = (x_multiplication(F2),) * 2
+    sigma = tuple(ModuleMap.zero(free_module(A, ranks_q[t]), free_module(A, ranks_q[t + 1]))
+                  for t in range(2))
+    gamma = tuple(ModuleMap.zero(s.source, block_power_module(V, 1)) for s in sigma)
+
+    def make(powers):
+        beta = tuple(ModuleMap.zero(free_module(A, 1), block_power_module(v, n)) for n in powers)
+        if kind == "morita":
+            return MoritaWindow(0, (1, 1, 1), ranks_q, tau, sigma, beta, gamma)
+        return TriangularWindow(0, (1, 1, 1), ranks_q, tau, sigma, beta)
+
+    make(ranks_q[1:])
+    with pytest.raises(SpecialRingError, match="beta map 1"):
+        make((1, 1))
