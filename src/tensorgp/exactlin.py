@@ -10,17 +10,29 @@ Zero-sized matrices (0 x n and n x 0) are legal; they are the unique maps
 to and from the zero space and compose like any other matrix.
 
 Every matrix is one numpy array, and one code path serves both fields: an
-int64 array of residues over F_p, which is exact for the supported range
-(p < 2**20 at desk-scale dimensions), and an ``object`` array of
-``Fraction`` over Q.  The field enters only through a few hooks on
-:class:`FieldSpec`: the canonical array of given scalars, a zero array,
-``reduce`` (``% p``, or nothing over Q), and the hash key.
+int64 array of residues over F_p and an ``object`` array of ``Fraction``
+over Q.  The field enters only through a few hooks on :class:`FieldSpec`:
+the canonical array of given scalars, a zero array, ``reduce`` (``% p``,
+or nothing over Q), the hash key, and ``product`` (matrix and Kronecker
+products).
+
+The int64 limits, in one place:
+
+- Over F_p, p < 2**20, so a product of two residues is below 2**40 and a
+  sum of up to 2**23 of them still fits in int64 before ``% p``.
+- Over Q, ``product`` computes in int64 when every entry of both operands
+  is an integer and max(|A|, 1) * max(|B|, 1) * max(k, 1) < 2**62, with k
+  the inner dimension of a matrix product and 1 for a Kronecker product.
+  Every partial sum is then below 2**62 in absolute value, so the result
+  is exact; any other product is the ``object`` product of ``Fraction``s.
+  Either way the result holds the same ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
@@ -29,6 +41,8 @@ import numpy as np
 Scalar = Union[int, Fraction]
 
 _PRIME_LIMIT = 1 << 20
+_INT64_GUARD = 1 << 62
+_TABLE_REACH = 4096  # |v| up to which int64 results map to shared Fractions
 
 
 class ExactLinError(Exception):
@@ -148,6 +162,20 @@ class FieldSpec:
         """Canonical form of a sum of products of canonical arrays."""
         return arr % self.p if self.is_prime else arr
 
+    def product(self, op, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
+        """Canonical ``op(a, b)`` for a bilinear numpy product ``op`` whose
+        entries are sums of ``terms`` products of an entry of ``a`` and one
+        of ``b``: ``np.matmul`` with the inner dimension, or ``np.kron``
+        with 1.  Over Q it runs in int64 under the guard of the module
+        docstring."""
+        if self.is_prime:
+            return op(a, b) % self.p
+        ia = _integers(a)
+        ib = _integers(b) if ia else None
+        if ib and max(ia[1], 1) * max(ib[1], 1) * max(terms, 1) < _INT64_GUARD:
+            return _fractions(op(_int64(ia[0], a.shape), _int64(ib[0], b.shape)))
+        return op(a, b)
+
     def key(self, arr: np.ndarray):
         """Hashable value of an array; the bytes of an object array are
         pointers, so Q hashes its entries."""
@@ -160,12 +188,46 @@ class FieldSpec:
 QQ = FieldSpec.rational()
 
 
+def _integers(arr: np.ndarray):
+    """The entries of a Q array as ints with their largest absolute value,
+    or None when one of them is not an integer."""
+    flat = arr.ravel().tolist()
+    nums = [f.numerator for f in flat if f.denominator == 1]
+    if len(nums) != len(flat):
+        return None
+    return nums, max(max(nums, default=0), -min(nums, default=0))
+
+
+def _int64(nums: list, shape) -> np.ndarray:
+    return np.array(nums, dtype=np.int64).reshape(shape)
+
+
+@cache
+def _small_fractions() -> np.ndarray:
+    """Fraction(v) for v in [-_TABLE_REACH, _TABLE_REACH], at index
+    v + _TABLE_REACH."""
+    return np.array([Fraction(v) for v in range(-_TABLE_REACH, _TABLE_REACH + 1)],
+                    dtype=object)
+
+
+def _fractions(arr: np.ndarray) -> np.ndarray:
+    """The ``object`` array of ``Fraction``s of an int64 array."""
+    table = _small_fractions()
+    small = np.abs(arr) <= _TABLE_REACH
+    if small.all():
+        return table[arr + _TABLE_REACH]
+    out = np.empty(arr.shape, dtype=object)
+    out[small] = table[arr[small] + _TABLE_REACH]
+    out[~small] = [Fraction(v) for v in arr[~small].tolist()]
+    return out
+
+
 def GF(p: int) -> FieldSpec:
     return FieldSpec.prime(p)
 
 
 def _check_same_field(a: "Matrix", b: "Matrix"):
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
 
 
@@ -273,10 +335,8 @@ class Matrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        if self.cols == 0:
-            # an object product with no terms sums to int 0
-            return Matrix.zeros(self.field, self.rows, other.cols)
-        return Matrix._from_np(self.field, self.field.reduce(self._data @ other._data))
+        return Matrix._from_np(self.field,
+                               self.field.product(np.matmul, self._data, other._data, self.cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
@@ -464,7 +524,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at (i_a * b.rows + i_b, j_a * b.cols + j_b) is a[i_a, j_a] * b[i_b, j_b].
     """
     _check_same_field(a, b)
-    return Matrix._from_np(a.field, a.field.reduce(np.kron(a._data, b._data)))
+    return Matrix._from_np(a.field, a.field.product(np.kron, a._data, b._data, 1))
 
 
 def is_exact_pair(f: Matrix, g: Matrix) -> bool:

@@ -433,7 +433,8 @@ def _check_endpoints(ranks_p, ranks_q, tau, sigma, beta, gamma=()):
     from the free module of ranks_p into the block power of ranks_q one
     index on, and gamma from ranks_q into ranks_p.  The block dimension of
     a power is read off the first map into a nonzero power, so every map
-    into that power must agree with it."""
+    into that power must agree with it; the checkers compare it with the
+    pair bimodule (:func:`_check_block_powers`)."""
     da = tau[0].source.algebra.dim if tau else 0
     db = sigma[0].source.algebra.dim if sigma else 0
 
@@ -450,6 +451,23 @@ def _check_endpoints(ranks_p, ranks_q, tau, sigma, beta, gamma=()):
                 raise SpecialRingError(f"{name} map {t} does not match the stored ranks")
 
 
+def _check_block_powers(w, v: PairBimodule, u: Optional[PairBimodule] = None):
+    """Refuse a window whose beta maps do not land in the block power of v,
+    or whose gamma maps (when u is given) in that of u, at the stored rank
+    one index on.  The window cannot check this itself: it does not hold
+    the pair bimodules, and only infers a block dimension from its maps."""
+    families = [("beta", w.beta, v, w.ranks_q)]
+    if u is not None:
+        families.append(("gamma", w.gamma, u, w.ranks_p))
+    for name, maps, pb, ranks in families:
+        for t, m in enumerate(maps):
+            # pb.dim * n is the dimension of block_power_module(pb, n)
+            if m.target.dim != pb.dim * ranks[t + 1]:
+                raise SpecialRingError(
+                    f"{name} map {t} does not land in the block power of rank "
+                    f"{ranks[t + 1]} of the pair bimodule")
+
+
 def _ranks_at(w, k: int):
     """The free ranks (p, q) of a context or triangular window at index k."""
     t = w.index.rank_slot(k)
@@ -460,6 +478,7 @@ def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
     """Direct evaluation of the context-ring resolution conditions, with
     the rank-one test projectives on both sides (sufficient by
     additivity)."""
+    _check_block_powers(w, d.v, d.u)
     verdicts = []
     for k in w.positions():
         tau_p, sigma_p, beta_p, gamma_p = w.at(k - 1)
@@ -610,6 +629,7 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
     not required; it is reported separately as an informational note when
     it happens to hold.
     """
+    _check_block_powers(w, d.v)
     verdicts = []
     for k in w.positions():
         tau_p, sigma_p, beta_p = w.at(k - 1)
@@ -770,6 +790,7 @@ def mu_transport(d: MoritaData, w: MoritaWindow) -> ResolutionWindow:
         raise SpecialRingError(
             "transport needs equal rank columns: free modules over the "
             "product pair the two sides")
+    _check_block_powers(w, d.v, d.u)
     te = morita_to_trivext(d)
     ring = te.ring
     stars = []

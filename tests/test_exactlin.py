@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tensorgp.exactlin import (
@@ -527,3 +528,66 @@ class TestRationalStorage:
         zero = Matrix.zeros(QQ, 2, 0) @ Matrix.zeros(QQ, 0, 3)
         assert zero == M(QQ, [[0, 0, 0]] * 2) and hash(zero) == hash(M(QQ, [[0, 0, 0]] * 2))
         assert len({built, product, reduced}) == 1
+
+
+def reference_object_product(op, a, b):
+    """``op`` on ``object`` arrays of the ``Fraction`` entries: the plain
+    product that the int64 path of ``FieldSpec.product`` must agree with."""
+    def arr(m):
+        return np.array(m.entries, dtype=object).reshape(m.shape)
+    return op(arr(a), arr(b)).tolist()
+
+
+@st.composite
+def q_operands(draw, rows, cols):
+    """A Q matrix whose integer entries are bounded by a drawn power of two
+    (up to 2**66, past the int64 range), with non-integral entries in some
+    of them."""
+    bound = 2 ** draw(st.integers(0, 66))
+    scalar = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        scalar = st.one_of(scalar, st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    grid_ = draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    return Matrix.from_rows(QQ, grid_) if grid_ else Matrix.zeros(QQ, 0, cols)
+
+
+class TestRationalProducts:
+    """``@`` and ``kron`` over Q against the plain ``object`` product:
+    negative entries, zero-size shapes, results beyond the table of small
+    Fractions, non-integral entries, numerators of 2**63 and above, and
+    operands on both sides of the 2**62 guard."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 4), inner=st.integers(0, 4),
+           cols=st.integers(0, 4), brows=st.integers(0, 3), bcols=st.integers(0, 3))
+    def test_matches_object_product(self, data, rows, inner, cols, brows, bcols):
+        a = data.draw(q_operands(rows, inner))
+        b = data.draw(q_operands(inner, cols))
+        product = a @ b
+        assert product.shape == (rows, cols)
+        assert grid(product) == reference_object_product(np.matmul, a, b)
+        c = data.draw(q_operands(brows, bcols))
+        for x, y in ((a, c), (c, b)):
+            k = kron(x, y)
+            assert k.shape == (x.rows * y.rows, x.cols * y.cols)
+            assert grid(k) == reference_object_product(np.kron, x, y)
+        for m in (product, kron(a, c)):
+            assert_canonical(m)
+
+    @pytest.mark.parametrize("a_max, b_max, inner", [
+        (2**31, 2**31 - 1, 1),  # 2**62 - 2**31: just below the guard
+        (2**31, 2**31, 1),      # 2**62: just above it
+        (2**30, 2**31 - 1, 2),  # just below, two terms of nearly 2**61
+        (2**31, 2**31, 2),      # 2**63: an int64 sum would wrap
+        (2**32, 2**31, 1),      # 2**63: an int64 Kronecker entry would wrap
+        (2**61 - 1, 1, 2),      # just below, entries of one side near 2**61
+        (2**63, 0, 2),          # a numerator past int64 against a zero operand
+        (2**64 + 1, 1, 1),
+    ])
+    def test_at_the_guard(self, a_max, b_max, inner):
+        a = M(QQ, [[a_max] * inner, [-a_max] * inner])
+        b = M(QQ, [[b_max, -b_max]] * inner)
+        for op, result in ((np.matmul, a @ b), (np.kron, kron(a, b))):
+            assert grid(result) == reference_object_product(op, a, b)
+            assert_canonical(result)

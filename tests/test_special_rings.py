@@ -294,6 +294,23 @@ class TestMoritaChecks:
         report = morita_checks(d, w)
         assert report.status(0, "C1'") == "fail"
 
+    def test_beta_into_a_block_power_of_the_wrong_rank_refused(self):
+        # ranks_q = (2, 2) but beta lands in the rank-one power of the
+        # four-dimensional v; the window alone reads a block dimension of 2
+        # off beta and accepts it
+        a, b = dual_numbers(F2), product_fields(F2, 2)
+        d = MoritaData(a, b, full_tensor_pair(a, b), PairBimodule.zero(b, a))
+        assert d.v.dim == 4
+        rng = random.Random(5)
+        w = MoritaWindow(0, (2, 2), (2, 2), (random_free_map(a, 2, 2, rng),),
+                         (random_free_map(b, 2, 2, rng),),
+                         (random_hom(free_module(a, 2), block_power_module(d.v, 1), rng),),
+                         (ModuleMap.zero(free_module(b, 2), block_power_module(d.u, 2)),),
+                         period=1)
+        for check in (morita_checks, mu_transport):
+            with pytest.raises(SpecialRingError, match="beta map 0"):
+                check(d, w)
+
 
 class TestMuTransport:
     def test_zero_data_zero_window(self):
@@ -370,6 +387,17 @@ class TestTriangularChecks:
                              period=1)
         report = triangular_checks(d, w)
         assert report.status(0, "(ii) exact") == "fail"
+
+    def test_beta_into_a_block_power_of_the_wrong_rank_refused(self):
+        a, b = dual_numbers(F2), product_fields(F2, 2)
+        d = TriangularData(a, b, full_tensor_pair(a, b))
+        rng = random.Random(5)
+        w = TriangularWindow(0, (1, 1), (2, 2), (random_free_map(a, 1, 1, rng),),
+                             (random_free_map(b, 2, 2, rng),),
+                             (random_hom(free_module(a, 1), block_power_module(d.v, 1), rng),),
+                             period=1)
+        with pytest.raises(SpecialRingError, match="beta map 0"):
+            triangular_checks(d, w)
 
     def test_matches_morita_at_zero_corner(self):
         rng = random.Random(19)
