@@ -4,14 +4,19 @@ Hom-space computation.
 
 An algebra of dimension d over k stores the d^3 constants c[i][j][k]
 meaning e_i * e_j = sum_k c[i][j][k] e_k together with the coordinates of
-the unit.  Associativity and the unit law are checked exhaustively at
-construction; :func:`check_algebra` produces the same diagnosis as a
-report with explicit witnesses instead of raising.
+the unit.  A left module is a family of action matrices rho(e_i) subject
+to rho(e_i) rho(e_j) = sum_k c[i][j][k] rho(e_k) and rho(1) = id.  That
+representation law is one primitive, :func:`law_residuals`; associativity
+is the law on the left multiplications.  The checkers are reports over it
+with explicit witnesses.
 
-A left module is a family of action matrices rho(e_i) subject to
-rho(e_i) rho(e_j) = sum_k c[i][j][k] rho(e_k) and rho(1) = id.  Module
-maps carry their endpoints and are validated against the intertwining
-equations.  Everything is immutable; all checks are exact.
+Validated: the constructors ``Algebra``, ``LeftModule`` and ``ModuleMap``,
+and the results of :func:`submodule_from_columns` and
+:func:`quotient_by_columns`, which come from solving.  Built unchecked,
+as valid by construction from validated data: free modules, zero and
+identity maps, composites, sums and negatives, and the bases of
+:func:`hom_space` and :func:`free_hom_basis`.  Everything is immutable;
+all checks are exact.
 """
 
 from __future__ import annotations
@@ -68,15 +73,22 @@ class ValidationReport:
         return not self.violations
 
 
-def _unit_matrix(field: FieldSpec, mats: Sequence[Matrix], unit_coords: Sequence) -> Matrix:
-    """Linear combination sum_i unit[i] * mats[i]."""
-    if not mats:
-        raise AlgebraError("empty basis")
-    acc = Matrix.zeros(field, mats[0].rows, mats[0].cols)
-    for c, m in zip(unit_coords, mats):
-        if c != field.zero():
-            acc = acc + m.scale(c)
-    return acc
+def unchecked_instance(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` in
+    field order, built without running its checks."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _memo_hash(self) -> int:
+    """The dataclass hash of an algebra or a module, computed once: both
+    key memo tables, and their matrices are slow to hash again."""
+    if "_hash" not in self.__dict__:
+        self.__dict__["_hash"] = hash(tuple(getattr(self, name)
+                                            for name in self.__dataclass_fields__))
+    return self.__dict__["_hash"]
 
 
 @dataclass(frozen=True)
@@ -95,25 +107,19 @@ class Algebra:
     unit: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "consts", tuple(
-            tuple(tuple(self.field.coerce(v) for v in row) for row in plane)
-            for plane in self.consts
-        ))
-        object.__setattr__(self, "unit", tuple(self.field.coerce(v) for v in self.unit))
+        raw = Algebra.unchecked(self.field, self.dim, self.consts, self.unit)
+        object.__setattr__(self, "consts", raw.consts)
+        object.__setattr__(self, "unit", raw.unit)
         report = check_algebra(self)
         if not report.valid:
             raise InvalidAlgebra(report)
 
     @staticmethod
     def unchecked(field: FieldSpec, dim: int, consts, unit) -> "Algebra":
-        a = object.__new__(Algebra)
-        object.__setattr__(a, "field", field)
-        object.__setattr__(a, "dim", dim)
-        object.__setattr__(a, "consts", tuple(
-            tuple(tuple(field.coerce(v) for v in row) for row in plane) for plane in consts
-        ))
-        object.__setattr__(a, "unit", tuple(field.coerce(v) for v in unit))
-        return a
+        return unchecked_instance(
+            Algebra, field, dim,
+            tuple(tuple(tuple(field.coerce(v) for v in row) for row in plane) for plane in consts),
+            tuple(field.coerce(v) for v in unit))
 
     @cached_property
     def left_mult(self) -> tuple:
@@ -137,58 +143,75 @@ class Algebra:
             ))
         return tuple(out)
 
+    __hash__ = _memo_hash
+
     def __repr__(self):
         return f"Algebra({self.field}, dim={self.dim})"
 
 
-def check_algebra(a: Algebra) -> ValidationReport:
-    """Exhaustively verify associativity and the unit law.
+def law_residuals(a: Algebra, action: Sequence[Matrix]) -> dict:
+    """The representation law rho(e_i) rho(e_j) = sum_k c[i][j][k] rho(e_k)
+    on one n x n matrix per basis index of ``a``.
 
-    Returns a report listing every violated equation with its witness
-    triple (or basis index for unit failures) and the nonzero residual.
+    Returns the residuals rho(e_i) rho(e_j) - sum_k c[i][j][k] rho(e_k)
+    that do not vanish, keyed by (i, j) in index order.  The residual
+    (i, j) is block (i, j) of one dn x dn matrix: the actions stacked on
+    top of each other times the actions side by side, less
+    sum_k C_k (x) rho(e_k) with C_k[i][j] = c[i][j][k].
     """
-    violations = []
-    f = a.field
+    d = a.dim
+    if not d:
+        return {}
+    n = action[0].rows
+    grid = vstack(action) @ hstack(action)
+    for k in range(d):
+        ck = [[a.consts[i][j][k] for j in range(d)] for i in range(d)]
+        if any(any(row) for row in ck):
+            grid = grid - kron(Matrix.from_rows(a.field, ck), action[k])
+    if grid.is_zero():
+        return {}
+    blocks = ((i, j, grid.block(i * n, (i + 1) * n, j * n, (j + 1) * n))
+              for i in range(d) for j in range(d))
+    return {(i, j): r for i, j, r in blocks if not r.is_zero()}
+
+
+def _unit_residual(a: Algebra, action: Sequence[Matrix], n: int) -> Matrix:
+    """The residual sum_i unit[i] rho(e_i) - I_n of the unit law rho(1) = id."""
+    acc = -Matrix.identity(a.field, n)
+    for c, m in zip(a.unit, action):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+def check_algebra(a: Algebra) -> ValidationReport:
+    """Exhaustively verify associativity and the unit law, listing every
+    violated equation with its witness triple (or basis index for unit
+    failures) and the nonzero residual.
+
+    Column k of the law residual (i, j) on the left multiplications,
+    negated, is (e_i e_j) e_k - e_i (e_j e_k); the unit laws are those of
+    the left and the right multiplications, column by column.
+    """
     if len(a.consts) != a.dim or any(
         len(plane) != a.dim or any(len(row) != a.dim for row in plane) for plane in a.consts
     ):
         return ValidationReport("algebra", (("shape", (), None),))
     if len(a.unit) != a.dim:
         return ValidationReport("algebra", (("shape", ("unit",), None),))
-
-    L = []
+    violations = []
+    units = (("unit-left", _unit_residual(a, a.left_mult, a.dim)),
+             ("unit-right", _unit_residual(a, a.right_mult, a.dim)))
     for i in range(a.dim):
-        L.append(Matrix.from_rows(
-            f, [[a.consts[i][j][k] for j in range(a.dim)] for k in range(a.dim)]
-        ))
-
-    basis = [Matrix.basis_column(f, a.dim, i) for i in range(a.dim)]
-    unit_col = Matrix.column(f, list(a.unit))
-
-    def mult(u, v):
-        acc = Matrix.zeros(f, a.dim, 1)
-        for i in range(a.dim):
-            c = u[i, 0]
-            if c != f.zero():
-                acc = acc + (L[i] @ v).scale(c)
-        return acc
-
-    for i in range(a.dim):
-        left = mult(unit_col, basis[i])
-        if left != basis[i]:
-            violations.append(("unit-left", (i,), left - basis[i]))
-        right = mult(basis[i], unit_col)
-        if right != basis[i]:
-            violations.append(("unit-right", (i,), right - basis[i]))
-
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ij = mult(basis[i], basis[j])
-            for k in range(a.dim):
-                lhs = mult(ij, basis[k])
-                rhs = mult(basis[i], mult(basis[j], basis[k]))
-                if lhs != rhs:
-                    violations.append(("associativity", (i, j, k), lhs - rhs))
+        for kind, residual in units:
+            col = residual.col(i)
+            if not col.is_zero():
+                violations.append((kind, (i,), col))
+    for (i, j), residual in law_residuals(a, a.left_mult).items():
+        for k in range(a.dim):
+            col = residual.col(k)
+            if not col.is_zero():
+                violations.append(("associativity", (i, j, k), -col))
     return ValidationReport("algebra", tuple(violations))
 
 
@@ -208,11 +231,9 @@ class LeftModule:
 
     @staticmethod
     def unchecked(algebra: Algebra, dim: int, action) -> "LeftModule":
-        x = object.__new__(LeftModule)
-        object.__setattr__(x, "algebra", algebra)
-        object.__setattr__(x, "dim", dim)
-        object.__setattr__(x, "action", tuple(action))
-        return x
+        return unchecked_instance(LeftModule, algebra, dim, tuple(action))
+
+    __hash__ = _memo_hash
 
     def __repr__(self):
         return f"LeftModule(dim={self.dim} over {self.algebra!r})"
@@ -221,25 +242,15 @@ class LeftModule:
 def check_module(x: LeftModule) -> ValidationReport:
     """Verify the representation law rho(e_i)rho(e_j) = rho(e_i e_j) and rho(1) = id."""
     a = x.algebra
-    f = a.field
-    violations = []
     if len(x.action) != a.dim or any(m.shape != (x.dim, x.dim) for m in x.action):
         return ValidationReport("module", (("shape", (), None),))
-    if any(m.field != f for m in x.action):
+    if any(m.field != a.field for m in x.action):
         return ValidationReport("module", (("field", (), None),))
-    unit = _unit_matrix(f, x.action, a.unit) if a.dim else Matrix.zeros(f, x.dim, x.dim)
-    if unit != Matrix.identity(f, x.dim):
-        violations.append(("unit-action", (), unit - Matrix.identity(f, x.dim)))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = x.action[i] @ x.action[j]
-            rhs = Matrix.zeros(f, x.dim, x.dim)
-            for k in range(a.dim):
-                c = a.consts[i][j][k]
-                if c != f.zero():
-                    rhs = rhs + x.action[k].scale(c)
-            if lhs != rhs:
-                violations.append(("module-law", (i, j), lhs - rhs))
+    violations = []
+    unit = _unit_residual(a, x.action, x.dim)
+    if not unit.is_zero():
+        violations.append(("unit-action", (), unit))
+    violations.extend(("module-law", ij, r) for ij, r in law_residuals(a, x.action).items())
     return ValidationReport("module", tuple(violations))
 
 
@@ -253,7 +264,7 @@ def free_module(a: Algebra, n: int) -> LeftModule:
     if n < 0:
         raise AlgebraError("negative rank")
     eye = Matrix.identity(a.field, n)
-    return LeftModule(a, n * a.dim, tuple(kron(eye, block) for block in a.left_mult))
+    return LeftModule.unchecked(a, n * a.dim, tuple(kron(eye, block) for block in a.left_mult))
 
 
 @dataclass(frozen=True)
@@ -275,19 +286,16 @@ class ModuleMap:
 
     @staticmethod
     def unchecked(source: LeftModule, target: LeftModule, mat: Matrix) -> "ModuleMap":
-        m = object.__new__(ModuleMap)
-        object.__setattr__(m, "source", source)
-        object.__setattr__(m, "target", target)
-        object.__setattr__(m, "mat", mat)
-        return m
+        return unchecked_instance(ModuleMap, source, target, mat)
 
     @staticmethod
     def zero(source: LeftModule, target: LeftModule) -> "ModuleMap":
-        return ModuleMap(source, target, Matrix.zeros(source.algebra.field, target.dim, source.dim))
+        return ModuleMap.unchecked(source, target,
+                                   Matrix.zeros(source.algebra.field, target.dim, source.dim))
 
     @staticmethod
     def identity(x: LeftModule) -> "ModuleMap":
-        return ModuleMap(x, x, Matrix.identity(x.algebra.field, x.dim))
+        return ModuleMap.unchecked(x, x, Matrix.identity(x.algebra.field, x.dim))
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         return compose(self, other)
@@ -351,10 +359,7 @@ def hom_space(x: LeftModule, y: LeftModule) -> list:
     if m * n == 0:
         return []
     ker = intertwining_system(x, y).kernel_basis()
-    basis = []
-    for j in range(ker.cols):
-        basis.append(ModuleMap(x, y, unvec(f, ker.col(j), m, n)))
-    return basis
+    return [ModuleMap.unchecked(x, y, unvec(f, ker.col(j), m, n)) for j in range(ker.cols)]
 
 
 def free_hom_basis(a: Algebra, n: int, w: LeftModule) -> list:
@@ -375,7 +380,7 @@ def free_hom_basis(a: Algebra, n: int, w: LeftModule) -> list:
             block = hstack(cols)
             blocks = [zero_block] * n
             blocks[i] = block
-            basis.append(ModuleMap(src, w, hstack(blocks)))
+            basis.append(ModuleMap.unchecked(src, w, hstack(blocks)))
     return basis
 
 

@@ -16,6 +16,15 @@ separately as a cross-check.  The canonical comparison isomorphisms
 between the two (grafting maps) and the concatenation multiplication on
 powers are exposed for the layers above.
 
+What is validated: the ``Bimodule`` constructor runs :func:`check_bimodule`
+(both unit axioms, the representation law of
+:func:`tensorgp.algebra.law_residuals` on each side, commutation) and
+raises, and every grafting map is checked to be an isomorphism.  What is
+built unchecked, because it is valid by construction from validated
+bimodules and modules: tensor products (the result module of
+:func:`tensor_module` and the bimodule of :func:`tensor_bimodule_model`),
+the induced maps of :func:`tensor_map`, and the identity grafts.
+
 All caches are memo tables for deterministic constructions: a repeated
 computation returns an identical value, so concurrent redundant fills are
 harmless.
@@ -38,7 +47,9 @@ from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
     ValidationReport,
-    _unit_matrix,
+    _unit_residual,
+    law_residuals,
+    unchecked_instance,
 )
 
 
@@ -80,52 +91,38 @@ class Bimodule:
 
     @staticmethod
     def unchecked(algebra, dim, left_action, right_action) -> "Bimodule":
-        b = object.__new__(Bimodule)
-        object.__setattr__(b, "algebra", algebra)
-        object.__setattr__(b, "dim", dim)
-        object.__setattr__(b, "left_action", tuple(left_action))
-        object.__setattr__(b, "right_action", tuple(right_action))
-        object.__setattr__(b, "_cache", {})
-        return b
+        return unchecked_instance(Bimodule, algebra, dim, tuple(left_action),
+                                  tuple(right_action), {})
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
 
 
 def check_bimodule(m: Bimodule) -> ValidationReport:
-    """Verify both module laws, both unit axioms and commutation."""
+    """Verify both unit axioms, both module laws and commutation.
+
+    The left law is the representation law on the left action; the right
+    action obeys it in the opposite order, rho(e_j) rho(e_i) =
+    sum_k c[i][j][k] rho(e_k), which is the law on the transposed matrices,
+    transposed back.
+    """
     a = m.algebra
-    f = a.field
+    if len(m.left_action) != a.dim or len(m.right_action) != a.dim or \
+            any(mat.shape != (m.dim, m.dim) for mat in m.left_action + m.right_action):
+        return ValidationReport("bimodule", (("shape", (), None),))
     violations = []
-    if len(m.left_action) != a.dim or len(m.right_action) != a.dim:
-        return ValidationReport("bimodule", (("shape", (), None),))
-    if any(mat.shape != (m.dim, m.dim) for mat in m.left_action + m.right_action):
-        return ValidationReport("bimodule", (("shape", (), None),))
-    ident = Matrix.identity(f, m.dim)
-    lu = _unit_matrix(f, m.left_action, a.unit)
-    if lu != ident:
-        violations.append(("left-unit", (), lu - ident))
-    ru = _unit_matrix(f, m.right_action, a.unit)
-    if ru != ident:
-        violations.append(("right-unit", (), ru - ident))
+    for kind, action in (("left-unit", m.left_action), ("right-unit", m.right_action)):
+        unit = _unit_residual(a, action, m.dim)
+        if not unit.is_zero():
+            violations.append((kind, (), unit))
+    left = law_residuals(a, m.left_action)
+    right = law_residuals(a, [r.transpose() for r in m.right_action])
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = m.left_action[i] @ m.left_action[j]
-            rhs = Matrix.zeros(f, m.dim, m.dim)
-            for k in range(a.dim):
-                c = a.consts[i][j][k]
-                if c != f.zero():
-                    rhs = rhs + m.left_action[k].scale(c)
-            if lhs != rhs:
-                violations.append(("left-law", (i, j), lhs - rhs))
-            lhs = m.right_action[j] @ m.right_action[i]
-            rhs = Matrix.zeros(f, m.dim, m.dim)
-            for k in range(a.dim):
-                c = a.consts[i][j][k]
-                if c != f.zero():
-                    rhs = rhs + m.right_action[k].scale(c)
-            if lhs != rhs:
-                violations.append(("right-law", (i, j), lhs - rhs))
+            if (i, j) in left:
+                violations.append(("left-law", (i, j), left[i, j]))
+            if (i, j) in right:
+                violations.append(("right-law", (i, j), right[i, j].transpose()))
             comm = m.left_action[i] @ m.right_action[j] - m.right_action[j] @ m.left_action[i]
             if not comm.is_zero():
                 violations.append(("commutation", (i, j), comm))
@@ -191,7 +188,7 @@ def tensor_module(m: Bimodule, x: LeftModule) -> TensoredModule:
     proj, sect = quotient_maps(relations)
     action = tuple(proj @ kron(m.left_action[i], Matrix.identity(f, x.dim)) @ sect
                    for i in range(m.algebra.dim))
-    result = LeftModule(m.algebra, proj.rows, action)
+    result = LeftModule.unchecked(m.algebra, proj.rows, action)
     return TensoredModule(m, x, result, proj, sect)
 
 
@@ -206,7 +203,7 @@ def tensor_map(m: Bimodule, f: ModuleMap, fx: TensoredModule, fy: TensoredModule
     if fx.argument != f.source or fy.argument != f.target:
         raise ModelMismatch("models do not match the endpoints of the map")
     mat = fy.projection @ kron(Matrix.identity(m.algebra.field, m.dim), f.mat) @ fx.section
-    return ModuleMap(fx.result, fy.result, mat)
+    return ModuleMap.unchecked(fx.result, fy.result, mat)
 
 
 class BimoduleModel(NamedTuple):

@@ -20,8 +20,8 @@ import argparse
 import sys
 
 from tensorgp import formats
-from tensorgp.algebra import check_algebra
-from tensorgp.bimodule import certify_nilpotent, check_bimodule, power_dims
+from tensorgp.algebra import InvalidAlgebra
+from tensorgp.bimodule import InvalidBimodule, certify_nilpotent, power_dims
 from tensorgp.formats import FormatError
 from tensorgp.resolution import (
     CheckReport,
@@ -85,43 +85,25 @@ def _report_exit(report: CheckReport) -> int:
 
 
 def _validate_bundle_doc(path: str, node) -> list:
-    problems = []
+    """The problems of a bundle file: its first parse error, the first five
+    violations of an invalid algebra or bimodule, or a failed nilpotency
+    certificate."""
     try:
         field = formats.field_from_doc(node.get("field"), f"{path}: field")
-    except FormatError as exc:
-        return [str(exc)]
-    try:
-        algebra = formats.algebra_from_doc(field, node.get("algebra"),
-                                           f"{path}: algebra", checked=False)
-    except FormatError as exc:
-        return [str(exc)]
-    report = check_algebra(algebra)
-    if not report.valid:
-        for kind, witness, _residual in report.violations[:5]:
-            problems.append(f"{path}: algebra: {kind} violated at {witness}")
-        return problems
-    algebra = formats.algebra_from_doc(field, node["algebra"], f"{path}: algebra")
-    try:
+        algebra = formats.algebra_from_doc(field, node.get("algebra"), f"{path}: algebra")
         bimodule = formats.bimodule_from_doc(algebra, node.get("bimodule"),
-                                             f"{path}: bimodule", checked=False)
-    except FormatError as exc:
-        return [str(exc)]
-    breport = check_bimodule(bimodule)
-    if not breport.valid:
-        for kind, witness, _residual in breport.violations[:5]:
-            problems.append(f"{path}: bimodule: {kind} violated at {witness}")
-        return problems
-    bimodule = formats.bimodule_from_doc(algebra, node["bimodule"], f"{path}: bimodule")
-    try:
+                                             f"{path}: bimodule")
         n = formats.int_from_doc(node.get("nilpotency"), f"{path}: nilpotency", 0)
     except FormatError as exc:
-        return [str(exc)]
+        if not isinstance(exc.__cause__, (InvalidAlgebra, InvalidBimodule)):
+            return [str(exc)]
+        report = exc.__cause__.report
+        return [f"{path}: {report.subject}: {kind} violated at {witness}"
+                for kind, witness, _residual in report.violations[:5]]
     if not certify_nilpotent(bimodule, n):
         dims = power_dims(bimodule, n + 1)
-        problems.append(
-            f"{path}: nilpotency certificate failed: power dimensions {dims}"
-        )
-    return problems
+        return [f"{path}: nilpotency certificate failed: power dimensions {dims}"]
+    return []
 
 
 def cmd_validate(args) -> int:

@@ -7,6 +7,14 @@ scalar lists, so re-serializing a canonical file is byte-identical.
 Scalars are residue integers for prime fields and integers or 'a/b'
 strings for the rationals.
 
+Every reader validates what it reads, once: algebras, bimodules and pair
+bimodules pass their constructors' checks, a bundle's tensor ring
+certifies its nilpotency, and every map read from a file is a checked
+``ModuleMap``.  What a reader builds from data it has validated is not
+checked again: the free modules and functor-power models that maps are
+read against, and the ring of a bundle document identical to one read
+before, which is the same :class:`TensorRing`.
+
 Normative field names are documented in docs/format.md and mirror the
 type fields of the library.
 """
@@ -235,7 +243,9 @@ def algebra_to_doc(a: Algebra) -> dict:
             "struct_consts": consts}
 
 
-def algebra_from_doc(field: FieldSpec, node, where: str, checked: bool = True):
+def algebra_from_doc(field: FieldSpec, node, where: str) -> Algebra:
+    """Parse and validate an algebra; an invalid one is a
+    :class:`FormatError` caused by the ``InvalidAlgebra`` and its report."""
     if not isinstance(node, dict) or not {"dim", "unit", "struct_consts"} <= set(node):
         raise FormatError(where, "algebra needs dim, unit, struct_consts")
     dim = int_from_doc(node["dim"], f"{where}.dim", 1)
@@ -258,12 +268,10 @@ def algebra_from_doc(field: FieldSpec, node, where: str, checked: bool = True):
     if not isinstance(unit, list) or len(unit) != dim:
         raise FormatError(f"{where}.unit", f"expected {dim} coordinates")
     unit_t = tuple(scalar_from_doc(field, v, f"{where}.unit") for v in unit)
-    if not checked:
-        return Algebra.unchecked(field, dim, tuple(parsed), unit_t)
     try:
         return Algebra(field, dim, tuple(parsed), unit_t)
     except AlgebraError as exc:
-        raise FormatError(where, str(exc))
+        raise FormatError(where, str(exc)) from exc
 
 
 def bimodule_to_doc(m: Bimodule) -> dict:
@@ -272,7 +280,9 @@ def bimodule_to_doc(m: Bimodule) -> dict:
             "right_action": [matrix_to_doc(x) for x in m.right_action]}
 
 
-def bimodule_from_doc(algebra: Algebra, node, where: str, checked: bool = True):
+def bimodule_from_doc(algebra: Algebra, node, where: str) -> Bimodule:
+    """Parse and validate a bimodule; an invalid one is a
+    :class:`FormatError` caused by the ``InvalidBimodule`` and its report."""
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "bimodule needs dim, left_action, right_action")
     dim = int_from_doc(node["dim"], f"{where}.dim", 0)
@@ -288,12 +298,10 @@ def bimodule_from_doc(algebra: Algebra, node, where: str, checked: bool = True):
     for i, mat in enumerate(left + right):
         if mat.shape != (dim, dim):
             raise FormatError(where, f"action matrix {i} is not {dim} x {dim}")
-    if not checked:
-        return Bimodule.unchecked(algebra, dim, left, right)
     try:
         return Bimodule(algebra, dim, left, right)
     except AlgebraError as exc:
-        raise FormatError(where, str(exc))
+        raise FormatError(where, str(exc)) from exc
 
 
 def bundle_to_doc(algebra: Algebra, bimodule: Bimodule, nilpotency: int) -> dict:
@@ -303,8 +311,9 @@ def bundle_to_doc(algebra: Algebra, bimodule: Bimodule, nilpotency: int) -> dict
             "nilpotency": nilpotency}
 
 
-def bundle_from_doc(node, where: str = "bundle"):
-    """Parse and fully validate a bundle into a tensor ring context."""
+def _bundle_parts(node, where: str):
+    """The algebra, bimodule and nilpotency index of a bundle node, each
+    parsed and validated once."""
     if not isinstance(node, dict):
         raise FormatError(where, "bundle must be a mapping")
     for key in ("field", "algebra", "bimodule", "nilpotency"):
@@ -313,8 +322,24 @@ def bundle_from_doc(node, where: str = "bundle"):
     field = field_from_doc(node["field"], f"{where}.field")
     algebra = algebra_from_doc(field, node["algebra"], f"{where}.algebra")
     bimodule = bimodule_from_doc(algebra, node["bimodule"], f"{where}.bimodule")
-    n = int_from_doc(node["nilpotency"], f"{where}.nilpotency", 0)
-    return TensorRing(algebra, bimodule, n)
+    return algebra, bimodule, int_from_doc(node["nilpotency"], f"{where}.nilpotency", 0)
+
+
+# every ring read by bundle_from_doc, keyed by the repr of its parsed node
+_RINGS: dict = {}
+
+
+def bundle_from_doc(node, where: str = "bundle") -> TensorRing:
+    """Parse and fully validate a bundle into a tensor ring context.
+
+    A document identical to one read before, down to key order and scalar
+    types, gives the same :class:`TensorRing`, so windows over one ring
+    share its certificate and memo tables.
+    """
+    key = repr(node)
+    if key not in _RINGS:
+        _RINGS[key] = TensorRing(*_bundle_parts(node, where))
+    return _RINGS[key]
 
 
 # -- windows -------------------------------------------------------------------
@@ -380,13 +405,7 @@ def complex_from_doc(doc, where: str = "complex"):
     """Returns (bimodule, levels, base window over the zero bimodule)."""
     if doc.get("kind") != "complex":
         raise FormatError(where, f"expected kind 'complex', got {doc.get('kind')!r}")
-    bundle = doc.get("bundle")
-    if not isinstance(bundle, dict):
-        raise FormatError(where, "missing bundle")
-    field = field_from_doc(bundle.get("field"), f"{where}.bundle.field")
-    algebra = algebra_from_doc(field, bundle.get("algebra"), f"{where}.bundle.algebra")
-    bimodule = bimodule_from_doc(algebra, bundle.get("bimodule"), f"{where}.bundle.bimodule")
-    levels = int_from_doc(bundle.get("nilpotency"), f"{where}.bundle.nilpotency", 0)
+    algebra, bimodule, levels = _bundle_parts(doc.get("bundle"), f"{where}.bundle")
     node = doc.get("complex")
     if not isinstance(node, dict):
         raise FormatError(where, "missing complex section")
@@ -397,7 +416,7 @@ def complex_from_doc(doc, where: str = "complex"):
     lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
     maps = []
     for t, mnode in enumerate(maps_node):
-        mat = matrix_from_doc(field, mnode, f"{where}.maps[{t}]")
+        mat = matrix_from_doc(algebra.field, mnode, f"{where}.maps[{t}]")
         src = free_module(algebra, ranks[t])
         tgt = free_module(algebra, ranks[t + 1])
         try:

@@ -268,7 +268,8 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
 
     The j-th component is the convolution sum of grafted functor-power
     lifts; assembling the result equals the product of the assembled
-    matrices.
+    matrices.  Composites of valid component lists are valid, so the
+    components are built unchecked.
     """
     ring = s1.ring
     if s2.ring != ring or s1.target_rank != s2.source_rank:
@@ -279,14 +280,13 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
     q2 = ring.free(s2.target_rank)
     comps = []
     for j in range(1, n + 2):
-        acc = ModuleMap.zero(p, ring.model(j - 1, q2).result)
+        target = ring.model(j - 1, q2).result
+        acc = Matrix.zeros(ring.algebra.field, target.dim, p.dim)
         for i in range(1, j + 1):
             lifted = iterate_functor_map(m, i - 1, s2.components[j - i])
             g = graft(m, i - 1, j - i, q2).mat
-            term = ModuleMap.unchecked(p, acc.target,
-                                       g @ lifted.mat @ s1.components[i - 1].mat)
-            acc = acc + term
-        comps.append(ModuleMap(p, acc.target, acc.mat))
+            acc = acc + g @ lifted.mat @ s1.components[i - 1].mat
+        comps.append(ModuleMap.unchecked(p, target, acc))
     return StarMorphism(ring, s1.source_rank, s2.target_rank, tuple(comps))
 
 
@@ -505,22 +505,18 @@ def check_strongly_gp(s: StarMorphism) -> CheckReport:
 # -- base-ring complexes, compatibility, and lifting -------------------------
 
 
-def complex_window(maps, period=None, ring0: Optional[TensorRing] = None) -> ResolutionWindow:
+def complex_window(maps, period=None) -> ResolutionWindow:
     """Wrap maps between standard free modules as a window over the tensor
     ring of the zero bimodule (the base ring itself)."""
     if not maps:
         raise ResolutionError("empty complex")
     algebra = maps[0].source.algebra
-    if ring0 is None:
-        ring0 = TensorRing(algebra, zero_bimodule(algebra), 0)
+    ring0 = TensorRing(algebra, zero_bimodule(algebra), 0)
     ranks = []
     stars = []
     for f in maps:
         ranks.append(_free_rank_of(ring0, f.source))
-        stars.append(StarMorphism(ring0, ranks[-1], _free_rank_of(ring0, f.target),
-                                  (ModuleMap(ring0.free(ranks[-1]),
-                                             ring0.free(_free_rank_of(ring0, f.target)),
-                                             f.mat),)))
+        stars.append(StarMorphism(ring0, ranks[-1], _free_rank_of(ring0, f.target), (f,)))
     ranks.append(_free_rank_of(ring0, maps[-1].target))
     return ResolutionWindow(ring0, 0, tuple(ranks), tuple(stars), period=period)
 

@@ -50,6 +50,9 @@ def _slot_bases(ring: TensorRing, rank_p: int, rank_q: int):
 
 
 def _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs) -> StarMorphism:
+    """The candidate with the given slot coordinates; each component is a
+    combination of slot-basis maps, valid by construction, so it is built
+    unchecked."""
     p = ring.free(rank_p)
     comps = []
     pos = 0
@@ -61,7 +64,7 @@ def _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs) -> StarMorphism
             pos += 1
             if c:
                 acc = acc + b.mat.scale(c)
-        comps.append(ModuleMap(p, target, acc))
+        comps.append(ModuleMap.unchecked(p, target, acc))
     return StarMorphism(ring, rank_p, rank_q, tuple(comps))
 
 

@@ -9,11 +9,15 @@ block morphisms between induced modules, and two independent oracles: a
 structure-constant model of the tensor ring itself, and the translation
 of pairs into modules over that model.
 
-Pairs, morphisms of pairs and component lists are validated against their
-defining equations when constructed from outside.  What is built from
-validated data by construction is not validated again: the assembled
-block matrix of a component list and the basis that :meth:`TensorRing.hom_t`
-reads off the kernel of its equations.
+What is validated: the ``TensorRing`` constructor certifies nilpotency,
+and pairs (``TModule``), morphisms of pairs (``TMorphism``) and component
+lists (``StarMorphism``) are checked against their defining equations
+when constructed, as are the ring model and the modules over it.  What is
+built from validated data by construction is not validated again: the
+free modules of :meth:`TensorRing.free`, the underlying module of
+:meth:`TensorRing.ind`, the assembled block matrix of a component list and
+the basis that :meth:`TensorRing.hom_t` reads off the kernel of its
+equations.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from tensorgp.algebra import (
     free_module,
     intertwining_system,
     quotient_by_columns,
+    unchecked_instance,
 )
 from tensorgp.bimodule import (
     Bimodule,
@@ -120,7 +125,7 @@ class TensorRing:
             for b in blocks[1:]:
                 acc = direct_sum(acc, b.result.action[e])
             action.append(acc)
-        y = LeftModule(self.algebra, total, tuple(action))
+        y = LeftModule.unchecked(self.algebra, total, tuple(action))
         fy = self.model(1, y)
         u = Matrix.zeros(f, total, fy.result.dim)
         for i in range(n):
@@ -360,7 +365,7 @@ class TModule:
     Construction validates that u is linear over the base algebra and that
     the iterated action vanishes beyond the nilpotency index (vacuous when
     the corresponding functor power is zero, which certification of the
-    ring guarantees).  Use :meth:`unchecked` for raw pairs.
+    ring guarantees).
     """
 
     ring: TensorRing
@@ -374,14 +379,6 @@ class TModule:
         if self.ring.model(n + 1, self.x).result.dim != 0:
             if not self.ring.iterated_action(self, n + 1).is_zero():
                 raise TensorRingError("iterated action does not vanish beyond the nilpotency index")
-
-    @staticmethod
-    def unchecked(ring, x, u) -> "TModule":
-        t = object.__new__(TModule)
-        object.__setattr__(t, "ring", ring)
-        object.__setattr__(t, "x", x)
-        object.__setattr__(t, "u", u)
-        return t
 
     def __repr__(self):
         return f"TModule(dim={self.x.dim})"
@@ -421,11 +418,7 @@ class TMorphism:
 
     @staticmethod
     def unchecked(source, target, mat) -> "TMorphism":
-        t = object.__new__(TMorphism)
-        object.__setattr__(t, "source", source)
-        object.__setattr__(t, "target", target)
-        object.__setattr__(t, "mat", mat)
-        return t
+        return unchecked_instance(TMorphism, source, target, mat)
 
     def is_zero(self) -> bool:
         return self.mat.is_zero()

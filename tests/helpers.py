@@ -456,3 +456,144 @@ def reference_triangular_c3_columns(d, tau, sigma, beta, rank_p, rank_q):
         entries.append((1, b.mat, [vg @ beta.mat, b.mat @ sigma.mat]))
     return _padded_columns(fld, [(dv, rank_p * d.a.dim), (db, rank_q * db)],
                            [(dv, tau.source.dim), (db, sigma.source.dim)], entries)
+
+
+# -- references for the validation reports ----------------------------------------
+# The checkers as they were written before the shared representation-law
+# primitive, one loop per checker; the suite compares the library's
+# reports with them.
+
+
+def _unit_matrix(field: FieldSpec, mats, unit_coords) -> Matrix:
+    """Linear combination sum_i unit[i] * mats[i]."""
+    from tensorgp.algebra import AlgebraError
+
+    if not mats:
+        raise AlgebraError("empty basis")
+    acc = Matrix.zeros(field, mats[0].rows, mats[0].cols)
+    for c, m in zip(unit_coords, mats):
+        if c != field.zero():
+            acc = acc + m.scale(c)
+    return acc
+
+
+def reference_check_algebra(a):
+    """Exhaustively verify associativity and the unit law.
+
+    Returns a report listing every violated equation with its witness
+    triple (or basis index for unit failures) and the nonzero residual.
+    """
+    from tensorgp.algebra import ValidationReport
+
+    violations = []
+    f = a.field
+    if len(a.consts) != a.dim or any(
+        len(plane) != a.dim or any(len(row) != a.dim for row in plane) for plane in a.consts
+    ):
+        return ValidationReport("algebra", (("shape", (), None),))
+    if len(a.unit) != a.dim:
+        return ValidationReport("algebra", (("shape", ("unit",), None),))
+
+    L = []
+    for i in range(a.dim):
+        L.append(Matrix.from_rows(
+            f, [[a.consts[i][j][k] for j in range(a.dim)] for k in range(a.dim)]
+        ))
+
+    basis = [Matrix.basis_column(f, a.dim, i) for i in range(a.dim)]
+    unit_col = Matrix.column(f, list(a.unit))
+
+    def mult(u, v):
+        acc = Matrix.zeros(f, a.dim, 1)
+        for i in range(a.dim):
+            c = u[i, 0]
+            if c != f.zero():
+                acc = acc + (L[i] @ v).scale(c)
+        return acc
+
+    for i in range(a.dim):
+        left = mult(unit_col, basis[i])
+        if left != basis[i]:
+            violations.append(("unit-left", (i,), left - basis[i]))
+        right = mult(basis[i], unit_col)
+        if right != basis[i]:
+            violations.append(("unit-right", (i,), right - basis[i]))
+
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = mult(basis[i], basis[j])
+            for k in range(a.dim):
+                lhs = mult(ij, basis[k])
+                rhs = mult(basis[i], mult(basis[j], basis[k]))
+                if lhs != rhs:
+                    violations.append(("associativity", (i, j, k), lhs - rhs))
+    return ValidationReport("algebra", tuple(violations))
+
+
+def reference_check_module(x):
+    """Verify the representation law rho(e_i)rho(e_j) = rho(e_i e_j) and rho(1) = id."""
+    from tensorgp.algebra import ValidationReport
+
+    a = x.algebra
+    f = a.field
+    violations = []
+    if len(x.action) != a.dim or any(m.shape != (x.dim, x.dim) for m in x.action):
+        return ValidationReport("module", (("shape", (), None),))
+    if any(m.field != f for m in x.action):
+        return ValidationReport("module", (("field", (), None),))
+    unit = _unit_matrix(f, x.action, a.unit) if a.dim else Matrix.zeros(f, x.dim, x.dim)
+    if unit != Matrix.identity(f, x.dim):
+        violations.append(("unit-action", (), unit - Matrix.identity(f, x.dim)))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = x.action[i] @ x.action[j]
+            rhs = Matrix.zeros(f, x.dim, x.dim)
+            for k in range(a.dim):
+                c = a.consts[i][j][k]
+                if c != f.zero():
+                    rhs = rhs + x.action[k].scale(c)
+            if lhs != rhs:
+                violations.append(("module-law", (i, j), lhs - rhs))
+    return ValidationReport("module", tuple(violations))
+
+
+def reference_check_bimodule(m):
+    """Verify both module laws, both unit axioms and commutation."""
+    from tensorgp.algebra import ValidationReport
+
+    a = m.algebra
+    f = a.field
+    violations = []
+    if len(m.left_action) != a.dim or len(m.right_action) != a.dim:
+        return ValidationReport("bimodule", (("shape", (), None),))
+    if any(mat.shape != (m.dim, m.dim) for mat in m.left_action + m.right_action):
+        return ValidationReport("bimodule", (("shape", (), None),))
+    ident = Matrix.identity(f, m.dim)
+    lu = _unit_matrix(f, m.left_action, a.unit)
+    if lu != ident:
+        violations.append(("left-unit", (), lu - ident))
+    ru = _unit_matrix(f, m.right_action, a.unit)
+    if ru != ident:
+        violations.append(("right-unit", (), ru - ident))
+    for i in range(a.dim):
+        for j in range(a.dim):
+            lhs = m.left_action[i] @ m.left_action[j]
+            rhs = Matrix.zeros(f, m.dim, m.dim)
+            for k in range(a.dim):
+                c = a.consts[i][j][k]
+                if c != f.zero():
+                    rhs = rhs + m.left_action[k].scale(c)
+            if lhs != rhs:
+                violations.append(("left-law", (i, j), lhs - rhs))
+            lhs = m.right_action[j] @ m.right_action[i]
+            rhs = Matrix.zeros(f, m.dim, m.dim)
+            for k in range(a.dim):
+                c = a.consts[i][j][k]
+                if c != f.zero():
+                    rhs = rhs + m.right_action[k].scale(c)
+            if lhs != rhs:
+                violations.append(("right-law", (i, j), lhs - rhs))
+            comm = m.left_action[i] @ m.right_action[j] - m.right_action[j] @ m.left_action[i]
+            if not comm.is_zero():
+                violations.append(("commutation", (i, j), comm))
+    return ValidationReport("bimodule", tuple(violations))

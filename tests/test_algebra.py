@@ -109,6 +109,17 @@ class TestFreeModule:
                                                  c2 * r.dim, (c2 + 1) * r.dim).is_zero()
 
 
+class TestMemoKeys:
+    def test_hash_is_the_field_hash_computed_once(self):
+        x = free_module(dual_numbers(F3), 2)
+        a = x.algebra
+        assert hash(a) == hash((a.field, a.dim, a.consts, a.unit))
+        assert hash(x) == hash((a, x.dim, x.action))
+        assert "_hash" in vars(a) and "_hash" in vars(x)
+        y = LeftModule(a, x.dim, x.action)
+        assert y == x and hash(y) == hash(x)
+
+
 class TestHomSpace:
     def test_identity_in_hom(self):
         r = dual_numbers(F2)
@@ -225,13 +236,13 @@ class TestSubQuotient:
 
 class TestRandomizedInvariants:
     def test_hom_space_maps_are_linear(self):
-        # ModuleMap construction inside hom_space re-checks the intertwining
-        # equations, so a pass here certifies every returned basis element.
+        # hom_space builds its basis unchecked, so certify every element here
         for r in (dual_numbers(F2), product_fields(F3, 3)):
             x = free_module(r, 2)
             y = free_module(r, 1)
             for b in hom_space(x, y):
-                assert b.mat @ x.action[0] == y.action[0] @ b.mat
+                for i in range(r.dim):
+                    assert b.mat @ x.action[i] == y.action[i] @ b.mat
 
     def test_hom_dim_free_source_random_targets(self):
         from helpers import random_module
@@ -246,3 +257,129 @@ class TestRandomizedInvariants:
                     assert len(hom_space(free1, y)) == y.dim
                     count += 1
         assert count == 100
+
+
+# -- the law-based reports against the loop-per-checker references ---------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensorgp.bimodule import Bimodule, check_bimodule, regular_bimodule, zero_bimodule
+
+from helpers import (
+    augmentation_bimodule,
+    corner_bimodule,
+    cubic_nilpotent,
+    path_bimodule,
+    random_module,
+    reference_check_algebra,
+    reference_check_bimodule,
+    reference_check_module,
+)
+
+LAW_FIELDS = [F2, F3, QQ]
+
+
+def _nonzero(field, data):
+    if field.is_prime:
+        return data.draw(st.integers(1, field.p - 1))
+    return data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+
+
+def _perturbed_matrix(m, data):
+    """m with one entry shifted by a nonzero scalar."""
+    rows = [list(r) for r in m.entries]
+    i = data.draw(st.integers(0, m.rows - 1))
+    j = data.draw(st.integers(0, m.cols - 1))
+    rows[i][j] += _nonzero(m.field, data)
+    return Matrix.from_rows(m.field, rows)
+
+
+def _replaced(items, k, item):
+    return tuple(item if t == k else x for t, x in enumerate(items))
+
+
+def _small_algebras(field):
+    return [ground_algebra(field), dual_numbers(field), product_fields(field, 2),
+            cubic_nilpotent(field)]
+
+
+def _table(data, a, kinds=("valid", "consts", "unit", "shape")):
+    """The table of ``a`` as it is, or with a shifted structure constant, a
+    random unit, or a malformed table or unit."""
+    field, d = a.field, a.dim
+    kind = data.draw(st.sampled_from(kinds))
+    consts = [[list(row) for row in plane] for plane in a.consts]
+    unit = list(a.unit)
+    if kind == "consts":
+        i, j, k = (data.draw(st.integers(0, d - 1)) for _ in range(3))
+        consts[i][j][k] += _nonzero(field, data)
+    elif kind == "unit":
+        unit = [data.draw(st.integers(0, 2)) for _ in range(d)]
+    elif kind == "shape":
+        if data.draw(st.booleans()):
+            unit = unit[:-1]
+        else:
+            i = data.draw(st.integers(0, d - 1))
+            consts[i] = consts[i][:-1]
+    return Algebra.unchecked(field, d, consts, unit)
+
+
+def _same_report(new, ref):
+    assert new.subject == ref.subject
+    assert new.violations == ref.violations
+
+
+class TestLawReportsMatchReferences:
+    """check_algebra, check_module and check_bimodule read one law
+    primitive; their reports must list the same kinds, indices and
+    residuals, in the same order, as the per-checker loops they replace."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(LAW_FIELDS))
+    def test_algebra_reports(self, data, field):
+        a = _table(data, data.draw(st.sampled_from(_small_algebras(field))))
+        _same_report(check_algebra(a), reference_check_algebra(a))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(LAW_FIELDS))
+    def test_module_reports(self, data, field):
+        a = data.draw(st.sampled_from(_small_algebras(field)))
+        if data.draw(st.booleans()):
+            x = free_module(a, data.draw(st.integers(0, 2)))
+        else:
+            x = random_module(a, random.Random(data.draw(st.integers(0, 99))))
+        action = x.action
+        kind = data.draw(st.sampled_from(["valid", "entry", "shape", "field"]))
+        k = data.draw(st.integers(0, a.dim - 1))
+        if kind == "entry" and x.dim:
+            action = _replaced(action, k, _perturbed_matrix(action[k], data))
+        elif kind == "shape":
+            action = action[:-1] if data.draw(st.booleans()) else \
+                _replaced(action, k, Matrix.zeros(field, x.dim + 1, x.dim + 1))
+        elif kind == "field":
+            other = F3 if field is F2 else F2
+            action = _replaced(action, k, Matrix.zeros(other, x.dim, x.dim))
+        raw = LeftModule.unchecked(_table(data, a, ("valid", "consts", "unit")), x.dim, action)
+        _same_report(check_module(raw), reference_check_module(raw))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(LAW_FIELDS))
+    def test_bimodule_reports(self, data, field):
+        a = data.draw(st.sampled_from([dual_numbers(field), product_fields(field, 2)]))
+        m = data.draw(st.sampled_from([
+            regular_bimodule(a), zero_bimodule(a), regular_bimodule(cubic_nilpotent(field)),
+            corner_bimodule(field), path_bimodule(field, 3), augmentation_bimodule(field)]))
+        algebra = _table(data, m.algebra, ("valid", "consts", "unit"))
+        left, right = m.left_action, m.right_action
+        kind = data.draw(st.sampled_from(["valid", "left", "right", "shape"]))
+        k = data.draw(st.integers(0, algebra.dim - 1))
+        if kind == "left" and m.dim:
+            left = _replaced(left, k, _perturbed_matrix(left[k], data))
+        elif kind == "right" and m.dim:
+            right = _replaced(right, k, _perturbed_matrix(right[k], data))
+        elif kind == "shape":
+            right = right[:-1] if data.draw(st.booleans()) else \
+                _replaced(right, k, Matrix.zeros(field, m.dim + 1, m.dim + 1))
+        raw = Bimodule.unchecked(algebra, m.dim, left, right)
+        _same_report(check_bimodule(raw), reference_check_bimodule(raw))

@@ -8,7 +8,7 @@ import yaml
 
 from tensorgp import formats
 from tensorgp.cli import main
-from tensorgp.tensor_ring import TensorRing
+from tensorgp.tensor_ring import NotNilpotent, TensorRing
 from tensorgp.bimodule import zero_bimodule
 
 from helpers import (
@@ -48,6 +48,23 @@ class TestValidate:
     def test_bad_nilpotency(self, capsys):
         assert main(["validate", fixture("bad_nilpotency_bundle.yaml")]) == 2
         assert "nilpotency certificate failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, lines", [
+        ("bad_assoc_bundle.yaml", ["algebra: unit-left violated at (0,)",
+                                   "algebra: unit-right violated at (0,)",
+                                   "algebra: unit-left violated at (1,)",
+                                   "algebra: unit-right violated at (1,)"]),
+        ("nonassoc_bundle.yaml", ["algebra: associativity violated at (1, 1, 1)",
+                                  "algebra: associativity violated at (1, 1, 2)",
+                                  "algebra: associativity violated at (1, 2, 1)",
+                                  "algebra: associativity violated at (1, 2, 2)"]),
+        ("bad_nilpotency_bundle.yaml",
+         ["nilpotency certificate failed: power dimensions [2, 1]"]),
+    ])
+    def test_full_listing(self, capsys, name, lines):
+        path = fixture(name)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == "".join(f"{path}: {line}\n" for line in lines)
 
     def test_field_flag(self, capsys):
         assert main(["validate", fixture("triangular_bundle.yaml"), "--field", "3"]) == 2
@@ -505,3 +522,30 @@ class TestCanonicalRoundTrip:
         text = formats.render({"m": doc})
         back = formats.matrix_from_doc(QQ, formats.load(text)["m"], "m")
         assert back == m
+
+
+class TestBundleInterning:
+    def bundle(self):
+        return formats.load(Path(fixture("triangular_bundle.yaml")).read_text())
+
+    def test_identical_documents_share_one_ring(self):
+        ring = formats.bundle_from_doc(self.bundle())
+        assert formats.bundle_from_doc(self.bundle()) is ring
+        text = Path(fixture("x_window.yaml")).read_text()
+        first = formats.window_from_doc(formats.load(text))
+        assert formats.window_from_doc(formats.load(text)).ring is first.ring
+
+    @pytest.mark.parametrize("value", [True, "1", 1.0])
+    def test_equal_scalars_of_other_types_are_not_the_same_document(self, value):
+        formats.bundle_from_doc(self.bundle())
+        doc = self.bundle()
+        doc["nilpotency"] = value
+        with pytest.raises(formats.FormatError, match="nilpotency"):
+            formats.bundle_from_doc(doc)
+
+    def test_invalid_documents_are_refused_every_time(self):
+        doc = self.bundle()
+        doc["nilpotency"] = 0
+        for _ in range(2):
+            with pytest.raises(NotNilpotent):
+                formats.bundle_from_doc(doc)

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from tensorgp.exactlin import QQ, Matrix, is_exact_pair
-from tensorgp.algebra import ModuleMap, free_module, hom_space
-from tensorgp.bimodule import zero_bimodule
-from tensorgp.tensor_ring import StarMorphism, TMorphism, TensorRing
+from tensorgp.algebra import LeftModule, ModuleMap, free_hom_basis, free_module, hom_space
+from tensorgp.bimodule import iterate_functor_map, power, tensor_module, zero_bimodule
+from tensorgp import search
+from tensorgp.tensor_ring import StarMorphism, TModule, TMorphism, TensorRing
 from tensorgp.resolution import (
     BlockWitness,
     CheckReport,
@@ -51,6 +52,7 @@ from helpers import (
     path_bimodule,
     product_fields,
     random_hom,
+    random_module,
     x_multiplication,
 )
 
@@ -196,6 +198,47 @@ class TestC3Operator:
                     basis, constraint = reference_c3_columns(ring, through)
                     assert _functional_basis(ring, rank)[0] == basis
                     assert _functional_constraints(ring, through) == constraint
+
+
+class TestUncheckedBuilders:
+    def test_rewrapped_in_validating_constructors(self):
+        # free modules, zero and identity maps, hom bases, tensor models and
+        # maps, induced modules and the components of star_compose and of
+        # enumerated candidates are built unchecked; re-wrapping each in the
+        # validating constructors must not raise
+        def module(x):
+            return LeftModule(x.algebra, x.dim, x.action)
+
+        def hom(f):
+            return ModuleMap(f.source, f.target, f.mat)
+
+        rng = random.Random(47)
+        for ring in ring_pool((F2, F3, QQ)):
+            a, m = ring.algebra, ring.bimodule
+            modules = [module(free_module(a, r)) for r in range(3)] + [random_module(a, rng)]
+            for x in modules:
+                hom(ModuleMap.identity(x))
+                ind = ring.ind(x)
+                TModule(ring, module(ind.x), ind.u)
+                for i in range(1, ring.nilpotency + 1):
+                    module(tensor_module(power(m, i).bim, x).result)
+                for rank in range(3):
+                    for b in free_hom_basis(a, rank, x):
+                        hom(b)
+                for y in modules:
+                    hom(ModuleMap.zero(x, y))
+                    for b in hom_space(x, y):
+                        hom(b)
+                    f = random_hom(x, y, rng)
+                    for i in range(1, ring.nilpotency + 1):
+                        hom(iterate_functor_map(m, i, f))
+            for rank_p in range(3):
+                for rank_q in range(3):
+                    s1 = search.random_star(ring, rank_p, rank_q, rng)
+                    s2 = search.random_star(ring, rank_q, rank_p, rng)
+                    for s in (s1, s2, star_compose(s2, s1)):
+                        StarMorphism(ring, s.source_rank, s.target_rank,
+                                     tuple(hom(c) for c in s.components))
 
 
 class TestCheckComplete:
