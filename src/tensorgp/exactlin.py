@@ -19,7 +19,10 @@ products).
 The int64 limits, in one place:
 
 - Over F_p, p < 2**20, so a product of two residues is below 2**40 and a
-  sum of up to 2**23 of them still fits in int64 before ``% p``.
+  sum of up to 2**23 of them still fits in int64 before ``% p``.  The
+  staged hunt of ``search`` sums m such products in one contraction, so
+  it needs m * p**2 < 2**63; :func:`batched_rank` keeps every entry below
+  p**2.
 - Over Q, ``product`` computes in int64 when every entry of both operands
   is an integer and max(|A|, 1) * max(|B|, 1) * max(k, 1) < 2**62, with k
   the inner dimension of a matrix product and 1 for a Kronecker product.
@@ -524,7 +527,48 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at (i_a * b.rows + i_b, j_a * b.cols + j_b) is a[i_a, j_a] * b[i_b, j_b].
     """
     _check_same_field(a, b)
-    return Matrix._from_np(a.field, a.field.product(np.kron, a._data, b._data, 1))
+    return Matrix._from_np(a.field, a.field.product(_kron, a._data, b._data, 1))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-d arrays as one broadcast product, without its
+    general-rank overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def batched_rank(field: FieldSpec, arr) -> np.ndarray:
+    """Ranks over F_p of the slices of a (batch, rows, cols) integer array.
+
+    Entries may be unreduced; they are taken mod p.  The elimination runs
+    column by column on the whole batch at once: each slice takes as pivot
+    its first unused row with a nonzero entry in the column and clears the
+    rows below it, so every step is a few int64 array operations whose
+    entries stay below p**2.  Returns an int64 array of length batch.
+    """
+    if not field.is_prime:
+        raise ExactLinError("batched rank needs a prime field")
+    p = field.p
+    a = np.asarray(arr, dtype=np.int64) % p
+    batch, rows, cols = a.shape
+    rank = np.zeros(batch, dtype=np.int64)
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    row_index = np.arange(rows)
+    for c in range(cols):
+        free = (a[:, :, c] != 0) & (row_index >= rank[:, None])
+        hit = np.flatnonzero(free.any(axis=1))
+        if hit.size == 0:
+            continue
+        top = rank[hit]
+        piv = free[hit].argmax(axis=1)
+        pivot_rows = a[hit, piv]
+        a[hit, piv] = a[hit, top]
+        pivot_rows = pivot_rows * inverse[pivot_rows[:, c]][:, None] % p
+        a[hit, top] = pivot_rows
+        below = a[hit, :, c] * (row_index > top[:, None])
+        a[hit] = (a[hit] - below[:, :, None] * pivot_rows[:, None, :]) % p
+        rank[hit] += 1
+    return rank
 
 
 def is_exact_pair(f: Matrix, g: Matrix) -> bool:

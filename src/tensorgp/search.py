@@ -6,10 +6,31 @@ enumerator walks that space in lexicographic coordinate order over a
 finite field, aborting before work starts if the candidate count exceeds
 the budget.  The strongly-periodic hunter classifies every candidate and
 returns a catalog deduplicated by dimension signature, with one
-re-verifiable representative per signature.  Classification is staged:
-SC1 (the square vanishes) decides the candidates that fail it, and only
-SC1 survivors and each group's representative run the full one-periodic
-check.
+re-verifiable representative per signature.
+
+Classification is staged and runs on blocks of candidates of one rank,
+from two tables memoised per (ring, rank) over the unit candidates e_a
+(slot coordinate a set to 1, the others to 0):
+
+- SC1 by table.  T[a, b] holds the components of star_compose(e_a, e_b),
+  so the square of the candidate with coordinates c is
+  sum_{a,b} c_a c_b T[a, b]: two int64 contractions, reduced mod p after
+  each.
+- SC2 by rank.  The candidate assembles to sum_a c_a A_a, with A_a the
+  assembled matrix of e_a; one batched rank mod p
+  (:func:`tensorgp.exactlin.batched_rank`) gives its kernel dimension kd.
+  When the square vanishes, im alpha lies in ker alpha, so SC2 holds iff
+  2 kd = n, with n = dim Ind(P).
+- The full one-periodic check on the rest: SC1 survivors with 2 kd = n,
+  and the first candidate of each new group.  Each of them must agree
+  with its staged SC1 and SC2 verdicts, and its batched rank with the
+  rank of its assembled matrix; a disagreement raises
+  :class:`~tensorgp.resolution.InternalCheckError`.
+
+Both contractions sum m products of residues, m the number of slot
+coordinates, so they stay exact in int64 while m * p**2 < 2**63 (see the
+limits in ``exactlin``).  Candidates are staged ``_CHUNK`` at a time, so
+the staging arrays stay bounded however large the budget.
 
 The random generators are seeded and reproducible: identical seeds give
 byte-identical results.
@@ -23,14 +44,16 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator
 
-from tensorgp.exactlin import Matrix
+import numpy as np
+
+from tensorgp.exactlin import Matrix, batched_rank
 from tensorgp.algebra import LeftModule, ModuleMap, free_hom_basis, hom_space
 from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.resolution import (
     InternalCheckError,
     ResolutionWindow,
-    check_c1,
     check_strongly_gp,
+    star_compose,
 )
 
 
@@ -117,34 +140,117 @@ class Catalog:
         return tuple(g for g in self.groups if g.passed)
 
 
-def _classify(ring: TensorRing, candidates) -> Catalog:
-    """Group (rank, candidate) pairs by (rank, kernel dimension, verdict).
+_CHUNK = 1024  # candidates staged per batch
 
-    SC1 runs first: a candidate whose square does not vanish fails the
-    one-periodic check whatever SC2 and SC3 say, so only SC1 survivors get
-    the full check.  A failing candidate that opens a new group gets it
-    too, and must fail it, so every stored representative is certified by
-    the full check.  Representatives are the first candidate of each group.
+
+@dataclass(frozen=True)
+class _Stage:
+    """The staging tables of one (ring, rank), over the m unit candidates.
+
+    ``square`` is m x (m * length): row b, block a holds the flattened
+    components of star_compose(e_a, e_b), each ``length`` entries long.
+    ``assembled`` is m x (n * n): row a holds the assembled matrix of e_a.
     """
-    groups = {}
+
+    slots: list
+    m: int
+    length: int
+    n: int
+    square: np.ndarray
+    assembled: np.ndarray
+
+
+def _array(mat: Matrix) -> np.ndarray:
+    return np.array(mat.entries, dtype=np.int64).reshape(mat.shape)
+
+
+def _stage(ring: TensorRing, rank: int) -> _Stage:
+    """The staging tables of the given rank, memoised per ring."""
+    cache = ring._cache.setdefault("hunt_stage", {})
+    if rank not in cache:
+        slots = _slot_bases(ring, rank, rank)
+        m = sum(len(s) for s in slots)
+        if m * ring.algebra.field.p ** 2 >= 1 << 63:
+            raise ValueError(f"{m} slot coordinates overflow the int64 staging")
+        units = [_star_from_coefficients(ring, rank, rank, slots,
+                                         [int(a == b) for b in range(m)])
+                 for a in range(m)]
+        n = ring.ind_free(rank).x.dim
+        length = n * ring.free(rank).dim  # component i is dim F^i(P) x dim P
+        square = np.zeros((m, m, length), dtype=np.int64)
+        assembled = np.zeros((m, n * n), dtype=np.int64)
+        for a, ea in enumerate(units):
+            assembled[a] = _array(ring.assemble_star(ea)).ravel()
+            for b, eb in enumerate(units):
+                comps = star_compose(ea, eb).components
+                square[b, a] = np.concatenate([_array(c.mat).ravel() for c in comps])
+        cache[rank] = _Stage(slots, m, length, n, square.reshape(m, m * length), assembled)
+    return cache[rank]
+
+
+def _staged(ring: TensorRing, stage: _Stage, coeffs: np.ndarray):
+    """SC1 verdicts and kernel dimensions of a block of candidates, one
+    row of slot coordinates each."""
+    field = ring.algebra.field
+    count = coeffs.shape[0]
+    half = (coeffs @ stage.square % field.p).reshape(count, stage.m, stage.length)
+    square = np.einsum("ca,cal->cl", coeffs, half) % field.p
+    mats = (coeffs @ stage.assembled).reshape(count, stage.n, stage.n)
+    return ~square.any(axis=1), stage.n - batched_rank(field, mats)
+
+
+def _full_check(s: StarMorphism, sc1: bool, sc2: bool, kernel_dim: int) -> bool:
+    """The one-periodic verdict of a candidate, cross-checked against its
+    staged SC1 and SC2 verdicts and its batched kernel dimension."""
+    ring = s.ring
+    if ring.ind_free(s.source_rank).x.dim - ring.assemble_star(s).rank() != kernel_dim:
+        raise InternalCheckError("the batched rank disagrees with the rank of the assembled matrix")
+    report = check_strongly_gp(s)
+    if report.passed and not sc2:
+        raise InternalCheckError("the full check passes a candidate that fails the staged SC1 or SC2")
+    staged = ("pass" if sc1 else "fail", ("pass" if sc2 else "fail") if sc1 else "skip")
+    full = tuple(v.status for label in ("SC1", "SC2") for v in report.verdicts if v.label == label)
+    if full != staged:
+        raise InternalCheckError(f"staged SC1, SC2 {staged} disagree with the full check {full}")
+    return report.passed
+
+
+def _classify(ring: TensorRing, blocks) -> Catalog:
+    """Group candidates by (rank, kernel dimension, verdict).
+
+    ``blocks`` yields (rank, coordinate rows) in candidate order.  SC1 and
+    SC2 are staged from the tables of the module docstring; only staged
+    survivors and each new group's first candidate run the full check, so
+    every stored representative is certified by it.  Representatives are
+    the first candidate of each group.
+    """
+    counts, reps = {}, {}
     total = 0
-    for rank, s in candidates:
-        c1_passed, _ = check_c1(s, s)
-        passed = c1_passed and check_strongly_gp(s).passed
-        kernel_dim = ring.ind_free(rank).x.dim - ring.assemble_star(s).rank()
-        key = (rank, kernel_dim, passed)
-        g = groups.get(key)
-        if g is None:
-            if not c1_passed and check_strongly_gp(s).passed:
-                raise InternalCheckError("the full check passes a candidate that fails SC1")
-            groups[key] = CatalogGroup(rank, kernel_dim, passed, 1,
-                                       tuple(c.mat for c in s.components))
-        else:
-            groups[key] = CatalogGroup(g.rank, g.kernel_dim, g.passed,
-                                       g.count + 1, g.representative)
-        total += 1
-    ordered = tuple(groups[k] for k in sorted(groups))
+    for rank, coeffs in blocks:
+        stage = _stage(ring, rank)
+        sc1s, kernel_dims = _staged(ring, stage, coeffs)
+        total += coeffs.shape[0]
+        for c, sc1, kd in zip(coeffs.tolist(), sc1s.tolist(), kernel_dims.tolist()):
+            sc2 = sc1 and 2 * kd == stage.n
+            key = (rank, kd, False)
+            if sc2 or key not in counts:
+                s = _star_from_coefficients(ring, rank, rank, stage.slots, c)
+                key = (rank, kd, _full_check(s, sc1, sc2, kd))
+                if key not in counts:
+                    reps[key] = tuple(comp.mat for comp in s.components)
+            counts[key] = counts.get(key, 0) + 1
+    ordered = tuple(CatalogGroup(*key, counts[key], reps[key]) for key in sorted(counts))
     return Catalog(total, ordered)
+
+
+def _grid(p: int, m: int) -> Iterator[np.ndarray]:
+    """The points of F_p^m in lexicographic order, ``_CHUNK`` rows at a
+    time."""
+    weights = np.array([p ** (m - 1 - j) for j in range(m)], dtype=np.int64)
+    count = p ** m
+    for start in range(0, count, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, count), dtype=np.int64)
+        yield index[:, None] // weights % p
 
 
 def hunt_strongly_gp(ring: TensorRing, max_rank: int,
@@ -152,7 +258,7 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
     """Classify every one-periodic candidate up to the given rank.
 
     The catalog groups candidates by (rank, kernel dimension, verdict).
-    Candidates that fail SC1 are decided by it; SC1 survivors and every
+    SC1 and SC2 are decided in batches; staged survivors and every
     group's representative run the full one-periodic check.
     Representatives re-verify on reload.
     """
@@ -161,8 +267,9 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
     needed = sum(count_star(ring, r, r) for r in range(max_rank + 1))
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    return _classify(ring, ((rank, s) for rank in range(max_rank + 1)
-                            for s in enumerate_star(ring, rank, rank, budget)))
+    p = ring.algebra.field.p
+    return _classify(ring, ((rank, block) for rank in range(max_rank + 1)
+                            for block in _grid(p, _stage(ring, rank).m)))
 
 
 def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
@@ -183,15 +290,28 @@ def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
 def sample_strongly_gp(ring: TensorRing, max_rank: int, samples: int,
                        seed: int) -> Catalog:
     """Seeded random variant of :func:`hunt_strongly_gp` for spaces too
-    large to exhaust; classification and grouping are identical."""
+    large to exhaust; classification and grouping are identical.
+
+    Each draw is a rank and then its slot coordinates, in the order of
+    :func:`random_star`; draws are staged ``_CHUNK`` at a time, per rank
+    in draw order.  Needs a finite field.
+    """
     if max_rank < 0:
         raise ValueError(f"negative max_rank {max_rank}")
+    field = ring.algebra.field
+    if not field.is_prime:
+        raise ValueError("sampling the hunt needs a finite field")
     rng = random.Random(seed)
 
     def draws():
-        for _ in range(samples):
-            rank = rng.randrange(max_rank + 1)
-            yield rank, random_star(ring, rank, rank, rng)
+        for start in range(0, samples, _CHUNK):
+            by_rank = {}
+            for _ in range(min(_CHUNK, samples - start)):
+                rank = rng.randrange(max_rank + 1)
+                by_rank.setdefault(rank, []).append(
+                    [_random_scalar(field, rng) for _ in range(_stage(ring, rank).m)])
+            for rank, rows in sorted(by_rank.items()):
+                yield rank, np.array(rows, dtype=np.int64).reshape(len(rows), _stage(ring, rank).m)
 
     return _classify(ring, draws())
 

@@ -362,11 +362,15 @@ class MoritaData:
 def morita_to_trivext(d: MoritaData) -> TrivialExtData:
     """The product algebra extended by the corner sum bimodule (u first);
     :class:`TrivialExtData` re-certifies one-nilpotency, which is exactly
-    the requirement that both pairings vanish."""
-    pa = d.product
-    w = direct_sum_bimodule(embed_pair_bimodule(pa, d.u, left="b", right="a"),
-                            embed_pair_bimodule(pa, d.v, left="a", right="b"))
-    return TrivialExtData(pa.algebra, w)
+    the requirement that both pairings vanish.  Memoised in ``d._cache``,
+    so every transport of ``d`` shares one tensor ring and its memo
+    tables."""
+    if "trivext" not in d._cache:
+        pa = d.product
+        w = direct_sum_bimodule(embed_pair_bimodule(pa, d.u, left="b", right="a"),
+                                embed_pair_bimodule(pa, d.v, left="a", right="b"))
+        d._cache["trivext"] = TrivialExtData(pa.algebra, w)
+    return d._cache["trivext"]
 
 
 def morita_context_algebra(d: MoritaData) -> Algebra:
@@ -718,8 +722,17 @@ def block_model_iso(te: TrivialExtData, d: MoritaData, n: int) -> Matrix:
     Basis bijection: (copy i, u-basis c) goes to the class of
     u_c (x) (unit of the a-factor in copy i); (copy i, v-basis c) to
     v_c (x) (unit of the b-factor in copy i).  Validated as an invertible
-    map of modules over the product algebra.
+    map of modules over the product algebra once per n: ``te`` is
+    :func:`morita_to_trivext` of ``d``, and the result is memoised in
+    ``d._cache``.
     """
+    key = ("block_model_iso", n)
+    if key not in d._cache:
+        d._cache[key] = _block_model_iso(te, d, n)
+    return d._cache[key]
+
+
+def _block_model_iso(te: TrivialExtData, d: MoritaData, n: int) -> Matrix:
     ring = te.ring
     pa = d.product
     fld = pa.algebra.field

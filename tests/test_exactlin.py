@@ -14,6 +14,7 @@ from tensorgp.exactlin import (
     FieldMismatch,
     FieldSpec,
     Matrix,
+    batched_rank,
     block_matrix,
     direct_sum,
     hstack,
@@ -591,3 +592,45 @@ class TestRationalProducts:
         for op, result in ((np.matmul, a @ b), (np.kron, kron(a, b))):
             assert grid(result) == reference_object_product(op, a, b)
             assert_canonical(result)
+
+
+class TestBroadcastKron:
+    """``kron`` against ``np.kron`` on the entries, zero-size shapes
+    included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), shape_a=st.tuples(
+        st.integers(0, 3), st.integers(0, 3)), shape_b=st.tuples(st.integers(0, 4), st.integers(0, 3)))
+    def test_matches_np_kron(self, data, field, shape_a, shape_b):
+        a = data.draw(matrices(field, *shape_a))
+        b = data.draw(matrices(field, *shape_b))
+        k = kron(a, b)
+        assert k.shape == (a.rows * b.rows, a.cols * b.cols)
+        want = reference_object_product(np.kron, a, b)
+        if field.is_prime:
+            want = (np.array(want, dtype=np.int64).reshape(k.shape) % field.p).tolist()
+        assert grid(k) == want
+        assert_canonical(k)
+
+
+class TestBatchedRank:
+    """``batched_rank`` against ``Matrix.rank`` slice by slice, with
+    unreduced entries and empty batches and slices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), batch=st.integers(0, 6),
+           rows=st.integers(0, 5), cols=st.integers(0, 5))
+    def test_matches_matrix_rank(self, data, p, batch, rows, cols):
+        field = GF(p)
+        entry = st.one_of(st.integers(0, p - 1), st.integers(p, 4 * p))
+        arr = np.array(data.draw(st.lists(
+            st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows),
+            min_size=batch, max_size=batch)), dtype=np.int64).reshape(batch, rows, cols)
+        ranks = batched_rank(field, arr)
+        assert ranks.shape == (batch,)
+        want = [Matrix(field, rows, cols, a.tolist()).rank() for a in arr]
+        assert ranks.tolist() == want
+
+    def test_needs_a_prime_field(self):
+        with pytest.raises(ExactLinError):
+            batched_rank(QQ, np.zeros((1, 2, 2), dtype=np.int64))

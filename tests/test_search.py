@@ -2,16 +2,17 @@
 isomorphism search."""
 
 import random
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 
 import tensorgp.search as search
-from tensorgp.exactlin import Matrix
+from tensorgp.exactlin import GF, Matrix, batched_rank
 from tensorgp.algebra import LeftModule, free_module
 from tensorgp.bimodule import zero_bimodule
-from tensorgp.tensor_ring import TensorRing
-from tensorgp.resolution import InternalCheckError, check_c1, check_strongly_gp
+from tensorgp.tensor_ring import StarMorphism, TensorRing
+from tensorgp.resolution import (CheckReport, InternalCheckError, check_c1,
+                                 check_strongly_gp)
 from tensorgp.search import (
     BudgetExceeded,
     Catalog,
@@ -29,6 +30,7 @@ from tensorgp.search import (
 from helpers import (
     F2,
     F3,
+    QQ,
     corner_bimodule,
     dual_numbers,
     ground_algebra,
@@ -38,14 +40,32 @@ from helpers import (
 )
 
 
+F5 = GF(5)
+
+
 def dual_ring():
     r = dual_numbers(F2)
     return TensorRing(r, zero_bimodule(r), 0)
 
 
-def triangular_ring():
-    m = corner_bimodule(F2)
+def triangular_ring(field=F2):
+    m = corner_bimodule(field)
     return TensorRing(m.algebra, m, 1)
+
+
+def corner_n2_ring(field):
+    m = corner_bimodule(field)
+    return TensorRing(m.algebra, m, 2)
+
+
+def dual_n1_ring(field):
+    r = dual_numbers(field)
+    return TensorRing(r, zero_bimodule(r), 1)
+
+
+def square_n2_ring(field):
+    r = product_fields(field, 2)
+    return TensorRing(r, zero_bimodule(r), 2)
 
 
 def semisimple_ring():
@@ -53,8 +73,8 @@ def semisimple_ring():
     return TensorRing(r, zero_bimodule(r), 0)
 
 
-def ground_ring():
-    r = ground_algebra(F2)
+def ground_ring(field=F2):
+    r = ground_algebra(field)
     return TensorRing(r, zero_bimodule(r), 0)
 
 
@@ -173,14 +193,21 @@ class TestHunt:
 
 
 class TestStagedClassifier:
-    """The hunter decides SC1 failures without the full check; its catalogs
-    must equal those built from the full check on every candidate."""
+    """The hunter stages SC1 and SC2 in batches; its catalogs must equal
+    those built from the full check on every candidate."""
 
     @pytest.mark.parametrize("make_ring, max_rank", [
         (ground_ring, 2),
         (dual_ring, 1),
         (triangular_ring, 1),
         (path_ring, 1),
+        pytest.param(lambda: ground_ring(F3), 2, id="ground_ring_F3-2"),
+        pytest.param(lambda: square_n2_ring(F3), 1, id="square_n2_ring_F3-1"),
+        pytest.param(lambda: square_n2_ring(F5), 1, id="square_n2_ring_F5-1"),
+        pytest.param(lambda: dual_n1_ring(F3), 1, id="dual_n1_ring_F3-1"),
+        pytest.param(lambda: dual_n1_ring(F5), 1, id="dual_n1_ring_F5-1"),
+        pytest.param(lambda: corner_n2_ring(F3), 1, id="corner_n2_ring_F3-1"),
+        pytest.param(lambda: corner_n2_ring(F5), 1, id="corner_n2_ring_F5-1"),
     ])
     def test_hunt_matches_full_check_reference(self, make_ring, max_rank):
         ring = make_ring()
@@ -188,19 +215,19 @@ class TestStagedClassifier:
         assert hunt_strongly_gp(ring, max_rank) == expected
 
     def test_sample_matches_full_check_reference(self):
-        ring = triangular_ring()
-        expected = reference_catalog(ring, sampled(ring, 2, 40, seed=3))
-        assert sample_strongly_gp(ring, 2, 40, seed=3) == expected
+        for field in (F2, F3):
+            ring = triangular_ring(field)
+            expected = reference_catalog(ring, sampled(ring, 2, 40, seed=3))
+            assert sample_strongly_gp(ring, 2, 40, seed=3) == expected
+
+    def test_sample_needs_a_finite_field(self):
+        r = ground_algebra(QQ)
+        with pytest.raises(ValueError):
+            sample_strongly_gp(TensorRing(r, zero_bimodule(r), 0), 1, 10, seed=1)
 
     def test_full_checks_only_on_survivors_and_new_groups(self, monkeypatch):
-        ring = triangular_ring()
-        candidates = exhaustive(ring, 1)
-        expected = 0
-        seen = set()
-        for (rank, s), key in zip(candidates, reference_keys(ring, candidates)):
-            if check_c1(s, s)[0] or key not in seen:
-                expected += 1
-            seen.add(key)
+        # on the path ring SC2 staging saves full checks (8 against the 11
+        # that staging SC1 alone would run); on the corner ring it saves none
         calls = []
 
         def counting(s):
@@ -208,12 +235,45 @@ class TestStagedClassifier:
             return check_strongly_gp(s)
 
         monkeypatch.setattr(search, "check_strongly_gp", counting)
-        hunt_strongly_gp(ring, 1)
-        assert len(calls) == expected < len(candidates)
+        for ring in (triangular_ring(), path_ring()):
+            candidates = exhaustive(ring, 1)
+            expected = 0
+            seen = set()
+            for (rank, s), key in zip(candidates, reference_keys(ring, candidates)):
+                n = ring.ind_free(rank).x.dim
+                if (check_c1(s, s)[0] and 2 * key[1] == n) or key not in seen:
+                    expected += 1
+                seen.add(key)
+            calls.clear()
+            hunt_strongly_gp(ring, 1)
+            assert len(calls) == expected < len(candidates)
 
     def test_full_check_passing_an_sc1_failure_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(search, "check_strongly_gp", lambda s: SimpleNamespace(passed=True))
-        with pytest.raises(InternalCheckError):
+        def passing_sc1_failures(s):
+            report = check_strongly_gp(s)
+            if all(v.label != "SC1" for v in report.failures()):
+                return report
+            return CheckReport(report.scheme, tuple(replace(v, status="pass", witness=None)
+                                                    for v in report.verdicts))
+
+        monkeypatch.setattr(search, "check_strongly_gp", passing_sc1_failures)
+        with pytest.raises(InternalCheckError, match="passes a candidate"):
+            hunt_strongly_gp(dual_ring(), 1)
+
+    def test_corrupted_sc1_table_is_an_internal_error(self, monkeypatch):
+        def vanishing(s2, s1):
+            return StarMorphism.zero(s1.ring, s1.source_rank, s2.target_rank)
+
+        monkeypatch.setattr(search, "star_compose", vanishing)
+        with pytest.raises(InternalCheckError, match="staged SC1"):
+            hunt_strongly_gp(dual_ring(), 1)
+
+    def test_corrupted_batched_rank_is_an_internal_error(self, monkeypatch):
+        def one_too_many(field, arr):
+            return batched_rank(field, arr) + 1
+
+        monkeypatch.setattr(search, "batched_rank", one_too_many)
+        with pytest.raises(InternalCheckError, match="batched rank"):
             hunt_strongly_gp(dual_ring(), 1)
 
 

@@ -346,6 +346,17 @@ class TestMuTransport:
             trials += 1
         assert trials == 40
 
+    def test_transports_share_one_ring(self):
+        rng = random.Random(23)
+        d = random_morita_data(rng, F3)
+        w1 = random_morita_window(d, rng, max_rank=2)
+        w2 = random_morita_window(d, rng, max_rank=2)
+        first, second, again = mu_transport(d, w1), mu_transport(d, w2), mu_transport(d, w1)
+        assert first.ring is second.ring is again.ring is morita_to_trivext(d).ring
+        unshared = mu_transport(MoritaData(d.a, d.b, d.v, d.u), w1)
+        assert unshared.ring is not first.ring
+        assert check_complete(again) == check_complete(first) == check_complete(unshared)
+
     def test_unequal_ranks_rejected(self):
         a = b = ground_algebra(F2)
         d = MoritaData(a, b, full_tensor_pair(a, b), PairBimodule.zero(b, a))
