@@ -62,8 +62,11 @@ def _say(msg: str):
 def _emit(doc: dict, output):
     text = formats.render(doc)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(output, str(exc))
     else:
         sys.stdout.write(text)
 
@@ -338,6 +341,9 @@ def cmd_hunt(args) -> int:
         return EXIT_INVALID
     if args.max_rank < 0:
         _say(f"--max-rank must be non-negative, got {args.max_rank}")
+        return EXIT_INVALID
+    if args.budget < 0:
+        _say(f"--budget must be non-negative, got {args.budget}")
         return EXIT_INVALID
     ring = formats.bundle_from_doc(doc)
     if not ring.algebra.field.is_prime:

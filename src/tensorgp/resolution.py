@@ -635,20 +635,25 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
     dim ker(d^(k-1)) - dim(ker(d^(k-1)) meet im(d^k)), which vanishes
     exactly when every functional killing alpha^(k-1) factors through
     alpha^k.  Used as the independent oracle for C3.
+
+    Hom(Ind P^r, Ind R) depends only on the ring and the rank r, so its
+    stacked ``hom_t`` basis is memoised as ``(size, stack)`` per rank in
+    ``ring._cache["oracle_hom"]``.  That key belongs to this oracle alone:
+    no condition checker reads it, so the oracle stays independent of
+    the checkers' assembled functionals.
     """
     ring = w.ring
     field = ring.algebra.field
     target = ring.ind_free(1)
-
-    hom_cache = {}
+    hom_cache = ring._cache.setdefault("oracle_hom", {})
 
     def hom_basis(k):
         """Size and vec columns of the hom_t basis out of Ind P^k."""
-        t = w.index.rank_slot(k)
-        if t not in hom_cache:
-            cols = [vec(h.mat) for h in ring.hom_t(ring.ind_free(w.ranks[t]), target)]
-            hom_cache[t] = (len(cols), hstack(cols) if cols else None)
-        return hom_cache[t]
+        rank = w.rank_at(k)
+        if rank not in hom_cache:
+            cols = [vec(h.mat) for h in ring.hom_t(ring.ind_free(rank), target)]
+            hom_cache[rank] = (len(cols), hstack(cols) if cols else None)
+        return hom_cache[rank]
 
     def differential(k):
         """Matrix of precomposition with alpha^k in the chosen bases:

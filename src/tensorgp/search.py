@@ -67,9 +67,16 @@ class BudgetExceeded(Exception):
 DEFAULT_BUDGET = 1 << 20
 
 
-def _slot_bases(ring: TensorRing, rank_p: int, rank_q: int):
-    return [free_hom_basis(ring.algebra, rank_p, ring.model(i, ring.free(rank_q)).result)
-            for i in range(ring.nilpotency + 1)]
+def _slot_bases(ring: TensorRing, rank_p: int, rank_q: int) -> tuple:
+    """The ``free_hom_basis`` of each slot Hom(P, F^i(Q)), memoised per
+    (rank_p, rank_q) in ``ring._cache``."""
+    cache = ring._cache.setdefault("slot_bases", {})
+    key = (rank_p, rank_q)
+    if key not in cache:
+        cache[key] = tuple(
+            tuple(free_hom_basis(ring.algebra, rank_p, ring.model(i, ring.free(rank_q)).result))
+            for i in range(ring.nilpotency + 1))
+    return cache[key]
 
 
 def _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs) -> StarMorphism:
@@ -152,7 +159,7 @@ class _Stage:
     ``assembled`` is m x (n * n): row a holds the assembled matrix of e_a.
     """
 
-    slots: list
+    slots: tuple
     m: int
     length: int
     n: int

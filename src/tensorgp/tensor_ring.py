@@ -18,6 +18,13 @@ free modules of :meth:`TensorRing.free`, the underlying module of
 :meth:`TensorRing.ind`, the assembled block matrix of a component list and
 the basis that :meth:`TensorRing.hom_t` reads off the kernel of its
 equations.
+
+Memo tables live in ``TensorRing._cache``, one key per reader: ``free``,
+``ind_free`` and ``algebra_model`` here; ``functional_basis`` for the C3
+checker; ``oracle_hom``, the stacked ``hom_t`` bases of
+Hom(Ind P^r, Ind R) per rank r, for :func:`resolution.hom_complex_oracle`
+only, so that no checker reads what the oracle computed; ``slot_bases``
+and ``hunt_stage`` for ``search``.
 """
 
 from __future__ import annotations

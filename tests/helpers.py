@@ -597,3 +597,57 @@ def reference_check_bimodule(m):
             if not comm.is_zero():
                 violations.append(("commutation", (i, j), comm))
     return ValidationReport("bimodule", tuple(violations))
+
+
+# -- reference for the memoised Hom-complex oracle ------------------------------
+
+
+def reference_hom_complex_oracle(w):
+    """The Hom-complex oracle with its hom_t bases built per call and keyed
+    by rank slot, as before they were memoised per (ring, rank)."""
+    from tensorgp.exactlin import hstack, kron, vec
+    from tensorgp.resolution import InternalCheckError
+
+    ring = w.ring
+    field = ring.algebra.field
+    target = ring.ind_free(1)
+
+    hom_cache = {}
+
+    def hom_basis(k):
+        """Size and vec columns of the hom_t basis out of Ind P^k."""
+        t = w.index.rank_slot(k)
+        if t not in hom_cache:
+            cols = [vec(h.mat) for h in ring.hom_t(ring.ind_free(w.ranks[t]), target)]
+            hom_cache[t] = (len(cols), hstack(cols) if cols else None)
+        return hom_cache[t]
+
+    def differential(k):
+        """Matrix of precomposition with alpha^k in the chosen bases:
+        vec(h alpha^k) = (alpha^k^T (x) I) vec(h), solved for all h at once."""
+        src_dim, src_stack = hom_basis(k + 1)
+        tgt_dim, tgt_stack = hom_basis(k)
+        if not src_dim:
+            return Matrix.zeros(field, tgt_dim, 0)
+        a = w.assembled(k)
+        composed = kron(a.transpose(), Matrix.identity(field, target.x.dim)) @ src_stack
+        if tgt_stack is None:
+            if not composed.is_zero():
+                raise InternalCheckError("composite leaves the morphism space")
+            return Matrix.zeros(field, 0, src_dim)
+        coords = tgt_stack.solve(composed)
+        if coords is None:
+            raise InternalCheckError("composite is not a morphism of pairs")
+        return coords
+
+    out = {}
+    for k in w.positions():
+        d_in = differential(k - 1)   # C^k -> C^(k-1)
+        d_out = differential(k)      # C^(k+1) -> C^k
+        z = d_in.kernel_basis()
+        if z.cols == 0:
+            out[k] = 0
+            continue
+        union = hstack([z, d_out]) if d_out.cols else z
+        out[k] = union.rank() - d_out.rank()
+    return out

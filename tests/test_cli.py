@@ -336,6 +336,19 @@ class TestCheck:
         assert main(["check", str(bad)]) == 2
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("args", [
+        ["check", fixture("x_window.yaml")],
+        ["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "1"],
+    ], ids=["check", "hunt"])
+    def test_exit_2(self, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "out.yaml"
+        assert main(args + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"{out}: ")
+        assert "Traceback" not in err and not out.exists()
+
+
 class TestExtractAndStrong:
     def test_extract_gp(self, tmp_path, capsys):
         out = tmp_path / "module.yaml"
@@ -452,6 +465,12 @@ class TestHunt:
     def test_negative_max_rank_refused(self, capsys):
         assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "-1"]) == 2
         assert "max-rank" in capsys.readouterr().err
+
+    def test_negative_budget_refused(self, capsys):
+        assert main(["hunt", fixture("triangular_bundle.yaml"), "--budget", "-5"]) == 2
+        assert "--budget must be non-negative" in capsys.readouterr().err
+        # a zero budget still admits no candidate
+        assert main(["hunt", fixture("triangular_bundle.yaml"), "--budget", "0"]) == 3
 
     @pytest.mark.parametrize("extra", [[], ["--seed", "7"]])
     def test_rational_field_refused(self, tmp_path, capsys, extra):

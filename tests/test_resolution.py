@@ -45,6 +45,7 @@ from helpers import (
     F2,
     F3,
     reference_c3_columns,
+    reference_hom_complex_oracle,
     ring_pool,
     augmentation_bimodule,
     corner_bimodule,
@@ -480,6 +481,59 @@ class TestHomComplexOracle:
         assert defects[1] == 1
         ok, _ = check_c3(s, z)
         assert not ok
+
+    # rank shapes sharing ranks across windows, periodic and window-local
+    SHAPES = (((1,), True), ((2, 1), True), ((0, 2), True), ((1, 2, 1), False), ((2,), True))
+
+    def test_memoised_bases_match_the_per_call_reference(self):
+        # the windows of one ring run in sequence: the first fills the
+        # memo and the later ones read it
+        nonzero = 0
+        for ring in ring_pool((F2, F3, QQ)):
+            for i, (ranks, periodic) in enumerate(self.SHAPES):
+                w = search.random_window(ring, 100 + i, ranks, periodic=periodic)
+                defects = hom_complex_oracle(w)
+                assert defects == reference_hom_complex_oracle(w)
+                nonzero += any(defects.values())
+            assert sorted(ring._cache["oracle_hom"]) == [0, 1, 2]
+        assert nonzero > 10
+
+    def test_warm_ring_makes_no_hom_t_calls(self, monkeypatch):
+        calls = []
+        hom_t = TensorRing.hom_t
+
+        def counting(ring, t1, t2):
+            calls.append(t1.x.dim)
+            return hom_t(ring, t1, t2)
+
+        monkeypatch.setattr(TensorRing, "hom_t", counting)
+        ring = triangular_ring()
+        # ranks (1, 2, 1, 1): rank 1 in three slots, but one call per rank
+        hom_complex_oracle(search.random_window(ring, 1, (1, 2, 1)))
+        assert len(calls) == 2
+        calls.clear()
+        w = search.random_window(ring, 2, (2, 1))
+        defects = hom_complex_oracle(w)
+        assert calls == []
+        assert defects == reference_hom_complex_oracle(w)
+
+    def _corrupted(self, entry):
+        ring = dual_ring()
+        w = search.random_window(ring, 5, (1, 2))
+        hom_complex_oracle(w)
+        size, stack = ring._cache["oracle_hom"][1]
+        ring._cache["oracle_hom"][1] = entry(size, stack)
+        return w
+
+    def test_an_emptied_target_space_is_an_internal_error(self):
+        w = self._corrupted(lambda size, stack: (0, None))
+        with pytest.raises(InternalCheckError, match="leaves the morphism space"):
+            hom_complex_oracle(w)
+
+    def test_a_wrong_target_basis_is_an_internal_error(self):
+        w = self._corrupted(lambda size, stack: (size, Matrix.zeros(F2, *stack.shape)))
+        with pytest.raises(InternalCheckError, match="not a morphism of pairs"):
+            hom_complex_oracle(w)
 
 
 class TestWitnessReplay:

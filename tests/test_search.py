@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
+import tensorgp.resolution as resolution
 import tensorgp.search as search
 from tensorgp.exactlin import GF, Matrix, batched_rank
-from tensorgp.algebra import LeftModule, free_module
+from tensorgp.algebra import LeftModule, free_hom_basis, free_module
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.resolution import (CheckReport, InternalCheckError, check_c1,
@@ -275,6 +276,22 @@ class TestStagedClassifier:
         monkeypatch.setattr(search, "batched_rank", one_too_many)
         with pytest.raises(InternalCheckError, match="batched rank"):
             hunt_strongly_gp(dual_ring(), 1)
+
+    def test_warm_ring_builds_no_slot_bases(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return free_hom_basis(*args)
+
+        monkeypatch.setattr(search, "free_hom_basis", counting)
+        monkeypatch.setattr(resolution, "free_hom_basis", counting)
+        ring = triangular_ring()
+        first = hunt_strongly_gp(ring, 2)
+        assert calls
+        calls.clear()
+        assert hunt_strongly_gp(ring, 2) == first
+        assert calls == []
 
 
 class TestRandomWindow:
