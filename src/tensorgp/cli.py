@@ -75,7 +75,7 @@ def _load(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return formats.load(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(path, str(exc))
 
 

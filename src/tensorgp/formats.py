@@ -1,9 +1,10 @@
 """File formats: one structured text format (a YAML subset) for every
 input and output of the command line tool.
 
-Files are parsed with a standard YAML loader; writing goes through a
-canonical emitter with a fixed key order, fixed indentation and inline
-scalar lists, so re-serializing a canonical file is byte-identical.
+Writing goes through a canonical emitter with a fixed key order, fixed
+indentation and inline scalar lists, so re-serializing a canonical file
+is byte-identical.  A text in that canonical form is read by a strict
+line reader; any other text by libyaml, into the same document.
 Scalars are residue integers for prime fields and integers or 'a/b'
 strings for the rationals.
 
@@ -21,6 +22,9 @@ type fields of the library.
 
 from __future__ import annotations
 
+import functools
+import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +45,10 @@ from tensorgp.resolution import (
 from tensorgp.search import Catalog, CatalogGroup
 
 
+# libyaml's parser when PyYAML was built with it; the documents are the same
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 class FormatError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
@@ -54,8 +62,17 @@ class Inline(list):
     """A list rendered in flow style."""
 
 
-_PLAIN_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-                "()'^_- .")
+# the plain strings render writes unquoted: render's alphabet, no leading
+# digit, quote, dash or space, no trailing space, and read back by YAML's
+# implicit resolver as a string (so not yes, NULL, .5, .inf, ...)
+_PLAIN = re.compile(r"[A-Za-z()^_.](?:[A-Za-z0-9()'^_ .-]*[A-Za-z0-9()'^_.-])?")
+
+
+@functools.lru_cache(maxsize=4096)
+def _is_plain(v: str) -> bool:
+    resolvers = _LOADER.yaml_implicit_resolvers
+    return _PLAIN.fullmatch(v) is not None and not any(
+        rx.match(v) for _, rx in resolvers.get(v[0], []) + resolvers.get(None, []))
 
 
 def _render_scalar(v) -> str:
@@ -66,9 +83,7 @@ def _render_scalar(v) -> str:
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else f"'{v.numerator}/{v.denominator}'"
     if isinstance(v, str):
-        if v and all(c in _PLAIN_OK for c in v) and not v[0].isdigit() \
-                and v[0] not in "'- " and v not in ("true", "false", "null") \
-                and not v.endswith(" ") and "/" not in v:
+        if _is_plain(v):
             return v
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
@@ -135,11 +150,98 @@ def render(doc: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-# libyaml's parser when PyYAML was built with it; the documents are the same
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# -- loading --------------------------------------------------------------------
+
+
+class _Decline(Exception):
+    """The text is not in the canonical form; libyaml reads it."""
+
+
+_KEY_LINE = re.compile(r"( *)([A-Za-z_][A-Za-z0-9_]*):(?: (.+))?")
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+_RATIONAL = re.compile(r"'-?[0-9]+/[0-9]+'")
+_QUOTED = re.compile(r'"(?:[ !#-\[\]-~]|\\[\\"])*"')
+# the tokens of an inline list; json.loads checks how they nest
+_INLINE = re.compile(r"\[(?:[\[\]]|, |0|-?[1-9][0-9]*|'-?[0-9]+/[0-9]+')*\]")
+_WORDS = {"true": True, "false": False, "null": None}
+
+
+def _canonical_scalar(v: str):
+    if v.startswith("["):
+        if not _INLINE.fullmatch(v):
+            raise _Decline
+        return json.loads(v.replace("'", '"'))
+    if _INT.fullmatch(v):
+        return int(v)
+    if v in _WORDS:
+        return _WORDS[v]
+    if _RATIONAL.fullmatch(v):
+        return v[1:-1]
+    if _QUOTED.fullmatch(v):
+        return json.loads(v)
+    if _is_plain(v):
+        return v
+    raise _Decline
+
+
+def _canonical_map(lines: list, i: int, indent: int):
+    """The block mapping whose keys are the lines from ``i`` on at
+    ``indent`` spaces, and the index of the first line after it."""
+    doc = {}
+    n = len(lines)
+    while i < n:
+        m = _KEY_LINE.fullmatch(lines[i])
+        if m is None or len(m[1]) != indent:
+            break
+        key, value = m[2], m[3]
+        if key in doc or not _is_plain(key):
+            raise _Decline
+        i += 1
+        if value is not None:
+            doc[key] = _canonical_scalar(value)
+        elif i < n and lines[i].startswith(" " * indent + "- "):
+            doc[key], i = _canonical_list(lines, i, indent)
+        else:
+            doc[key], i = _canonical_map(lines, i, indent + 2)
+    if not doc:
+        raise _Decline
+    return doc, i
+
+
+def _canonical_list(lines: list, i: int, indent: int):
+    dash = " " * indent + "- "
+    items = []
+    while i < len(lines) and lines[i].startswith(dash):
+        rest = lines[i][indent + 2:]
+        if _KEY_LINE.fullmatch(rest):
+            # a mapping item: its first key sits after the dash, the others at +2
+            lines[i] = " " * (indent + 2) + rest
+            item, i = _canonical_map(lines, i, indent + 2)
+        else:
+            item, i = _canonical_scalar(rest), i + 1
+        items.append(item)
+    return items, i
+
+
+def _read_canonical(text: str) -> Optional[dict]:
+    """The document of a text in the canonical form that :func:`render`
+    writes (docs/format.md, "Canonical form"), or None when the text has
+    anything else.  A document read here equals libyaml's, down to key
+    order and scalar types."""
+    lines = text.split("\n")
+    if lines.pop() != "":
+        return None
+    try:
+        doc, i = _canonical_map(lines, 0, 0)
+    except (_Decline, ValueError, RecursionError):
+        return None
+    return doc if i == len(lines) else None
 
 
 def load(text: str) -> dict:
+    doc = _read_canonical(text)
+    if doc is not None:
+        return doc
     try:
         doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
