@@ -515,9 +515,15 @@ def block_matrix(blocks, heights=None, widths=None) -> Matrix:
     return Matrix._from_np(field, arr)
 
 
+def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
+    """The block diagonal matrix of the given blocks, zero elsewhere."""
+    return block_matrix([[b if i == j else None for j in range(len(blocks))]
+                         for i, b in enumerate(blocks)])
+
+
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     """Block diagonal sum a (+) b."""
-    return block_matrix([[a, None], [None, b]])
+    return block_diagonal([a, b])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -75,6 +75,17 @@ def _is_plain(v: str) -> bool:
         rx.match(v) for _, rx in resolvers.get(v[0], []) + resolvers.get(None, []))
 
 
+# the characters a double-quoted YAML scalar does not read back as written
+# (controls other than tab are folded or refused, as are U+FFFE and U+FFFF);
+# render writes them as \xNN or \uNNNN escapes
+_UNSAFE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f-\x9f\ufffe\uffff]")
+
+
+def _escape(m: re.Match) -> str:
+    code = ord(m[0])
+    return f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+
+
 def _render_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -86,7 +97,7 @@ def _render_scalar(v) -> str:
         if _is_plain(v):
             return v
         escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{_UNSAFE.sub(_escape, escaped)}"'
     if v is None:
         return "null"
     raise FormatError("<render>", f"cannot render scalar {v!r}")
@@ -244,7 +255,8 @@ def load(text: str) -> dict:
         return doc
     try:
         doc = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer longer than Python's int-string limit
         raise FormatError("<input>", f"parse error: {exc}")
     if not isinstance(doc, dict):
         raise FormatError("<input>", "top level must be a mapping")

@@ -336,12 +336,6 @@ def kernel_lift(prev: Matrix, next_: Matrix):
     return ("pass", None) if c is None else ("fail", KernelWitness(kernel.col(c)))
 
 
-def _tuple_shapes(ring: TensorRing, rank: int) -> list:
-    """Component shapes of a functional tuple out of a free module."""
-    return [(ring.model(i, ring.free(1)).result.dim, rank * ring.algebra.dim)
-            for i in range(ring.nilpotency + 1)]
-
-
 def _stack_tuple(mats) -> Matrix:
     return vstack([vec(m) for m in mats])
 
@@ -353,30 +347,23 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
 
 
 def _functional_basis(ring: TensorRing, rank: int):
-    """The slot-basis functional tuples b out of the free module of the
-    given rank (one basis map of a slot, zeros elsewhere; slot-major),
-    memoised per (ring, rank): the matrix of their stacked coordinate
-    columns and, per block j of Ind(R), its height and the columns
-    vec(A(b)_j) of the j-th row blocks of their assembled matrices.  Only
-    rank 0 has no tuples, and there every such column has length 0."""
+    """Per block j of Ind(R), its height and the columns vec(A(e_a)_j) of
+    the j-th row blocks of the assembled matrices of the unit functional
+    tuples e_a out of the free module of the given rank, in the order of
+    the slot frame ``ring.slot_frame(rank, 1)``, memoised per (ring, rank).
+    Only rank 0 has no tuples, and there every such column has length 0."""
     cache = ring._cache.setdefault("functional_basis", {})
     if rank not in cache:
-        p = ring.free(rank)
-        targets = [ring.model(i, ring.free(1)).result for i in range(ring.nilpotency + 1)]
-        zeros = [ModuleMap.unchecked(p, t, Matrix.zeros(ring.algebra.field, t.dim, p.dim))
-                 for t in targets]
-        offsets = [0, *accumulate(t.dim for t in targets)]
-        basis_cols, block_cols = [], [[] for _ in targets]
-        for i, target in enumerate(targets):
-            for b in free_hom_basis(ring.algebra, rank, target):
-                comps = zeros[:i] + [b] + zeros[i + 1:]
-                basis_cols.append(_stack_tuple([c.mat for c in comps]))
-                a = ring.assemble_star(StarMorphism(ring, rank, 1, tuple(comps)))
-                for j, cols in enumerate(block_cols):
-                    cols.append(vec(a.block(offsets[j], offsets[j + 1], 0, a.cols)))
+        frame, shapes = ring.slot_frame(rank, 1)
+        offsets = [0, *accumulate(h for h, _ in shapes)]
+        block_cols = [[] for _ in shapes]
+        m = frame.cols
+        for a in range(m):
+            unit = ring.assemble_star(ring.star_at(rank, 1, [int(a == b) for b in range(m)]))
+            for j, cols in enumerate(block_cols):
+                cols.append(vec(unit.block(offsets[j], offsets[j + 1], 0, unit.cols)))
         empty = Matrix.zeros(ring.algebra.field, 0, 0)
-        cache[rank] = (hstack(basis_cols) if basis_cols else empty,
-                       [(t.dim, hstack(c) if c else empty) for t, c in zip(targets, block_cols)])
+        cache[rank] = [(h, hstack(c) if c else empty) for (h, _), c in zip(shapes, block_cols)]
     return cache[rank]
 
 
@@ -388,7 +375,7 @@ def _functional_constraints(ring: TensorRing, through: StarMorphism) -> Matrix:
     with V the stacked components of ``through`` (the first block column
     of its assembled matrix), so vec(A(f)_j V) = (V^T (x) I) vec(A(f)_j).
     """
-    _, blocks = _functional_basis(ring, through.target_rank)
+    blocks = _functional_basis(ring, through.target_rank)
     field = ring.algebra.field
     vt = vstack([c.mat for c in through.components]).transpose()
     return vstack([kron(vt, Matrix.identity(field, h)) @ blk for h, blk in blocks])
@@ -405,12 +392,12 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
     rank_mid = prev.target_rank
-    basis, _ = _functional_basis(ring, rank_mid)
+    basis, shapes = ring.slot_frame(rank_mid, 1)
     col = unlifted_solution(basis, _functional_constraints(ring, prev),
                             lambda: _functional_constraints(ring, next_))
     if col is None:
         return True, None
-    return False, FunctionalWitness(tuple(unvec_blocks(col, _tuple_shapes(ring, rank_mid))))
+    return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
 
 
 # -- the full window check ---------------------------------------------------

@@ -1,12 +1,15 @@
-"""Bounded brute-force enumeration and seeded random generation.
+"""Bounded brute-force hunting and seeded random generation.
 
-Component lists between induced free modules form an affine space with
-one coordinate per basis element of each slot Hom(P, F^(i-1)(Q)); the
-enumerator walks that space in lexicographic coordinate order over a
-finite field, aborting before work starts if the candidate count exceeds
-the budget.  The strongly-periodic hunter classifies every candidate and
-returns a catalog deduplicated by dimension signature, with one
-re-verifiable representative per signature.
+Component lists between induced free modules form a coordinate space with
+one coordinate per basis element of each slot Hom(P, F^(i-1)(Q)), read
+from the ring's memoised slot frame
+(:meth:`~tensorgp.tensor_ring.TensorRing.slot_frame`): the candidate with
+coordinates c is :meth:`~tensorgp.tensor_ring.TensorRing.star_at`.  The
+strongly-periodic hunter walks that space in lexicographic coordinate
+order over a finite field, aborting before work starts if the candidate
+count exceeds the budget, classifies every candidate and returns a
+catalog deduplicated by dimension signature, with one re-verifiable
+representative per signature.
 
 Classification is staged and runs on blocks of candidates of one rank,
 from two tables memoised per (ring, rank) over the unit candidates e_a
@@ -47,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from tensorgp.exactlin import Matrix, batched_rank
-from tensorgp.algebra import LeftModule, ModuleMap, free_hom_basis, hom_space
+from tensorgp.algebra import LeftModule, ModuleMap, hom_space
 from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.resolution import (
     InternalCheckError,
@@ -67,63 +70,13 @@ class BudgetExceeded(Exception):
 DEFAULT_BUDGET = 1 << 20
 
 
-def _slot_bases(ring: TensorRing, rank_p: int, rank_q: int) -> tuple:
-    """The ``free_hom_basis`` of each slot Hom(P, F^i(Q)), memoised per
-    (rank_p, rank_q) in ``ring._cache``."""
-    cache = ring._cache.setdefault("slot_bases", {})
-    key = (rank_p, rank_q)
-    if key not in cache:
-        cache[key] = tuple(
-            tuple(free_hom_basis(ring.algebra, rank_p, ring.model(i, ring.free(rank_q)).result))
-            for i in range(ring.nilpotency + 1))
-    return cache[key]
-
-
-def _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs) -> StarMorphism:
-    """The candidate with the given slot coordinates; each component is a
-    combination of slot-basis maps, valid by construction, so it is built
-    unchecked."""
-    p = ring.free(rank_p)
-    comps = []
-    pos = 0
-    for i, basis in enumerate(slots):
-        target = ring.model(i, ring.free(rank_q)).result
-        acc = Matrix.zeros(ring.algebra.field, target.dim, p.dim)
-        for b in basis:
-            c = coeffs[pos]
-            pos += 1
-            if c:
-                acc = acc + b.mat.scale(c)
-        comps.append(ModuleMap.unchecked(p, target, acc))
-    return StarMorphism(ring, rank_p, rank_q, tuple(comps))
-
-
-def enumerate_star(ring: TensorRing, rank_p: int, rank_q: int,
-                   budget: int = DEFAULT_BUDGET) -> Iterator[StarMorphism]:
-    """All component lists between the induced frees of the given ranks.
-
-    Deterministic lexicographic order over the slot coordinates; requires
-    a finite field; aborts with the exact count required when it exceeds
-    the budget.
-    """
-    field = ring.algebra.field
-    if not field.is_prime:
-        raise ValueError("exhaustive enumeration needs a finite field")
-    slots = _slot_bases(ring, rank_p, rank_q)
-    total = sum(len(s) for s in slots)
-    count = field.p ** total
-    if count > budget:
-        raise BudgetExceeded(count, budget)
-    for coeffs in iproduct(range(field.p), repeat=total):
-        yield _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs)
-
-
 def count_star(ring: TensorRing, rank_p: int, rank_q: int) -> int:
-    """Number of candidates :func:`enumerate_star` would produce."""
+    """Number of component lists between the induced frees of the given
+    ranks: p to the number of slot coordinates."""
     field = ring.algebra.field
     if not field.is_prime:
         raise ValueError("exhaustive enumeration needs a finite field")
-    return field.p ** sum(len(s) for s in _slot_bases(ring, rank_p, rank_q))
+    return field.p ** ring.slot_frame(rank_p, rank_q)[0].cols
 
 
 @dataclass(frozen=True)
@@ -159,7 +112,6 @@ class _Stage:
     ``assembled`` is m x (n * n): row a holds the assembled matrix of e_a.
     """
 
-    slots: tuple
     m: int
     length: int
     n: int
@@ -175,13 +127,10 @@ def _stage(ring: TensorRing, rank: int) -> _Stage:
     """The staging tables of the given rank, memoised per ring."""
     cache = ring._cache.setdefault("hunt_stage", {})
     if rank not in cache:
-        slots = _slot_bases(ring, rank, rank)
-        m = sum(len(s) for s in slots)
+        m = ring.slot_frame(rank, rank)[0].cols
         if m * ring.algebra.field.p ** 2 >= 1 << 63:
             raise ValueError(f"{m} slot coordinates overflow the int64 staging")
-        units = [_star_from_coefficients(ring, rank, rank, slots,
-                                         [int(a == b) for b in range(m)])
-                 for a in range(m)]
+        units = [ring.star_at(rank, rank, [int(a == b) for b in range(m)]) for a in range(m)]
         n = ring.ind_free(rank).x.dim
         length = n * ring.free(rank).dim  # component i is dim F^i(P) x dim P
         square = np.zeros((m, m, length), dtype=np.int64)
@@ -191,7 +140,7 @@ def _stage(ring: TensorRing, rank: int) -> _Stage:
             for b, eb in enumerate(units):
                 comps = star_compose(ea, eb).components
                 square[b, a] = np.concatenate([_array(c.mat).ravel() for c in comps])
-        cache[rank] = _Stage(slots, m, length, n, square.reshape(m, m * length), assembled)
+        cache[rank] = _Stage(m, length, n, square.reshape(m, m * length), assembled)
     return cache[rank]
 
 
@@ -241,7 +190,7 @@ def _classify(ring: TensorRing, blocks) -> Catalog:
             sc2 = sc1 and 2 * kd == stage.n
             key = (rank, kd, False)
             if sc2 or key not in counts:
-                s = _star_from_coefficients(ring, rank, rank, stage.slots, c)
+                s = ring.star_at(rank, rank, c)
                 key = (rank, kd, _full_check(s, sc1, sc2, kd))
                 if key not in counts:
                     reps[key] = tuple(comp.mat for comp in s.components)
@@ -315,10 +264,10 @@ def sample_strongly_gp(ring: TensorRing, max_rank: int, samples: int,
             by_rank = {}
             for _ in range(min(_CHUNK, samples - start)):
                 rank = rng.randrange(max_rank + 1)
-                by_rank.setdefault(rank, []).append(
-                    [_random_scalar(field, rng) for _ in range(_stage(ring, rank).m)])
+                m = ring.slot_frame(rank, rank)[0].cols
+                by_rank.setdefault(rank, []).append([_random_scalar(field, rng) for _ in range(m)])
             for rank, rows in sorted(by_rank.items()):
-                yield rank, np.array(rows, dtype=np.int64).reshape(len(rows), _stage(ring, rank).m)
+                yield rank, np.array(rows, dtype=np.int64)
 
     return _classify(ring, draws())
 
@@ -334,10 +283,11 @@ def _random_scalar(field, rng: random.Random):
 
 def random_star(ring: TensorRing, rank_p: int, rank_q: int,
                 rng: random.Random) -> StarMorphism:
-    slots = _slot_bases(ring, rank_p, rank_q)
-    coeffs = [_random_scalar(ring.algebra.field, rng)
-              for s in slots for _ in range(len(s))]
-    return _star_from_coefficients(ring, rank_p, rank_q, slots, coeffs)
+    """The component list with seeded random slot coordinates, drawn in
+    slot-major order."""
+    m = ring.slot_frame(rank_p, rank_q)[0].cols
+    return ring.star_at(rank_p, rank_q, [_random_scalar(ring.algebra.field, rng)
+                                         for _ in range(m)])
 
 
 def random_window(ring: TensorRing, seed: int, ranks,

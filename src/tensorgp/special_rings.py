@@ -34,8 +34,9 @@ from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from tensorgp.exactlin import (Matrix, block_matrix, direct_sum, hstack, is_exact_pair,
-                               kron, unlifted_solution, unvec_blocks, vec_columns, vstack)
+from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, direct_sum, hstack,
+                               is_exact_pair, kron, unlifted_solution, unvec_blocks,
+                               vec_columns, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -209,12 +210,6 @@ def _precompose(x: Matrix, h: int, cols: Matrix) -> Matrix:
     return kron(x.transpose(), Matrix.identity(x.field, h)) @ cols
 
 
-def _block_diagonal(blocks) -> Matrix:
-    n = len(blocks)
-    return block_matrix([[b if i == j else None for j in range(n)]
-                         for i, b in enumerate(blocks)])
-
-
 def _factor_check(mid, out):
     """Functional tuples killing the incoming maps must factor through the
     outgoing ones.  ``mid`` is (basis, constraint, slot shapes) of the
@@ -317,7 +312,7 @@ def _trivext_columns(d: TrivialExtData, through: StarMorphism):
     h1, h2 = d.r.dim, d.ring.model(1, d.ring.free(1)).result.dim
     image = block_matrix([[_precompose(a1, h1, b1), None],
                           [_precompose(a2, h2, m_b1), _precompose(a1, h2, b2)]])
-    return _block_diagonal([b1, b2]), image, [(h1, rank * h1), (h2, rank * h1)]
+    return block_diagonal([b1, b2]), image, [(h1, rank * h1), (h2, rank * h1)]
 
 
 def _trivext_c3(d: TrivialExtData, prev: StarMorphism, next_: StarMorphism):
@@ -555,7 +550,7 @@ def _morita_quadruple_columns(d: MoritaData, tau, sigma, beta, gamma, rank_p, ra
         [None, _precompose(beta.mat, dv, v_f2), _precompose(tau.mat, dv, u1), None],
         [_precompose(gamma.mat, du, u_f1), None, None, _precompose(sigma.mat, du, u2)]])
     shapes = [(da, rank_p * da), (db, rank_q * db), (dv, rank_p * da), (du, rank_q * db)]
-    return _block_diagonal([f1, f2, u1, u2]), image, shapes
+    return block_diagonal([f1, f2, u1, u2]), image, shapes
 
 
 def _morita_c3(d: MoritaData, w: MoritaWindow, k: int):
@@ -700,7 +695,7 @@ def _triangular_columns(d: TriangularData, tau, sigma, beta, rank_p, rank_q):
     image = block_matrix([[_precompose(tau.mat, dv, f), _precompose(beta.mat, dv, v_g)],
                           [None, _precompose(sigma.mat, db, g)]])
     shapes = [(dv, rank_p * d.a.dim), (db, rank_q * db)]
-    return _block_diagonal([f, g]), image, shapes
+    return block_diagonal([f, g]), image, shapes
 
 
 def _triangular_v(d: TriangularData, w: TriangularWindow, k: int):

@@ -15,16 +15,18 @@ lists (``StarMorphism``) are checked against their defining equations
 when constructed, as are the ring model and the modules over it.  What is
 built from validated data by construction is not validated again: the
 free modules of :meth:`TensorRing.free`, the underlying module of
-:meth:`TensorRing.ind`, the assembled block matrix of a component list and
-the basis that :meth:`TensorRing.hom_t` reads off the kernel of its
-equations.
+:meth:`TensorRing.ind`, the components of :meth:`TensorRing.star_at`, the
+assembled block matrix of a component list and the basis that
+:meth:`TensorRing.hom_t` reads off the kernel of its equations.
 
 Memo tables live in ``TensorRing._cache``, one key per reader: ``free``,
-``ind_free`` and ``algebra_model`` here; ``functional_basis`` for the C3
+``ind_free`` and ``algebra_model`` here; ``slot_frame``, the coordinate
+frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
+for ``search`` and the C3 checker; ``functional_basis`` for the C3
 checker; ``oracle_hom``, the stacked ``hom_t`` bases of
 Hom(Ind P^r, Ind R) per rank r, for :func:`resolution.hom_complex_oracle`
-only, so that no checker reads what the oracle computed; ``slot_bases``
-and ``hunt_stage`` for ``search``.
+only, so that no checker reads what the oracle computed; ``hunt_stage``
+for ``search``.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from tensorgp.exactlin import Matrix, hstack, kron, unvec, vstack
+from tensorgp.exactlin import (Matrix, block_diagonal, hstack, kron, unvec, unvec_blocks,
+                               vec_columns, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
     LeftModule,
     ModuleMap,
+    free_hom_basis,
     free_module,
     intertwining_system,
     quotient_by_columns,
@@ -116,8 +120,6 @@ class TensorRing:
     def ind(self, x: LeftModule) -> "InducedModule":
         """Induction: the sum of all functor powers of x with the block
         shift as structure map."""
-        from tensorgp.exactlin import direct_sum
-
         n = self.nilpotency
         m = self.bimodule
         f = self.algebra.field
@@ -126,20 +128,17 @@ class TensorRing:
         for b in blocks:
             offsets.append(offsets[-1] + b.result.dim)
         total = offsets[-1]
-        action = []
-        for e in range(self.algebra.dim):
-            acc = blocks[0].result.action[e]
-            for b in blocks[1:]:
-                acc = direct_sum(acc, b.result.action[e])
-            action.append(acc)
+        action = [block_diagonal([b.result.action[e] for b in blocks])
+                  for e in range(self.algebra.dim)]
         y = LeftModule.unchecked(self.algebra, total, tuple(action))
         fy = self.model(1, y)
+        eye = Matrix.identity(f, total)
         u = Matrix.zeros(f, total, fy.result.dim)
         for i in range(n):
-            pr = ModuleMap(y, blocks[i].result, _block_row_selector(f, offsets, i, total))
+            pr = ModuleMap(y, blocks[i].result, eye.take_rows(range(offsets[i], offsets[i + 1])))
             fpr = tensor_map(m, pr, fy, self.model(1, blocks[i].result))
             shift = graft(m, 1, i, x).mat @ fpr.mat
-            incl = _block_col_injector(f, offsets, i + 1, total)
+            incl = eye.take_cols(range(offsets[i + 1], offsets[i + 2]))
             u = u + incl @ shift
         return InducedModule(self, y, u, base=x, offsets=tuple(offsets))
 
@@ -151,13 +150,8 @@ class TensorRing:
 
     def ind_map(self, f: ModuleMap) -> "TMorphism":
         """Induction on maps: the block diagonal of the functor powers."""
-        from tensorgp.exactlin import direct_sum
-
         mats = [iterate_functor_map(self.bimodule, i, f).mat for i in range(self.nilpotency + 1)]
-        acc = mats[0]
-        for mm in mats[1:]:
-            acc = direct_sum(acc, mm)
-        return TMorphism(self.ind(f.source), self.ind(f.target), acc)
+        return TMorphism(self.ind(f.source), self.ind(f.target), block_diagonal(mats))
 
     def stalk(self, x: LeftModule) -> "TModule":
         """The pair (x, 0)."""
@@ -254,6 +248,40 @@ class TensorRing:
 
     # -- block morphisms ---------------------------------------------------
 
+    def slot_frame(self, rank_p: int, rank_q: int) -> tuple:
+        """The coordinate frame of the component lists between the induced
+        frees of the given ranks, memoised per rank pair: (matrix, shapes).
+
+        The coordinates run slot-major over the ``free_hom_basis`` of each
+        slot Hom(P, F^i(Q)).  Column a of the matrix holds the stacked
+        vec'd components of the unit candidate e_a (coordinate a set to 1,
+        the others to 0), and ``shapes`` are the component shapes, so the
+        candidate with coordinates c has the components
+        ``unvec_blocks(matrix @ c, shapes)``.
+        """
+        cache = self._cache.setdefault("slot_frame", {})
+        key = (rank_p, rank_q)
+        if key not in cache:
+            q = self.free(rank_q)
+            targets = [self.model(i, q).result for i in range(self.nilpotency + 1)]
+            shapes = tuple((t.dim, rank_p * self.algebra.dim) for t in targets)
+            cols = [vec_columns(self.algebra.field, h * w,
+                                [b.mat for b in free_hom_basis(self.algebra, rank_p, t)])
+                    for t, (h, w) in zip(targets, shapes)]
+            cache[key] = (block_diagonal(cols), shapes)
+        return cache[key]
+
+    def star_at(self, rank_p: int, rank_q: int, coords) -> "StarMorphism":
+        """The component list with the given slot coordinates (see
+        :meth:`slot_frame`).  Its components are combinations of slot-basis
+        maps, valid by construction, so they are built unchecked."""
+        frame, shapes = self.slot_frame(rank_p, rank_q)
+        mats = unvec_blocks(frame @ Matrix.column(self.algebra.field, coords), shapes)
+        p = self.free(rank_p)
+        q = self.free(rank_q)
+        return StarMorphism(self, rank_p, rank_q, tuple(
+            ModuleMap.unchecked(p, self.model(i, q).result, m) for i, m in enumerate(mats)))
+
     def assemble_star(self, s: "StarMorphism") -> Matrix:
         """The lower-triangular block matrix of a component list, a map
         Ind(free source rank) -> Ind(free target rank).
@@ -340,19 +368,6 @@ class TensorRing:
                                          u2p2.block(0, a, k * a, (k + 1) * a))
         ker = vstack([intertwining_system(t1.x, t2.x), structure]).kernel_basis()
         return [TMorphism.unchecked(t1, t2, unvec(f, ker.col(c), a, b)) for c in range(ker.cols)]
-
-
-def _block_row_selector(field, offsets, i, total) -> Matrix:
-    """Matrix selecting block i out of a direct sum with the given offsets."""
-    rows = offsets[i + 1] - offsets[i]
-    cells = [Matrix.zeros(field, rows, offsets[i]),
-             Matrix.identity(field, rows),
-             Matrix.zeros(field, rows, total - offsets[i + 1])]
-    return hstack(cells)
-
-
-def _block_col_injector(field, offsets, i, total) -> Matrix:
-    return _block_row_selector(field, offsets, i, total).transpose()
 
 
 def _free_rank(ring: TensorRing, x: LeftModule) -> int:

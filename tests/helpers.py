@@ -3,11 +3,13 @@ across the suite.  Everything here is deterministic."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
-from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_module
+from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_hom_basis, free_module
 from tensorgp.bimodule import Bimodule, zero_bimodule
-from tensorgp.tensor_ring import TensorRing
+from tensorgp.search import DEFAULT_BUDGET, BudgetExceeded
+from tensorgp.tensor_ring import StarMorphism, TensorRing
 
 F2 = GF(2)
 F3 = GF(3)
@@ -115,6 +117,43 @@ def ring_pool(fields=(F2, F3)):
         p = path_bimodule(field, 3)
         rings.append(TensorRing(p.algebra, p, 2))
     return rings
+
+
+# -- the hunter's reference: component lists from slot-basis maps ---------------
+
+
+def slot_bases(ring, rank_p, rank_q):
+    """The ``free_hom_basis`` of each slot Hom(P, F^i(Q))."""
+    return [free_hom_basis(ring.algebra, rank_p, ring.model(i, ring.free(rank_q)).result)
+            for i in range(ring.nilpotency + 1)]
+
+
+def reference_star(ring, rank_p, rank_q, coeffs):
+    """The component list with the given slot coordinates, each component
+    the sum of its slot's basis maps scaled by their coordinates."""
+    p = ring.free(rank_p)
+    coeffs = iter(coeffs)
+    comps = []
+    for i, basis in enumerate(slot_bases(ring, rank_p, rank_q)):
+        target = ring.model(i, ring.free(rank_q)).result
+        acc = Matrix.zeros(ring.algebra.field, target.dim, p.dim)
+        for b in basis:
+            acc = acc + b.mat.scale(next(coeffs))
+        comps.append(ModuleMap(p, target, acc))
+    return StarMorphism(ring, rank_p, rank_q, tuple(comps))
+
+
+def enumerate_star(ring, rank_p, rank_q, budget=DEFAULT_BUDGET):
+    """All component lists between the induced frees of the given ranks,
+    in lexicographic order of their slot coordinates over a finite field;
+    raises ``BudgetExceeded`` with the exact count when it exceeds the
+    budget."""
+    total = sum(len(s) for s in slot_bases(ring, rank_p, rank_q))
+    count = ring.algebra.field.p ** total
+    if count > budget:
+        raise BudgetExceeded(count, budget)
+    for coeffs in product(range(ring.algebra.field.p), repeat=total):
+        yield reference_star(ring, rank_p, rank_q, coeffs)
 
 
 def window_corpus(count=312, fields=(F2, F3), seed=10_000, path_rank=2):

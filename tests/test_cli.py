@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end and the file formats."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,13 @@ class TestIntegerFieldsRefused:
         assert main([command, str(path)]) == 2
         assert where in capsys.readouterr().err
 
+    def test_integer_beyond_the_int_string_limit(self, tmp_path, capsys):
+        text = Path(fixture("x_window.yaml")).read_text()
+        path = tmp_path / "input.yaml"
+        path.write_text(text.replace("  lo: 0", "  lo: " + "1" * 5_000, 1))
+        assert main(["check", str(path)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
 
 class TestYamlLoader:
     def documents(self):
@@ -420,6 +428,22 @@ class TestSpecialize:
         assert doc["specialized"]["passed"] is True
         assert doc["generic"]["passed"] is True
         assert "agree" in capsys.readouterr().err
+
+    def test_trivext_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        import tensorgp.cli as cli
+
+        real = cli.trivext_checks
+
+        def one_verdict_skipped(d, w):
+            report = real(d, w)
+            first = replace(report.verdicts[0], status="skip")
+            return replace(report, verdicts=(first,) + report.verdicts[1:])
+
+        monkeypatch.setattr(cli, "trivext_checks", one_verdict_skipped)
+        out = tmp_path / "spec.yaml"
+        assert main(["specialize", fixture("trivext_window.yaml"), "--output", str(out)]) == 3
+        assert "verdicts differ" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_morita_roundtrip_and_specialize(self, tmp_path):
         rng = random.Random(5)

@@ -15,6 +15,7 @@ from tensorgp.exactlin import (
     FieldSpec,
     Matrix,
     batched_rank,
+    block_diagonal,
     block_matrix,
     direct_sum,
     hstack,
@@ -338,6 +339,17 @@ class TestBlockMatrix:
                                  for m, w in zip(row, widths)])
                          for row, h in zip(grid, heights)])
         assert block_matrix(grid, heights, widths) == padded
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS),
+           shapes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=4))
+    def test_block_diagonal_is_the_folded_direct_sum(self, data, field, shapes):
+        blocks = [data.draw(matrices(field, h, w)) for h, w in shapes]
+        folded = blocks[0]
+        for b in blocks[1:]:
+            folded = direct_sum(folded, b)
+        assert block_diagonal(blocks) == folded
 
     def test_shapes_inferred_from_the_blocks(self):
         a = M(F3, [[1, 2]])

@@ -262,6 +262,23 @@ class TestCanonicalShape:
             assert type(back) is str and back == s
         assert formats._read_canonical(text) == {"note": s}
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_every_string_reads_back(self, s):
+        text = formats.render({"note": s})
+        for loader in LOADERS:
+            assert yaml.load(text, Loader=loader) == {"note": s}
+        assert formats.load(text) == {"note": s}
+
+    @pytest.mark.parametrize("s, escaped", [
+        ("a\nb", "a\\x0ab"), ("x\x00y", "x\\x00y"), ("\x85", "\\x85"), ("\x7f", "\\x7f"),
+        ("\ufffe", "\\ufffe"), ("\\\n", "\\\\\\x0a")])
+    def test_control_characters_are_escaped_and_read_by_libyaml(self, s, escaped):
+        text = formats.render({"note": s})
+        assert text == f'note: "{escaped}"\n'
+        assert formats._read_canonical(text) is None
+        assert formats.load(text) == {"note": s}
+
     @pytest.mark.parametrize("s", ["yes", "on", "No", "OFF", "True", "NULL", ".5", ".inf", ".NaN"])
     def test_yaml_special_words_are_quoted(self, s):
         assert formats.render({"note": s}) == f'note: "{s}"\n'

@@ -37,7 +37,6 @@ from tensorgp.resolution import (
     replay_verdict,
     star_compose,
     zero_window,
-    _functional_basis,
     _functional_constraints,
 )
 
@@ -197,7 +196,7 @@ class TestC3Operator:
                 for rank in range(3):
                     through = random_star(ring, rank_src, rank, rng)
                     basis, constraint = reference_c3_columns(ring, through)
-                    assert _functional_basis(ring, rank)[0] == basis
+                    assert ring.slot_frame(rank, 1)[0] == basis
                     assert _functional_constraints(ring, through) == constraint
 
 
@@ -497,6 +496,19 @@ class TestHomComplexOracle:
                 nonzero += any(defects.values())
             assert sorted(ring._cache["oracle_hom"]) == [0, 1, 2]
         assert nonzero > 10
+
+    def test_reads_no_slot_frame(self):
+        # the oracle keeps its own formula: on a fresh ring it builds its
+        # Hom spaces and no slot frame
+        rng = random.Random(59)
+        for ring in ring_pool((F2, F3, QQ)):
+            w = search.random_window(ring, rng.randrange(1 << 30), (1, 2))
+            fresh = TensorRing(ring.algebra, ring.bimodule, ring.nilpotency)
+            maps = tuple(StarMorphism(fresh, s.source_rank, s.target_rank, s.components)
+                         for s in w.maps)
+            hom_complex_oracle(ResolutionWindow(fresh, w.lo, w.ranks, maps, period=w.period))
+            assert "oracle_hom" in fresh._cache
+            assert "slot_frame" not in fresh._cache
 
     def test_warm_ring_makes_no_hom_t_calls(self, monkeypatch):
         calls = []

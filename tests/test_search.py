@@ -8,6 +8,7 @@ import pytest
 
 import tensorgp.resolution as resolution
 import tensorgp.search as search
+import tensorgp.tensor_ring as tensor_ring
 from tensorgp.exactlin import GF, Matrix, batched_rank
 from tensorgp.algebra import LeftModule, free_hom_basis, free_module
 from tensorgp.bimodule import zero_bimodule
@@ -19,7 +20,6 @@ from tensorgp.search import (
     Catalog,
     CatalogGroup,
     count_star,
-    enumerate_star,
     hunt_strongly_gp,
     modules_isomorphic_bruteforce,
     random_star,
@@ -34,6 +34,7 @@ from helpers import (
     QQ,
     corner_bimodule,
     dual_numbers,
+    enumerate_star,
     ground_algebra,
     path_bimodule,
     product_fields,
@@ -284,7 +285,7 @@ class TestStagedClassifier:
             calls.append(args)
             return free_hom_basis(*args)
 
-        monkeypatch.setattr(search, "free_hom_basis", counting)
+        monkeypatch.setattr(tensor_ring, "free_hom_basis", counting)
         monkeypatch.setattr(resolution, "free_hom_basis", counting)
         ring = triangular_ring()
         first = hunt_strongly_gp(ring, 2)

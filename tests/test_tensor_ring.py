@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tensorgp.exactlin import QQ, Matrix, is_exact_pair, unvec
+from tensorgp.exactlin import QQ, Matrix, is_exact_pair, unvec, vec, vstack
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
@@ -16,6 +16,7 @@ from tensorgp.algebra import (
     zero_module,
 )
 from tensorgp.bimodule import tensor_map, zero_bimodule
+from tensorgp.search import count_star
 from tensorgp.tensor_ring import (
     DecompositionError,
     InducedModule,
@@ -36,9 +37,12 @@ from helpers import (
     product_fields,
     random_hom,
     random_module,
+    random_scalar,
     reference_hom_t_system,
+    reference_star,
     ring_pool,
     simple_over_product,
+    slot_bases,
     x_multiplication,
 )
 
@@ -211,6 +215,36 @@ class TestAssembleStar:
                     s = StarMorphism(ring, rank_p, rank_q, comps)
                     TMorphism(ring.ind_free(rank_p), ring.ind_free(rank_q),
                               ring.assemble_star(s))
+
+
+class TestSlotFrame:
+    """The memoised slot frame and ``star_at`` against the sum of scaled
+    slot-basis maps (helpers.reference_star)."""
+
+    def test_matches_the_slot_basis_reference(self):
+        rng = random.Random(53)
+        for ring in ring_pool((F2, F3, QQ)):
+            field = ring.algebra.field
+            for rank_p in range(3):
+                for rank_q in range(3):
+                    frame, shapes = ring.slot_frame(rank_p, rank_q)
+                    assert ring.slot_frame(rank_p, rank_q)[0] is frame
+                    m = sum(len(b) for b in slot_bases(ring, rank_p, rank_q))
+                    assert frame.cols == m
+                    zero = StarMorphism.zero(ring, rank_p, rank_q)
+                    assert list(shapes) == [c.mat.shape for c in zero.components]
+                    for a in range(m):
+                        unit = reference_star(ring, rank_p, rank_q,
+                                              [int(a == b) for b in range(m)])
+                        assert frame.col(a) == vstack([vec(c.mat) for c in unit.components])
+                    coords = [random_scalar(field, rng) for _ in range(m)]
+                    assert ring.star_at(rank_p, rank_q, coords) == \
+                        reference_star(ring, rank_p, rank_q, coords)
+                    if field.is_prime:
+                        assert count_star(ring, rank_p, rank_q) == field.p ** m
+                    else:
+                        with pytest.raises(ValueError):
+                            count_star(ring, rank_p, rank_q)
 
 
 class TestDecomposeStar:
