@@ -277,6 +277,44 @@ def _parse_trivext(doc):
     return TrivialExtData(w.ring.algebra, w.ring.bimodule), w
 
 
+_CONTEXT_LABELS = (("C1'", "C1"), ("C2'", "C2"), ("C3'", "C3"))
+
+
+def _context_disagrees(context, generic, positions) -> bool:
+    """Whether the context-ring verdicts C1'..C3' differ from the generic
+    C1..C3 of the transported window at some position."""
+    ctx = {(v.k, v.label): v.status for v in context.verdicts}
+    gen = {(v.k, v.label): v.status for v in generic.verdicts}
+    return any(ctx.get((k, lab)) != gen.get((k, glab))
+               for k in positions for lab, glab in _CONTEXT_LABELS)
+
+
+def _triangular_disagrees(tri, context, positions) -> bool:
+    """Whether the triangular verdicts, grouped as (i) complex, (ii)
+    complex and (iii) for C1', (ii) exact and (iv) for C2', and (i) lift
+    and (v) for C3', differ from the context-ring verdicts at some
+    position.  C2' skips exactly when both of its triangular verdicts
+    skip."""
+    t = {(v.k, v.label): v.status for v in tri.verdicts}
+    c = {(v.k, v.label): v.status for v in context.verdicts}
+
+    def passes(k, *labels):
+        return all(t.get((k, lab)) == "pass" for lab in labels)
+
+    for k in positions:
+        if (c.get((k, "C1'")) == "pass") != passes(k, "(i) complex", "(ii) complex", "(iii)"):
+            return True
+        c2 = c.get((k, "C2'"))
+        if c2 == "skip":
+            if t.get((k, "(ii) exact")) != "skip" or t.get((k, "(iv)")) != "skip":
+                return True
+        elif (c2 == "pass") != passes(k, "(ii) exact", "(iv)"):
+            return True
+        if (c.get((k, "C3'")) == "pass") != passes(k, "(i) lift", "(v)"):
+            return True
+    return False
+
+
 def cmd_specialize(args) -> int:
     doc = _load(args.file)
     kind = args.kind or doc.get("kind")
@@ -300,39 +338,41 @@ def cmd_specialize(args) -> int:
         return EXIT_PASS if special.passed else EXIT_FAIL
     if kind == "morita":
         d, w = formats.morita_from_doc(doc)
+        field = d.a.field
         special = morita_checks(d, w)
+        out = {"kind": "specialize-report", "specialized": formats.report_to_doc(field, special)}
+        context = special
+    elif kind == "triangular":
+        td, tw = formats.triangular_from_doc(doc)
+        field = td.a.field
+        special = triangular_checks(td, tw)
+        d, w = td.as_morita(), tw.as_morita(td)
+        context = morita_checks(d, w)
+        if _triangular_disagrees(special, context, w.positions()):
+            _say("internal: triangular and context-ring verdicts differ")
+            return EXIT_INTERNAL
         out = {"kind": "specialize-report",
-               "specialized": formats.report_to_doc(d.a.field, special)}
-        try:
-            tw = mu_transport(d, w)
-            generic = check_complete(tw)
-            out["generic"] = formats.report_to_doc(d.a.field, generic)
-            out["transported_window"] = formats.window_to_doc(tw)
-        except SpecialRingError as exc:
-            out["transport_note"] = str(exc)
-        _emit(out, args.output)
-        _say(special.summary())
-        return EXIT_PASS if special.passed else EXIT_FAIL
-    if kind == "triangular":
-        d, w = formats.triangular_from_doc(doc)
-        special = triangular_checks(d, w)
-        md = d.as_morita()
-        mw = w.as_morita(d)
-        context = morita_checks(md, mw)
-        out = {"kind": "specialize-report",
-               "specialized": formats.report_to_doc(d.a.field, special),
-               "context": formats.report_to_doc(d.a.field, context)}
-        try:
-            tw = mu_transport(md, mw)
-            out["generic"] = formats.report_to_doc(d.a.field, check_complete(tw))
-            out["transported_window"] = formats.window_to_doc(tw)
-        except SpecialRingError as exc:
-            out["transport_note"] = str(exc)
-        _emit(out, args.output)
-        _say(special.summary())
-        return EXIT_PASS if special.passed else EXIT_FAIL
-    _say(f"unknown specialization kind {kind!r}")
-    return EXIT_INVALID
+               "specialized": formats.report_to_doc(field, special),
+               "context": formats.report_to_doc(field, context)}
+    else:
+        _say(f"unknown specialization kind {kind!r}")
+        return EXIT_INVALID
+    try:
+        transported = mu_transport(d, w)
+    except SpecialRingError as exc:
+        out["transport_note"] = str(exc)
+    else:
+        generic = check_complete(transported)
+        if _context_disagrees(context, generic, w.positions()):
+            _say("internal: context-ring and generic verdicts differ")
+            return EXIT_INTERNAL
+        out["generic"] = formats.report_to_doc(field, generic)
+        out["transported_window"] = formats.window_to_doc(transported)
+    _emit(out, args.output)
+    _say(special.summary())
+    if "generic" in out:
+        _say("specialized and generic verdicts agree")
+    return EXIT_PASS if special.passed else EXIT_FAIL
 
 
 def cmd_hunt(args) -> int:

@@ -20,8 +20,9 @@ The int64 limits, in one place:
 
 - Over F_p, p < 2**20, so a product of two residues is below 2**40 and a
   sum of up to 2**23 of them still fits in int64 before ``% p``.  The
-  staged hunt of ``search`` sums m such products in one contraction, so
-  it needs m * p**2 < 2**63; :func:`batched_rank` keeps every entry below
+  staged hunt of ``search`` sums at most max(m, n) such products in one
+  contraction (m slot coordinates, n = dim Ind(P)), so it needs
+  max(m, n) * p**2 < 2**63; :func:`batched_rank` keeps every entry below
   p**2.
 - Over Q, ``product`` computes in int64 when every entry of both operands
   is an integer and max(|A|, 1) * max(|B|, 1) * max(k, 1) < 2**62, with k

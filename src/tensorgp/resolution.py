@@ -386,15 +386,19 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     outgoing map; the test module is the induced free module of rank one,
     which suffices because the condition is additive in the test module.
 
-    Returns (passed, witness); the witness is the offending tuple.
+    Returns (passed, witness); the witness is the offending tuple.  At a
+    one-periodic position (``next_ is prev``) the constraint matrix is
+    also the image lifted through, so it is built once.
     """
     ring = prev.ring
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
     rank_mid = prev.target_rank
     basis, shapes = ring.slot_frame(rank_mid, 1)
-    col = unlifted_solution(basis, _functional_constraints(ring, prev),
-                            lambda: _functional_constraints(ring, next_))
+    constraint = _functional_constraints(ring, prev)
+    col = unlifted_solution(basis, constraint,
+                            (lambda: constraint) if next_ is prev
+                            else lambda: _functional_constraints(ring, next_))
     if col is None:
         return True, None
     return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))

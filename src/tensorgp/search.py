@@ -12,28 +12,41 @@ catalog deduplicated by dimension signature, with one re-verifiable
 representative per signature.
 
 Classification is staged and runs on blocks of candidates of one rank,
-from two tables memoised per (ring, rank) over the unit candidates e_a
-(slot coordinate a set to 1, the others to 0):
+from tables memoised per (ring, rank) over the unit candidates e_a (slot
+coordinate a set to 1, the others to 0) with assembled matrices A_a, and
+the unit functional tuples f_b out of the same free module (the slot
+frame of rank pair (r, 1)) with assembled matrices F_b.  The components
+of a composite are the first block column of its assembled matrix, and
+assembling a composite multiplies the assembled matrices, so every table
+is one product of assembled unit matrices:
 
-- SC1 by table.  T[a, b] holds the components of star_compose(e_a, e_b),
-  so the square of the candidate with coordinates c is
-  sum_{a,b} c_a c_b T[a, b]: two int64 contractions, reduced mod p after
-  each.
-- SC2 by rank.  The candidate assembles to sum_a c_a A_a, with A_a the
-  assembled matrix of e_a; one batched rank mod p
-  (:func:`tensorgp.exactlin.batched_rank`) gives its kernel dimension kd.
-  When the square vanishes, im alpha lies in ker alpha, so SC2 holds iff
-  2 kd = n, with n = dim Ind(P).
-- The full one-periodic check on the rest: SC1 survivors with 2 kd = n,
-  and the first candidate of each new group.  Each of them must agree
-  with its staged SC1 and SC2 verdicts, and its batched rank with the
-  rank of its assembled matrix; a disagreement raises
-  :class:`~tensorgp.resolution.InternalCheckError`.
+- SC1 by table.  T[a, b] = first block column of A_a A_b holds the
+  components of e_a . e_b, so the square of the candidate with
+  coordinates c is sum_{a,b} c_a c_b T[a, b]: two int64 contractions,
+  reduced mod p after each.
+- SC2 by rank.  The candidate assembles to sum_a c_a A_a; one batched
+  rank mod p (:func:`tensorgp.exactlin.batched_rank`) gives its kernel
+  dimension kd.  When the square vanishes, im alpha lies in ker alpha,
+  so SC2 holds iff 2 kd = n, with n = dim Ind(P).
+- SC3 by rank.  K(alpha), the matrix of f |-> f . alpha on the m' frame
+  coordinates, is sum_a c_a K(e_a), and column b of K(e_a) is the first
+  block column of F_b A_a.  When the square vanishes, every g . alpha is
+  killed by alpha, so im K(alpha) lies in the frame image of
+  ker K(alpha), and SC3 holds iff 2 rank K(alpha) = m'.  One batched rank
+  decides it on the SC1 survivors of a block.
 
-Both contractions sum m products of residues, m the number of slot
-coordinates, so they stay exact in int64 while m * p**2 < 2**63 (see the
-limits in ``exactlin``).  Candidates are staged ``_CHUNK`` at a time, so
-the staging arrays stay bounded however large the budget.
+Every candidate's group (rank, kd, verdict) is therefore known from the
+stages, and the full one-periodic check runs only on the first candidate
+of each new group, its representative.  It must agree with the staged
+SC1 and SC2 verdicts, with the staged SC3 verdict whenever SC1 holds,
+and its rank with the batched kernel dimension; a disagreement raises
+:class:`~tensorgp.resolution.InternalCheckError`.
+
+The table products sum n products of residues and the contractions m,
+m the number of slot coordinates, so they stay exact in int64 while
+max(m, n) * p**2 < 2**63 (see the limits in ``exactlin``).  Candidates
+are staged ``_CHUNK`` at a time, so the staging arrays stay bounded
+however large the budget.
 
 The random generators are seeded and reproducible: identical seeds give
 byte-identical results.
@@ -56,7 +69,6 @@ from tensorgp.resolution import (
     InternalCheckError,
     ResolutionWindow,
     check_strongly_gp,
-    star_compose,
 )
 
 
@@ -105,59 +117,85 @@ _CHUNK = 1024  # candidates staged per batch
 
 @dataclass(frozen=True)
 class _Stage:
-    """The staging tables of one (ring, rank), over the m unit candidates.
+    """The staging tables of one (ring, rank), over the m unit candidates
+    and the m' unit functional tuples.
 
     ``square`` is m x (m * length): row b, block a holds the flattened
-    components of star_compose(e_a, e_b), each ``length`` entries long.
-    ``assembled`` is m x (n * n): row a holds the assembled matrix of e_a.
+    first block column of A_a A_b, the components of e_a . e_b, each
+    ``length`` entries long.  ``assembled`` is m x (n * n): row a holds
+    A_a, the assembled matrix of e_a.  ``precompose`` is
+    m x (height * m'): row a holds K(e_a), whose column b is the flattened
+    first block column of F_b A_a, the components of f_b . e_a.
     """
 
     m: int
     length: int
     n: int
+    tuples: int
+    height: int
     square: np.ndarray
     assembled: np.ndarray
+    precompose: np.ndarray
 
 
-def _array(mat: Matrix) -> np.ndarray:
-    return np.array(mat.entries, dtype=np.int64).reshape(mat.shape)
+def _units(ring: TensorRing, rank_p: int, rank_q: int) -> np.ndarray:
+    """The assembled matrices of the unit candidates of a rank pair, one
+    slice each."""
+    m = ring.slot_frame(rank_p, rank_q)[0].cols
+    shape = (m, ring.ind_free(rank_q).x.dim, ring.ind_free(rank_p).x.dim)
+    units = [ring.assemble_star(ring.star_at(rank_p, rank_q, [int(a == b) for b in range(m)]))
+             for a in range(m)]
+    return np.array([u.entries for u in units], dtype=np.int64).reshape(shape)
 
 
 def _stage(ring: TensorRing, rank: int) -> _Stage:
-    """The staging tables of the given rank, memoised per ring."""
+    """The staging tables of the given rank, memoised per ring.
+
+    The SC1 and SC3 tables are products of assembled unit matrices: the
+    components of a composite are the first block column of its assembled
+    matrix, which is the product of the assembled matrices of its factors.
+    """
     cache = ring._cache.setdefault("hunt_stage", {})
     if rank not in cache:
-        m = ring.slot_frame(rank, rank)[0].cols
-        if m * ring.algebra.field.p ** 2 >= 1 << 63:
-            raise ValueError(f"{m} slot coordinates overflow the int64 staging")
-        units = [ring.star_at(rank, rank, [int(a == b) for b in range(m)]) for a in range(m)]
-        n = ring.ind_free(rank).x.dim
-        length = n * ring.free(rank).dim  # component i is dim F^i(P) x dim P
-        square = np.zeros((m, m, length), dtype=np.int64)
-        assembled = np.zeros((m, n * n), dtype=np.int64)
-        for a, ea in enumerate(units):
-            assembled[a] = _array(ring.assemble_star(ea)).ravel()
-            for b, eb in enumerate(units):
-                comps = star_compose(ea, eb).components
-                square[b, a] = np.concatenate([_array(c.mat).ravel() for c in comps])
-        cache[rank] = _Stage(m, length, n, square.reshape(m, m * length), assembled)
+        p = ring.algebra.field.p
+        assembled = _units(ring, rank, rank)
+        functionals = _units(ring, rank, 1)
+        m, n, _ = assembled.shape
+        tuples, height, _ = functionals.shape
+        if max(m, n) * p ** 2 >= 1 << 63:
+            raise ValueError(f"{max(m, n)} terms per sum overflow the int64 staging")
+        first = assembled[:, :, :ring.free(rank).dim]
+        square = np.einsum("aij,bjk->baik", assembled, first) % p
+        precompose = np.einsum("bij,ajk->aikb", functionals, first) % p
+        d = first.shape[2]
+        cache[rank] = _Stage(m, n * d, n, tuples, height * d,
+                             square.reshape(m, m * n * d), assembled.reshape(m, n * n),
+                             precompose.reshape(m, height * d * tuples))
     return cache[rank]
 
 
 def _staged(ring: TensorRing, stage: _Stage, coeffs: np.ndarray):
-    """SC1 verdicts and kernel dimensions of a block of candidates, one
-    row of slot coordinates each."""
+    """SC1 verdicts, kernel dimensions and SC3 verdicts of a block of
+    candidates, one row of slot coordinates each; SC3 is decided on the
+    SC1 survivors only and reads False elsewhere."""
     field = ring.algebra.field
     count = coeffs.shape[0]
     half = (coeffs @ stage.square % field.p).reshape(count, stage.m, stage.length)
-    square = np.einsum("ca,cal->cl", coeffs, half) % field.p
+    sc1 = ~(np.einsum("ca,cal->cl", coeffs, half) % field.p).any(axis=1)
     mats = (coeffs @ stage.assembled).reshape(count, stage.n, stage.n)
-    return ~square.any(axis=1), stage.n - batched_rank(field, mats)
+    kernel_dims = stage.n - batched_rank(field, mats)
+    sc3 = np.zeros(count, dtype=bool)
+    if sc1.any():
+        survivors = coeffs[sc1]
+        ks = (survivors @ stage.precompose).reshape(len(survivors), stage.height, stage.tuples)
+        sc3[sc1] = 2 * batched_rank(field, ks) == stage.tuples
+    return sc1, kernel_dims, sc3
 
 
-def _full_check(s: StarMorphism, sc1: bool, sc2: bool, kernel_dim: int) -> bool:
-    """The one-periodic verdict of a candidate, cross-checked against its
-    staged SC1 and SC2 verdicts and its batched kernel dimension."""
+def _full_check(s: StarMorphism, kernel_dim: int, sc1: bool, sc2: bool, sc3: bool) -> None:
+    """Run the one-periodic check on a candidate and cross-check it
+    against its staged verdicts and its batched kernel dimension; a
+    disagreement raises :class:`~tensorgp.resolution.InternalCheckError`."""
     ring = s.ring
     if ring.ind_free(s.source_rank).x.dim - ring.assemble_star(s).rank() != kernel_dim:
         raise InternalCheckError("the batched rank disagrees with the rank of the assembled matrix")
@@ -165,36 +203,39 @@ def _full_check(s: StarMorphism, sc1: bool, sc2: bool, kernel_dim: int) -> bool:
     if report.passed and not sc2:
         raise InternalCheckError("the full check passes a candidate that fails the staged SC1 or SC2")
     staged = ("pass" if sc1 else "fail", ("pass" if sc2 else "fail") if sc1 else "skip")
-    full = tuple(v.status for label in ("SC1", "SC2") for v in report.verdicts if v.label == label)
+    full = (report.status(0, "SC1"), report.status(0, "SC2"))
     if full != staged:
         raise InternalCheckError(f"staged SC1, SC2 {staged} disagree with the full check {full}")
-    return report.passed
+    if sc1 and report.status(0, "SC3") != ("pass" if sc3 else "fail"):
+        raise InternalCheckError(f"staged SC3 {'pass' if sc3 else 'fail'} disagrees with "
+                                 f"the full check {report.status(0, 'SC3')}")
 
 
 def _classify(ring: TensorRing, blocks) -> Catalog:
     """Group candidates by (rank, kernel dimension, verdict).
 
-    ``blocks`` yields (rank, coordinate rows) in candidate order.  SC1 and
-    SC2 are staged from the tables of the module docstring; only staged
-    survivors and each new group's first candidate run the full check, so
-    every stored representative is certified by it.  Representatives are
-    the first candidate of each group.
+    ``blocks`` yields (rank, coordinate rows) in candidate order.  SC1, SC2
+    and SC3 are staged from the tables of the module docstring, so every
+    candidate's group is known without the full check; it runs on the
+    first candidate of each group, which is the group's representative,
+    so every stored representative is certified by it.
     """
     counts, reps = {}, {}
     total = 0
     for rank, coeffs in blocks:
         stage = _stage(ring, rank)
-        sc1s, kernel_dims = _staged(ring, stage, coeffs)
+        sc1s, kernel_dims, sc3s = _staged(ring, stage, coeffs)
         total += coeffs.shape[0]
-        for c, sc1, kd in zip(coeffs.tolist(), sc1s.tolist(), kernel_dims.tolist()):
+        for c, sc1, kd, sc3 in zip(coeffs.tolist(), sc1s.tolist(), kernel_dims.tolist(),
+                                   sc3s.tolist()):
             sc2 = sc1 and 2 * kd == stage.n
-            key = (rank, kd, False)
-            if sc2 or key not in counts:
+            key = (rank, kd, sc2 and sc3)
+            if key not in counts:
                 s = ring.star_at(rank, rank, c)
-                key = (rank, kd, _full_check(s, sc1, sc2, kd))
-                if key not in counts:
-                    reps[key] = tuple(comp.mat for comp in s.components)
-            counts[key] = counts.get(key, 0) + 1
+                _full_check(s, kd, sc1, sc2, sc3)
+                reps[key] = tuple(comp.mat for comp in s.components)
+                counts[key] = 0
+            counts[key] += 1
     ordered = tuple(CatalogGroup(*key, counts[key], reps[key]) for key in sorted(counts))
     return Catalog(total, ordered)
 
@@ -214,8 +255,8 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
     """Classify every one-periodic candidate up to the given rank.
 
     The catalog groups candidates by (rank, kernel dimension, verdict).
-    SC1 and SC2 are decided in batches; staged survivors and every
-    group's representative run the full one-periodic check.
+    SC1, SC2 and SC3 are decided in batches; every group's representative
+    runs the full one-periodic check.
     Representatives re-verify on reload.
     """
     if max_rank < 0:

@@ -460,6 +460,54 @@ class TestSpecialize:
         if "generic" in doc:
             assert doc["generic"]["passed"] == doc["specialized"]["passed"]
 
+    @staticmethod
+    def _first_verdict_skipped(monkeypatch, name):
+        import tensorgp.cli as cli
+
+        real = getattr(cli, name)
+
+        def first_skipped(*args):
+            report = real(*args)
+            first = replace(report.verdicts[0], status="skip")
+            return replace(report, verdicts=(first,) + report.verdicts[1:])
+
+        monkeypatch.setattr(cli, name, first_skipped)
+
+    def test_morita_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(5)
+        d = random_morita_data(rng, F2)
+        w = random_morita_window(d, rng, max_rank=1)
+        path = tmp_path / "morita.yaml"
+        path.write_text(formats.render(formats.morita_to_doc(d, w)))
+        out = tmp_path / "spec.yaml"
+        assert main(["specialize", str(path), "--output", str(out)]) == 0
+        assert "verdicts agree" in capsys.readouterr().err
+        out.unlink()
+        self._first_verdict_skipped(monkeypatch, "morita_checks")  # C1' at k=0
+        assert main(["specialize", str(path), "--output", str(out)]) == 3
+        assert "context-ring and generic verdicts differ" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, message", [
+        ("triangular_checks", "triangular and context-ring verdicts differ"),
+        ("morita_checks", "triangular and context-ring verdicts differ"),
+        ("check_complete", "context-ring and generic verdicts differ"),
+    ])
+    def test_triangular_disagreement_is_an_internal_error(self, tmp_path, capsys, monkeypatch,
+                                                          name, message):
+        rng = random.Random(9)
+        d = random_triangular_data(rng, F2)
+        w = random_triangular_window(d, rng, max_rank=1)
+        path = tmp_path / "triangular.yaml"
+        path.write_text(formats.render(formats.triangular_to_doc(d, w)))
+        out = tmp_path / "spec.yaml"
+        assert main(["specialize", str(path), "--output", str(out)]) == 0
+        out.unlink()
+        self._first_verdict_skipped(monkeypatch, name)
+        assert main(["specialize", str(path), "--output", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_triangular_specialize(self, tmp_path):
         rng = random.Random(9)
         d = random_triangular_data(rng, F2)

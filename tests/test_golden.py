@@ -4,11 +4,15 @@ exactness-oracle results and Hom-complex defects of windows over F_2, F_3
 and Q, and one rendered hunt catalog.  The second covers the rendered
 specialized reports of trivial extension, context ring and triangular ring
 instances over the same fields, each next to the report it is compared
-with.  A refactor that changes any verdict, witness or oracle figure
+with.  The third covers the rendered catalog of the exhaustive hunt of
+``tests/fixtures/triangular_bundle.yaml`` up to rank 2, the output of
+``tensorgp hunt tests/fixtures/triangular_bundle.yaml --max-rank 2``.
+A refactor that changes any verdict, witness or oracle figure
 changes a digest."""
 
 import hashlib
 import random
+from pathlib import Path
 
 from tensorgp import formats
 from tensorgp.exactlin import QQ
@@ -25,6 +29,7 @@ from helpers import (F2, F3, corner_bimodule, dual_numbers, random_morita_data,
 
 GOLDEN = "ad2d0b8dd3582a0277b68c15d0db17c2fcd852424f681c24e0d7c8210c66144c"
 GOLDEN_SPECIAL = "8e48460a71fbfae146ad53f3d32bd10d80e472fa4110cecb9a2e9bf849f9595e"
+GOLDEN_HUNT = "bbdcfeb558049bd878ed608d04f55b3b2adfc7c7bf8992b9dedf1420d6666536"
 
 
 def _windows():
@@ -93,3 +98,15 @@ def special_digest() -> str:
 
 def test_golden_special_digest():
     assert special_digest() == GOLDEN_SPECIAL
+
+
+def hunt_digest() -> str:
+    text = (Path(__file__).parent / "fixtures" / "triangular_bundle.yaml").read_text()
+    ring = formats.bundle_from_doc(formats.load(text))
+    catalog = hunt_strongly_gp(ring, 2)
+    return hashlib.sha256(formats.render(formats.catalog_to_doc(ring.algebra.field,
+                                                                catalog)).encode()).hexdigest()
+
+
+def test_golden_hunt_digest():
+    assert hunt_digest() == GOLDEN_HUNT

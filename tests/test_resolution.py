@@ -185,6 +185,31 @@ class TestC3:
         assert (wit.components[0] @ s.components[0].mat).is_zero()
         assert not wit.components[0].is_zero()
 
+    def test_period_one_builds_the_constraint_once(self, monkeypatch):
+        # at next_ is prev the constraint matrix doubles as the lifted
+        # image; verdicts and witnesses equal those of an equal copy
+        import tensorgp.resolution as resolution
+
+        calls = []
+
+        def counting(ring, through):
+            calls.append(through)
+            return _functional_constraints(ring, through)
+
+        monkeypatch.setattr(resolution, "_functional_constraints", counting)
+        rng = random.Random(44)
+        seen = set()
+        for ring in ring_pool((F2, F3, QQ)):
+            for rank in range(3):
+                s = random_star(ring, rank, rank, rng)
+                copy = StarMorphism(ring, rank, rank, tuple(s.components))
+                calls.clear()
+                same = check_c3(s, s)
+                assert len(calls) == 1
+                assert same == check_c3(s, copy)
+                seen.add(same[0])
+        assert seen == {True, False}
+
 
 class TestC3Operator:
     def test_columns_match_star_compose_reference(self):

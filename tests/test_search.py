@@ -4,6 +4,7 @@ isomorphism search."""
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import tensorgp.resolution as resolution
@@ -12,9 +13,8 @@ import tensorgp.tensor_ring as tensor_ring
 from tensorgp.exactlin import GF, Matrix, batched_rank
 from tensorgp.algebra import LeftModule, free_hom_basis, free_module
 from tensorgp.bimodule import zero_bimodule
-from tensorgp.tensor_ring import StarMorphism, TensorRing
-from tensorgp.resolution import (CheckReport, InternalCheckError, check_c1,
-                                 check_strongly_gp)
+from tensorgp.tensor_ring import TensorRing
+from tensorgp.resolution import CheckReport, InternalCheckError, check_strongly_gp
 from tensorgp.search import (
     BudgetExceeded,
     Catalog,
@@ -38,6 +38,8 @@ from helpers import (
     ground_algebra,
     path_bimodule,
     product_fields,
+    reference_square_table,
+    ring_pool,
     simple_over_product,
 )
 
@@ -195,8 +197,8 @@ class TestHunt:
 
 
 class TestStagedClassifier:
-    """The hunter stages SC1 and SC2 in batches; its catalogs must equal
-    those built from the full check on every candidate."""
+    """The hunter stages SC1, SC2 and SC3 in batches; its catalogs must
+    equal those built from the full check on every candidate."""
 
     @pytest.mark.parametrize("make_ring, max_rank", [
         (ground_ring, 2),
@@ -227,9 +229,9 @@ class TestStagedClassifier:
         with pytest.raises(ValueError):
             sample_strongly_gp(TensorRing(r, zero_bimodule(r), 0), 1, 10, seed=1)
 
-    def test_full_checks_only_on_survivors_and_new_groups(self, monkeypatch):
-        # on the path ring SC2 staging saves full checks (8 against the 11
-        # that staging SC1 alone would run); on the corner ring it saves none
+    def test_exactly_one_full_check_per_group(self, monkeypatch):
+        # up to rank 2 SC2 survivors repeat a group on both rings, so a full
+        # check on every SC2 survivor would run more often
         calls = []
 
         def counting(s):
@@ -237,18 +239,14 @@ class TestStagedClassifier:
             return check_strongly_gp(s)
 
         monkeypatch.setattr(search, "check_strongly_gp", counting)
-        for ring in (triangular_ring(), path_ring()):
-            candidates = exhaustive(ring, 1)
-            expected = 0
-            seen = set()
-            for (rank, s), key in zip(candidates, reference_keys(ring, candidates)):
-                n = ring.ind_free(rank).x.dim
-                if (check_c1(s, s)[0] and 2 * key[1] == n) or key not in seen:
-                    expected += 1
-                seen.add(key)
+        for ring in (ground_ring(F3), dual_ring()):
             calls.clear()
-            hunt_strongly_gp(ring, 1)
-            assert len(calls) == expected < len(candidates)
+            catalog = hunt_strongly_gp(ring, 2)
+            assert len(calls) == len(catalog.groups)
+            assert {tuple(c.mat for c in s.components) for s in calls} == \
+                {g.representative for g in catalog.groups}
+            # every candidate of a passing group is an SC2 survivor
+            assert sum(g.count for g in catalog.passing()) > len(catalog.passing())
 
     def test_full_check_passing_an_sc1_failure_is_an_internal_error(self, monkeypatch):
         def passing_sc1_failures(s):
@@ -262,13 +260,55 @@ class TestStagedClassifier:
         with pytest.raises(InternalCheckError, match="passes a candidate"):
             hunt_strongly_gp(dual_ring(), 1)
 
-    def test_corrupted_sc1_table_is_an_internal_error(self, monkeypatch):
-        def vanishing(s2, s1):
-            return StarMorphism.zero(s1.ring, s1.source_rank, s2.target_rank)
+    def test_sc1_table_matches_star_compose_reference(self):
+        for ring in ring_pool((F2, F3)):
+            for rank in range(3):
+                assert np.array_equal(search._stage(ring, rank).square,
+                                      reference_square_table(ring, rank))
 
-        monkeypatch.setattr(search, "star_compose", vanishing)
+    def test_sc3_table_matches_the_c3_constraints_of_the_units(self):
+        # K(e_a) holds the components of f_b . e_a as flattened first block
+        # columns; the C3 checker stacks the same entries vec'd per block
+        for ring in ring_pool((F2, F3)):
+            for rank in range(3):
+                stage = search._stage(ring, rank)
+                d = ring.free(rank).dim
+                order, top = [], 0
+                for j in range(ring.nilpotency + 1):
+                    h = ring.model(j, ring.free(1)).result.dim
+                    order += [(top + i) * d + k for k in range(d) for i in range(h)]
+                    top += h
+                tables = stage.precompose.reshape(stage.m, stage.height, stage.tuples)
+                for a in range(stage.m):
+                    unit = ring.star_at(rank, rank, [int(a == b) for b in range(stage.m)])
+                    constraint = resolution._functional_constraints(ring, unit)
+                    assert tables[a][order].tolist() == [list(r) for r in constraint.entries]
+
+    @staticmethod
+    def _corrupt(ring, rank, name, edit):
+        stage = search._stage(ring, rank)
+        table = getattr(stage, name).copy()
+        edit(table)
+        ring._cache["hunt_stage"][rank] = replace(stage, **{name: table})
+
+    def test_corrupted_sc1_table_is_an_internal_error(self):
+        # one more in the entry of T[a, a] at component index 1, with e_a the
+        # map x, stages the square-zero x as an SC1 failure; x opens its group
+        ring = dual_ring()
+        assert ring.star_at(1, 1, [0, 1]).components[0].mat == \
+            Matrix.from_rows(F2, [[0, 0], [1, 0]])
+        length = search._stage(ring, 1).length
+        self._corrupt(ring, 1, "square", lambda t: np.add.at(t, (1, length + 1), 1))
         with pytest.raises(InternalCheckError, match="staged SC1"):
-            hunt_strongly_gp(dual_ring(), 1)
+            hunt_strongly_gp(ring, 1)
+
+    def test_corrupted_sc3_stage_is_an_internal_error(self):
+        # with K = 0 every SC1 survivor of rank 1 stages as an SC3 failure,
+        # which the x map's full check contradicts
+        ring = dual_ring()
+        self._corrupt(ring, 1, "precompose", lambda t: t.fill(0))
+        with pytest.raises(InternalCheckError, match="staged SC3"):
+            hunt_strongly_gp(ring, 1)
 
     def test_corrupted_batched_rank_is_an_internal_error(self, monkeypatch):
         def one_too_many(field, arr):
