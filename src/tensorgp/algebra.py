@@ -16,7 +16,9 @@ and the results of :func:`submodule_from_columns` and
 as valid by construction from validated data: free modules, zero and
 identity maps, composites, sums and negatives, and the bases of
 :func:`hom_space` and :func:`free_hom_basis`.  Everything is immutable;
-all checks are exact.
+all checks are exact.  So the free module of each rank is built once per
+algebra and shared (:func:`free_module`), and the basis maps of
+:func:`free_hom_basis` are slices of one array (:func:`free_hom_vecs`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from tensorgp.exactlin import (
     kron,
     quotient_maps,
     unvec,
+    unvec_columns,
     vstack,
 )
 
@@ -260,11 +263,16 @@ def zero_module(a: Algebra) -> LeftModule:
 
 def free_module(a: Algebra, n: int) -> LeftModule:
     """The free left module R^n: n block-diagonal copies of the regular
-    representation, basis ordered copy-major."""
+    representation, basis ordered copy-major.  One shared instance per
+    rank, memoised on the algebra: a module is immutable."""
     if n < 0:
         raise AlgebraError("negative rank")
-    eye = Matrix.identity(a.field, n)
-    return LeftModule.unchecked(a, n * a.dim, tuple(kron(eye, block) for block in a.left_mult))
+    frees = a.__dict__.setdefault("_free", {})
+    if n not in frees:
+        eye = Matrix.identity(a.field, n)
+        frees[n] = LeftModule.unchecked(a, n * a.dim,
+                                        tuple(kron(eye, block) for block in a.left_mult))
+    return frees[n]
 
 
 @dataclass(frozen=True)
@@ -362,26 +370,32 @@ def hom_space(x: LeftModule, y: LeftModule) -> list:
     return [ModuleMap.unchecked(x, y, unvec(f, ker.col(j), m, n)) for j in range(ker.cols)]
 
 
+def free_hom_vecs(a: Algebra, n: int, w: LeftModule) -> Matrix:
+    """The columns vec(b) of the :func:`free_hom_basis` maps b, in basis
+    order, as one matrix: kron(I_n, vstack(w.action)).
+
+    Column t of the stacked actions is vec of the block whose column s is
+    e_s . w_t, the image of e_s under the map sending the generator to
+    w_t; the Kronecker factor places that block in copy i.  A slot with no basis
+    maps (n = 0 or w = 0) gives the 0 x 0 matrix.
+    """
+    if not (n and w.dim):
+        return Matrix.zeros(a.field, 0, 0)
+    return kron(Matrix.identity(a.field, n), vstack(w.action))
+
+
 def free_hom_basis(a: Algebra, n: int, w: LeftModule) -> list:
     """Basis of Hom(R^n, w) built directly from Hom(R, w) = w.
 
     The basis element indexed by (copy i, basis vector t of w) sends the
     generator of copy i to that basis vector; order is (i, t) lexicographic.
     This spans the same space as :func:`hom_space` on the free source but
-    costs no elimination.
+    costs no elimination: the maps are the columns of
+    :func:`free_hom_vecs`, unvec'd in one reshape.
     """
-    f = a.field
     src = free_module(a, n)
-    basis = []
-    zero_block = Matrix.zeros(f, w.dim, a.dim)
-    for i in range(n):
-        for t in range(w.dim):
-            cols = [w.action[s].col(t) for s in range(a.dim)]
-            block = hstack(cols)
-            blocks = [zero_block] * n
-            blocks[i] = block
-            basis.append(ModuleMap.unchecked(src, w, hstack(blocks)))
-    return basis
+    return [ModuleMap.unchecked(src, w, m)
+            for m in unvec_columns(free_hom_vecs(a, n, w), w.dim, n * a.dim)]
 
 
 def submodule_from_columns(x: LeftModule, cols: Matrix):

@@ -23,7 +23,8 @@ raises, and every grafting map is checked to be an isomorphism.  What is
 built unchecked, because it is valid by construction from validated
 bimodules and modules: tensor products (the result module of
 :func:`tensor_module` and the bimodule of :func:`tensor_bimodule_model`),
-the induced maps of :func:`tensor_map`, and the identity grafts.
+direct sums (:func:`direct_sum_bimodule`), the induced maps of
+:func:`tensor_map`, and the identity grafts.
 
 All caches are memo tables for deterministic constructions: a repeated
 computation returns an identical value, so concurrent redundant fills are
@@ -37,6 +38,7 @@ from typing import NamedTuple, Optional
 
 from tensorgp.exactlin import (
     Matrix,
+    direct_sum,
     hstack,
     kron,
     quotient_maps,
@@ -140,12 +142,13 @@ def regular_bimodule(a: Algebra) -> Bimodule:
 
 
 def direct_sum_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
+    """m1 (+) m2 with block diagonal actions; the direct sum of valid
+    bimodules is valid, so it is built unchecked."""
     if m1.algebra != m2.algebra:
         raise BimoduleError("bimodules over different algebras")
-    from tensorgp.exactlin import direct_sum
-    left = tuple(direct_sum(m1.left_action[i], m2.left_action[i]) for i in range(m1.algebra.dim))
-    right = tuple(direct_sum(m1.right_action[i], m2.right_action[i]) for i in range(m1.algebra.dim))
-    return Bimodule(m1.algebra, m1.dim + m2.dim, left, right)
+    left = tuple(map(direct_sum, m1.left_action, m2.left_action))
+    right = tuple(map(direct_sum, m1.right_action, m2.right_action))
+    return Bimodule.unchecked(m1.algebra, m1.dim + m2.dim, left, right)
 
 
 @dataclass(frozen=True)

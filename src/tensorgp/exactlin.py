@@ -9,6 +9,10 @@ are reproducible across runs.
 Zero-sized matrices (0 x n and n x 0) are legal; they are the unique maps
 to and from the zero space and compose like any other matrix.
 
+Matrices are values.  ``Matrix.identity`` returns one shared instance per
+(field, n), keeping the most recently used ones: neither a Matrix nor its
+array can be written, so no caller can change another's identity.
+
 Every matrix is one numpy array, and one code path serves both fields: an
 int64 array of residues over F_p and an ``object`` array of ``Fraction``
 over Q.  The field enters only through a few hooks on :class:`FieldSpec`:
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
@@ -47,6 +51,7 @@ Scalar = Union[int, Fraction]
 _PRIME_LIMIT = 1 << 20
 _INT64_GUARD = 1 << 62
 _TABLE_REACH = 4096  # |v| up to which int64 results map to shared Fractions
+_IDENTITY_MEMO = 512  # identity matrices kept, the most recently used
 
 
 class ExactLinError(Exception):
@@ -276,9 +281,9 @@ class Matrix:
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
-        arr = field.zeros((n, n))
-        np.fill_diagonal(arr, field.one())
-        return Matrix._from_np(field, arr)
+        """The n x n identity, one shared instance per (field, n): a Matrix
+        and its array are read-only, so sharing it is safe."""
+        return _identity(field, n)
 
     @staticmethod
     def column(field: FieldSpec, entries: Sequence) -> "Matrix":
@@ -458,6 +463,13 @@ class Matrix:
         return x
 
 
+@lru_cache(maxsize=_IDENTITY_MEMO)
+def _identity(field: FieldSpec, n: int) -> Matrix:
+    arr = field.zeros((n, n))
+    np.fill_diagonal(arr, field.one())
+    return Matrix._from_np(field, arr)
+
+
 # -- free functions ------------------------------------------------------
 
 
@@ -542,6 +554,31 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     general-rank overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def kron_sum(lefts: Matrix, rights: Sequence[Matrix]) -> Matrix:
+    """sum_t kron(L_t, rights[t]), where row j of L_t is row j * d + t of
+    ``lefts`` and d = len(rights) >= 1.
+
+    One matrix product through :meth:`FieldSpec.product`, with d terms per
+    entry: the rows (L_0[j, i], ..., L_(d-1)[j, i]) against the flattened
+    rights, regrouped into Kronecker blocks.
+    """
+    d = len(rights)
+    if not d or lefts.rows % d:
+        raise DimensionMismatch(f"kron_sum: {lefts.rows} rows for {d} right factors")
+    field = lefts.field
+    r, c = rights[0].shape
+    for m in rights:
+        _check_same_field(lefts, m)
+        if m.shape != (r, c):
+            raise DimensionMismatch("kron_sum: right factors of different shapes")
+    n, k = lefts.rows // d, lefts.cols
+    left = lefts._data.reshape(n, d, k).transpose(0, 2, 1).reshape(n * k, d)
+    right = np.stack([m._data for m in rights]).reshape(d, r * c)
+    prod = field.product(np.matmul, left, right, d)
+    return Matrix._from_np(field, prod.reshape(n, k, r, c).transpose(0, 2, 1, 3)
+                           .reshape(n * r, k * c))
 
 
 def batched_rank(field: FieldSpec, arr) -> np.ndarray:
@@ -667,11 +704,36 @@ def vec_columns(field: FieldSpec, rows: int, mats: Sequence[Matrix]) -> Matrix:
     return hstack([vec(m) for m in mats]) if mats else Matrix.zeros(field, rows, 0)
 
 
+def vec_precompose(cols: Matrix, h: int, x: Matrix) -> Matrix:
+    """The columns vec(b . x) for the columns vec(b) of h-row maps b.
+
+    This is (x^T (x) I_h) @ cols, computed as one product x^T @ B through
+    :meth:`FieldSpec.product`, where B is ``cols`` reshaped to x.rows rows
+    of h * cols.cols entries, so no Kronecker factor is formed.
+    """
+    _check_same_field(cols, x)
+    if cols.rows != h * x.rows:
+        raise DimensionMismatch(f"vec_precompose: {cols.rows} rows for maps {h} x {x.rows}")
+    field, m = cols.field, cols.cols
+    prod = field.product(np.matmul, x._data.T, cols._data.reshape(x.rows, h * m), x.rows)
+    return Matrix._from_np(field, prod.reshape(x.cols * h, m))
+
+
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of :func:`vec` for a single column."""
     if column.rows != rows * cols or column.cols != 1:
         raise DimensionMismatch("unvec: wrong length")
     return Matrix._from_np(field, column._data.reshape(cols, rows).T)
+
+
+def unvec_columns(columns: Matrix, rows: int, cols: int) -> list:
+    """Inverse of :func:`vec_columns`: the rows x cols matrix of each
+    column, from one reshape of the whole array."""
+    if columns.rows != rows * cols:
+        raise DimensionMismatch("unvec_columns: wrong length")
+    arr = np.ascontiguousarray(columns._data.T.reshape(columns.cols, cols, rows)
+                               .transpose(0, 2, 1))
+    return [Matrix._from_np(columns.field, a) for a in arr]
 
 
 def unvec_blocks(column: Matrix, shapes: Sequence) -> list:

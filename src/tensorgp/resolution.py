@@ -35,11 +35,12 @@ from typing import Optional
 
 from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witness,
                                unlifted_solution, unvec, unvec_blocks, vec, vec_columns,
-                               vstack)
+                               vec_precompose, vstack)
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
     free_hom_basis,
+    free_hom_vecs,
     submodule_from_columns,
 )
 from tensorgp.bimodule import (Bimodule, graft, iterate_functor, iterate_functor_map,
@@ -376,9 +377,8 @@ def _functional_constraints(ring: TensorRing, through: StarMorphism) -> Matrix:
     of its assembled matrix), so vec(A(f)_j V) = (V^T (x) I) vec(A(f)_j).
     """
     blocks = _functional_basis(ring, through.target_rank)
-    field = ring.algebra.field
-    vt = vstack([c.mat for c in through.components]).transpose()
-    return vstack([kron(vt, Matrix.identity(field, h)) @ blk for h, blk in blocks])
+    v = vstack([c.mat for c in through.components])
+    return vstack([vec_precompose(blk, h, v) for h, blk in blocks])
 
 
 def check_c3(prev: StarMorphism, next_: StarMorphism):
@@ -483,8 +483,15 @@ def check_strongly_gp(s: StarMorphism) -> CheckReport:
     """
     if s.source_rank != s.target_rank:
         raise ResolutionError("a one-periodic window needs equal ranks")
-    ring = s.ring
-    w = ResolutionWindow(ring, 0, (s.source_rank, s.source_rank), (s,), period=1)
+    return strong_report(ResolutionWindow(s.ring, 0, (s.source_rank, s.source_rank), (s,),
+                                          period=1))
+
+
+def strong_report(w: ResolutionWindow) -> CheckReport:
+    """The report of :func:`check_strongly_gp` on the one-periodic window
+    of its component list, for a caller that holds that window already."""
+    if w.period != 1:
+        raise ResolutionError("the strong check needs a one-periodic window")
     base = check_complete(w)
     relabel = {"C1": "SC1", "C2": "SC2", "C3": "SC3"}
     verdicts = tuple(
@@ -525,15 +532,11 @@ def _free_rank_of(ring: TensorRing, x: LeftModule) -> int:
 def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_mid, rank_out):
     """Functionals into w_target killing prev must factor through next_:
     vec(b . f) = (f^T (x) I) vec(b) over the free_hom_basis maps b."""
-    eye = Matrix.identity(algebra.field, w_target.dim)
-
-    def basis(rank):
-        return vec_columns(algebra.field, w_target.dim * rank * algebra.dim,
-                           [b.mat for b in free_hom_basis(algebra, rank, w_target)])
-
-    basis_mid = basis(rank_mid)
-    col = unlifted_solution(basis_mid, kron(prev.mat.transpose(), eye) @ basis_mid,
-                            lambda: kron(next_.mat.transpose(), eye) @ basis(rank_out))
+    h = w_target.dim
+    basis_mid = free_hom_vecs(algebra, rank_mid, w_target)
+    col = unlifted_solution(basis_mid, vec_precompose(basis_mid, h, prev.mat),
+                            lambda: vec_precompose(free_hom_vecs(algebra, rank_out, w_target),
+                                                   h, next_.mat))
     if col is None:
         return True, None
     return False, FunctionalWitness((unvec(algebra.field, col, w_target.dim,

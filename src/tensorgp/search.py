@@ -69,6 +69,7 @@ from tensorgp.resolution import (
     InternalCheckError,
     ResolutionWindow,
     check_strongly_gp,
+    strong_report,
 )
 
 
@@ -197,9 +198,11 @@ def _full_check(s: StarMorphism, kernel_dim: int, sc1: bool, sc2: bool, sc3: boo
     against its staged verdicts and its batched kernel dimension; a
     disagreement raises :class:`~tensorgp.resolution.InternalCheckError`."""
     ring = s.ring
-    if ring.ind_free(s.source_rank).x.dim - ring.assemble_star(s).rank() != kernel_dim:
+    # one window: C2 reads the assembled matrix that the rank cross-check built
+    w = ResolutionWindow(ring, 0, (s.source_rank, s.source_rank), (s,), period=1)
+    if ring.ind_free(s.source_rank).x.dim - w.assembled(0).rank() != kernel_dim:
         raise InternalCheckError("the batched rank disagrees with the rank of the assembled matrix")
-    report = check_strongly_gp(s)
+    report = strong_report(w)
     if report.passed and not sc2:
         raise InternalCheckError("the full check passes a candidate that fails the staged SC1 or SC2")
     staged = ("pass" if sc1 else "fail", ("pass" if sc2 else "fail") if sc1 else "skip")

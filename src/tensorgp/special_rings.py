@@ -14,17 +14,28 @@ corner tensor factors is pinned to one explicit basis bijection
 (:func:`block_model_iso`), and every specialized condition is evaluated
 against that pinning.
 
-Validation happens once, at the boundary: a :class:`PairBimodule` is
-checked at construction, as a bimodule over the product algebra, the data
-classes check their hypotheses, and the context and triangular windows
-check each map against the modules of their stored ranks.  Product
-algebras, corner embeddings, block power modules and the zero corner of
-:meth:`TriangularData.as_morita` (memoised) are valid by construction and
-built unchecked.  Each condition is one block matrix; a functional
-condition searches the block diagonal of the slot bases B_s (vec'd
-``free_hom_basis`` maps, memoised per data object), in which a residual
-f.x has the block (x^T (x) I) B_s and (W (x) f).x the block
-(x^T (x) I) [vec(W (x) b)].
+Validation happens once, at the boundary, and each fact is checked once:
+
+- a :class:`PairBimodule` is checked at construction, as a bimodule over
+  the product algebra, except :meth:`PairBimodule.zero`, which satisfies
+  every law vacuously;
+- :class:`TrivialExtData` certifies one-nilpotency;
+- :class:`MoritaData` certifies that both pairings vanish, tensoring the
+  two sides only when both are nonzero (a pairing with a zero side is
+  zero).  That is the one certificate of the transport: the corner sum
+  U (+) V is one-nilpotent exactly when both pairings vanish, so
+  :func:`morita_to_trivext` builds the sum, its :class:`TrivialExtData`
+  and the tensor ring unchecked;
+- the context and triangular windows check each map against the modules
+  of their stored ranks, and the checkers check the block powers.
+
+Product algebras, corner embeddings, block power modules, the corner sum
+and the zero corner of :meth:`TriangularData.as_morita` (memoised) are
+valid by construction and built unchecked.  Each condition is one block
+matrix; a functional condition searches the block diagonal of the slot
+bases B_s (the columns of ``free_hom_vecs``, memoised per data object),
+in which a residual f.x has the block (x^T (x) I) B_s and (W (x) f).x the
+block (x^T (x) I) [vec(W (x) b)], both one product (``vec_precompose``).
 """
 
 from __future__ import annotations
@@ -34,16 +45,18 @@ from functools import cached_property
 from itertools import product
 from typing import Optional
 
-from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, direct_sum, hstack,
-                               is_exact_pair, kron, unlifted_solution, unvec_blocks,
-                               vec_columns, vstack)
+from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, direct_sum,
+                               is_exact_pair, kron, kron_sum, unlifted_solution, unvec_blocks,
+                               vec_columns, vec_precompose, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
     LeftModule,
     ModuleMap,
     free_hom_basis,
+    free_hom_vecs,
     free_module,
+    unchecked_instance,
 )
 from tensorgp.bimodule import (
     Bimodule,
@@ -131,9 +144,13 @@ class PairBimodule:
 
     @staticmethod
     def zero(left_alg: Algebra, right_alg: Algebra) -> "PairBimodule":
-        z = tuple(Matrix.zeros(left_alg.field, 0, 0) for _ in range(left_alg.dim))
-        zr = tuple(Matrix.zeros(left_alg.field, 0, 0) for _ in range(right_alg.dim))
-        return PairBimodule(left_alg, right_alg, 0, z, zr)
+        """The zero pair bimodule: it satisfies every law vacuously, so it
+        is built unchecked once its two algebras share a field."""
+        if left_alg.field != right_alg.field:
+            raise SpecialRingError("pair bimodule across fields")
+        z = Matrix.zeros(left_alg.field, 0, 0)
+        return unchecked_instance(PairBimodule, left_alg, right_alg, 0,
+                                  (z,) * left_alg.dim, (z,) * right_alg.dim)
 
 
 def embed_pair_bimodule(pa: ProductAlgebra, pb: PairBimodule,
@@ -180,34 +197,24 @@ def induced_block_map(pb: PairBimodule, f: ModuleMap) -> Matrix:
     It is sum_t kron(E_t, rho(e_t)), with rho the right action and E_t the
     e_t-coordinates of the images of the copy units under f: block (j, i)
     is the right action of the algebra entry of f at (copy j, copy i), so
-    functoriality is exact.
+    functoriality is exact.  The sum is one contraction (:func:`kron_sum`).
     """
     balg = pb.right_alg
     if f.source.algebra != balg:
         raise SpecialRingError("map is not over the right algebra of the pair")
-    d = balg.dim
     fld = balg.field
-    n_src, n_tgt = f.source.dim // d, f.target.dim // d
+    n_src = f.source.dim // balg.dim
     # column i is the image of the unit of source copy i; its rows
     # j * d + t are the e_t-coordinate of the entry at (copy j, copy i)
     images = f.mat @ kron(Matrix.identity(fld, n_src), Matrix.column(fld, balg.unit))
-    out = Matrix.zeros(fld, pb.dim * n_tgt, pb.dim * n_src)
-    for t in range(d):
-        out = out + kron(images.take_rows(range(t, n_tgt * d, d)), pb.right_action[t])
-    return out
+    return kron_sum(images, pb.right_action)
 
 
 def _vecs(field, mats) -> Matrix:
-    """The vec'd maps of a slot basis as columns.  A slot has no basis maps
-    only when its rank or its target is zero, and then every vec (of a
-    basis map or of its image under a functor) has length 0."""
+    """The vec'd images of the maps of a slot basis under a functor, as
+    columns.  A slot has no basis maps only when its rank or its target is
+    zero, and then every vec has length 0, as in :func:`free_hom_vecs`."""
     return vec_columns(field, 0, mats)
-
-
-def _precompose(x: Matrix, h: int, cols: Matrix) -> Matrix:
-    """The columns vec(b . x) for the columns vec(b) of maps b with h rows:
-    vec(b . x) = (x^T (x) I_h) vec(b)."""
-    return kron(x.transpose(), Matrix.identity(x.field, h)) @ cols
 
 
 def _factor_check(mid, out):
@@ -239,6 +246,14 @@ class TrivialExtData:
             raise SpecialRingError("bimodule over a different algebra")
         if not certify_nilpotent(self.m, 1):
             raise HypothesisViolated("the bimodule is not one-nilpotent")
+
+    @staticmethod
+    def unchecked(r: Algebra, m: Bimodule) -> "TrivialExtData":
+        """The data of a bimodule whose one-nilpotency its caller has
+        certified; neither it nor its tensor ring certifies it again."""
+        d = unchecked_instance(TrivialExtData, r, m, {})
+        d.__dict__["ring"] = TensorRing.unchecked(r, m, 1)
+        return d
 
     @cached_property
     def ring(self) -> TensorRing:
@@ -296,9 +311,9 @@ def _trivext_slots(d: TrivialExtData, rank: int):
         free1 = ring.free(1)
         src, tgt = ring.model(1, ring.free(rank)), ring.model(1, free1)
         basis1 = free_hom_basis(d.r, rank, free1)
-        d._cache[key] = (_vecs(fld, [b.mat for b in basis1]),
+        d._cache[key] = (free_hom_vecs(d.r, rank, free1),
                          _vecs(fld, [tensor_map(d.m, b, src, tgt).mat for b in basis1]),
-                         _vecs(fld, [b.mat for b in free_hom_basis(d.r, rank, tgt.result)]))
+                         free_hom_vecs(d.r, rank, tgt.result))
     return d._cache[key]
 
 
@@ -310,8 +325,8 @@ def _trivext_columns(d: TrivialExtData, through: StarMorphism):
     b1, m_b1, b2 = _trivext_slots(d, rank)
     a1, a2 = (c.mat for c in through.components)
     h1, h2 = d.r.dim, d.ring.model(1, d.ring.free(1)).result.dim
-    image = block_matrix([[_precompose(a1, h1, b1), None],
-                          [_precompose(a2, h2, m_b1), _precompose(a1, h2, b2)]])
+    image = block_matrix([[vec_precompose(b1, h1, a1), None],
+                          [vec_precompose(m_b1, h2, a2), vec_precompose(b2, h2, a1)]])
     return block_diagonal([b1, b2]), image, [(h1, rank * h1), (h2, rank * h1)]
 
 
@@ -341,6 +356,8 @@ class MoritaData:
             raise SpecialRingError("v must be a left module over a and right over b")
         if self.u.left_alg != self.b or self.u.right_alg != self.a:
             raise SpecialRingError("u must be a left module over b and right over a")
+        if not (self.u.dim and self.v.dim):
+            return  # a pairing with a zero side is zero
         pa = self.product
         u_enc = embed_pair_bimodule(pa, self.u, left="b", right="a")
         v_enc = embed_pair_bimodule(pa, self.v, left="a", right="b")
@@ -355,16 +372,17 @@ class MoritaData:
 
 
 def morita_to_trivext(d: MoritaData) -> TrivialExtData:
-    """The product algebra extended by the corner sum bimodule (u first);
-    :class:`TrivialExtData` re-certifies one-nilpotency, which is exactly
-    the requirement that both pairings vanish.  Memoised in ``d._cache``,
-    so every transport of ``d`` shares one tensor ring and its memo
-    tables."""
+    """The product algebra extended by the corner sum bimodule (u first).
+
+    The corner sum is one-nilpotent exactly when both pairings vanish,
+    which :class:`MoritaData` certified, so the sum, the data and its
+    tensor ring are built unchecked.  Memoised in ``d._cache``, so every
+    transport of ``d`` shares one tensor ring and its memo tables."""
     if "trivext" not in d._cache:
         pa = d.product
         w = direct_sum_bimodule(embed_pair_bimodule(pa, d.u, left="b", right="a"),
                                 embed_pair_bimodule(pa, d.v, left="a", right="b"))
-        d._cache["trivext"] = TrivialExtData(pa.algebra, w)
+        d._cache["trivext"] = TrivialExtData.unchecked(pa.algebra, w)
     return d._cache["trivext"]
 
 
@@ -527,13 +545,15 @@ def _morita_slots(d: MoritaData, rank_p: int, rank_q: int):
     key = ("slots", rank_p, rank_q)
     if key not in d._cache:
         fld = d.a.field
-        f1 = free_hom_basis(d.a, rank_p, free_module(d.a, 1))
-        f2 = free_hom_basis(d.b, rank_q, free_module(d.b, 1))
-        u1 = free_hom_basis(d.a, rank_p, block_power_module(d.v, 1))
-        u2 = free_hom_basis(d.b, rank_q, block_power_module(d.u, 1))
-        d._cache[key] = (tuple(_vecs(fld, [b.mat for b in basis]) for basis in (f1, f2, u1, u2)),
-                         _vecs(fld, [induced_block_map(d.u, b) for b in f1]),
-                         _vecs(fld, [induced_block_map(d.v, b) for b in f2]))
+        free_a, free_b = free_module(d.a, 1), free_module(d.b, 1)
+        d._cache[key] = ((free_hom_vecs(d.a, rank_p, free_a),
+                          free_hom_vecs(d.b, rank_q, free_b),
+                          free_hom_vecs(d.a, rank_p, block_power_module(d.v, 1)),
+                          free_hom_vecs(d.b, rank_q, block_power_module(d.u, 1))),
+                         _vecs(fld, [induced_block_map(d.u, b)
+                                     for b in free_hom_basis(d.a, rank_p, free_a)]),
+                         _vecs(fld, [induced_block_map(d.v, b)
+                                     for b in free_hom_basis(d.b, rank_q, free_b)]))
     return d._cache[key]
 
 
@@ -545,10 +565,10 @@ def _morita_quadruple_columns(d: MoritaData, tau, sigma, beta, gamma, rank_p, ra
     (f1, f2, u1, u2), u_f1, v_f2 = _morita_slots(d, rank_p, rank_q)
     da, db, dv, du = d.a.dim, d.b.dim, d.v.dim, d.u.dim
     image = block_matrix([
-        [_precompose(tau.mat, da, f1), None, None, None],
-        [None, _precompose(sigma.mat, db, f2), None, None],
-        [None, _precompose(beta.mat, dv, v_f2), _precompose(tau.mat, dv, u1), None],
-        [_precompose(gamma.mat, du, u_f1), None, None, _precompose(sigma.mat, du, u2)]])
+        [vec_precompose(f1, da, tau.mat), None, None, None],
+        [None, vec_precompose(f2, db, sigma.mat), None, None],
+        [None, vec_precompose(v_f2, dv, beta.mat), vec_precompose(u1, dv, tau.mat), None],
+        [vec_precompose(u_f1, du, gamma.mat), None, None, vec_precompose(u2, du, sigma.mat)]])
     shapes = [(da, rank_p * da), (db, rank_q * db), (dv, rank_p * da), (du, rank_q * db)]
     return block_diagonal([f1, f2, u1, u2]), image, shapes
 
@@ -679,10 +699,11 @@ def _triangular_slots(d: TriangularData, rank_p: int, rank_q: int):
     key = ("slots", rank_p, rank_q)
     if key not in d._cache:
         fld = d.a.field
-        f = free_hom_basis(d.a, rank_p, block_power_module(d.v, 1))
-        g = free_hom_basis(d.b, rank_q, free_module(d.b, 1))
-        d._cache[key] = (_vecs(fld, [b.mat for b in f]), _vecs(fld, [b.mat for b in g]),
-                         _vecs(fld, [induced_block_map(d.v, b) for b in g]))
+        free_b = free_module(d.b, 1)
+        d._cache[key] = (free_hom_vecs(d.a, rank_p, block_power_module(d.v, 1)),
+                         free_hom_vecs(d.b, rank_q, free_b),
+                         _vecs(fld, [induced_block_map(d.v, b)
+                                     for b in free_hom_basis(d.b, rank_q, free_b)]))
     return d._cache[key]
 
 
@@ -692,8 +713,8 @@ def _triangular_columns(d: TriangularData, tau, sigma, beta, rank_p, rank_q):
     slots."""
     f, g, v_g = _triangular_slots(d, rank_p, rank_q)
     dv, db = d.v.dim, d.b.dim
-    image = block_matrix([[_precompose(tau.mat, dv, f), _precompose(beta.mat, dv, v_g)],
-                          [None, _precompose(sigma.mat, db, g)]])
+    image = block_matrix([[vec_precompose(f, dv, tau.mat), vec_precompose(v_g, dv, beta.mat)],
+                          [None, vec_precompose(g, db, sigma.mat)]])
     shapes = [(dv, rank_p * d.a.dim), (db, rank_q * db)]
     return block_diagonal([f, g]), image, shapes
 
@@ -728,39 +749,28 @@ def block_model_iso(te: TrivialExtData, d: MoritaData, n: int) -> Matrix:
 
 
 def _block_model_iso(te: TrivialExtData, d: MoritaData, n: int) -> Matrix:
+    """Column (copy i, u-basis c) of the ambient tensor space holds the
+    coordinates of a's unit in the a-part of copy i of the free module,
+    under generator c of the corner sum; (copy i, v-basis c) those of b's
+    unit in the b-part.  These are the columns of kron(I, [ua | ub]) on the
+    matching side, with ua and ub the units placed in the product algebra,
+    so the isomorphism is one selection and one product with the model's
+    projection."""
     ring = te.ring
-    pa = d.product
-    fld = pa.algebra.field
-    w_bim = te.m
-    freen = ring.free(n)
-    model = ring.model(1, freen)
+    fld = d.a.field
+    model = ring.model(1, ring.free(n))
     du, dv = d.u.dim, d.v.dim
-    dd = pa.dim
-    cols = []
-    ambient_cols = w_bim.dim * freen.dim
-    for i in range(n):
-        for c in range(du):
-            col = Matrix.zeros(fld, ambient_cols, 1)
-            for t, coeff in enumerate(d.a.unit):
-                if coeff != fld.zero():
-                    col = col + Matrix.basis_column(fld, ambient_cols,
-                                                    c * freen.dim + i * dd + t).scale(coeff)
-            cols.append(model.projection @ col)
-    for i in range(n):
-        for c in range(dv):
-            col = Matrix.zeros(fld, ambient_cols, 1)
-            for t, coeff in enumerate(d.b.unit):
-                if coeff != fld.zero():
-                    col = col + Matrix.basis_column(
-                        fld, ambient_cols,
-                        (du + c) * freen.dim + i * dd + pa.a.dim + t).scale(coeff)
-            cols.append(model.projection @ col)
-    xi = hstack(cols) if cols else Matrix.zeros(fld, model.result.dim, 0)
+    zero = fld.zero()
+    units = Matrix.from_rows(fld, [[c, zero] for c in d.a.unit] + [[zero, c] for c in d.b.unit])
+    # column (k, side) of the Kronecker product: generator k // n, copy k % n
+    ambient = kron(Matrix.identity(fld, (du + dv) * n), units).take_cols(
+        [(c * n + i) * 2 for i in range(n) for c in range(du)]
+        + [((du + c) * n + i) * 2 + 1 for i in range(n) for c in range(dv)])
+    xi = model.projection @ ambient
     if xi.rows != xi.cols or (xi.cols and xi.rank() != xi.cols):
         raise InternalCheckError("block model identification is not invertible")
     # validate linearity over the product algebra
-    domain = _block_sum_module(d, n)
-    ModuleMap(domain, model.result, xi)
+    ModuleMap(_block_sum_module(d, n), model.result, xi)
     return xi
 
 

@@ -9,18 +9,21 @@ block morphisms between induced modules, and two independent oracles: a
 structure-constant model of the tensor ring itself, and the translation
 of pairs into modules over that model.
 
-What is validated: the ``TensorRing`` constructor certifies nilpotency,
-and pairs (``TModule``), morphisms of pairs (``TMorphism``) and component
-lists (``StarMorphism``) are checked against their defining equations
-when constructed, as are the ring model and the modules over it.  What is
-built from validated data by construction is not validated again: the
-free modules of :meth:`TensorRing.free`, the underlying module of
-:meth:`TensorRing.ind`, the components of :meth:`TensorRing.star_at`, the
-assembled block matrix of a component list and the basis that
+What is validated: the ``TensorRing`` constructor certifies nilpotency
+(:meth:`TensorRing.unchecked` serves a caller that holds its own
+certificate), and pairs (``TModule``), morphisms of pairs
+(``TMorphism``) and component lists (``StarMorphism``) are checked
+against their defining equations when constructed, as are the ring model
+and the modules over it.  What is built from validated data by
+construction is not validated again: the free modules of
+:meth:`TensorRing.free`, the underlying module of
+:meth:`TensorRing.ind`, the components of :meth:`TensorRing.star_at`,
+the assembled block matrix of a component list and the basis that
 :meth:`TensorRing.hom_t` reads off the kernel of its equations.
 
-Memo tables live in ``TensorRing._cache``, one key per reader: ``free``,
-``ind_free`` and ``algebra_model`` here; ``slot_frame``, the coordinate
+Memo tables live in ``TensorRing._cache``, one key per reader: ``ind_free``
+and ``algebra_model`` here (the free modules are memoised on the algebra,
+by :func:`~tensorgp.algebra.free_module`); ``slot_frame``, the coordinate
 frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
 for ``search`` and the C3 checker; ``functional_basis`` for the C3
 checker; ``oracle_hom``, the stacked ``hom_t`` bases of
@@ -35,13 +38,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from tensorgp.exactlin import (Matrix, block_diagonal, hstack, kron, unvec, unvec_blocks,
-                               vec_columns, vstack)
+                               vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
     LeftModule,
     ModuleMap,
-    free_hom_basis,
+    free_hom_vecs,
     free_module,
     intertwining_system,
     quotient_by_columns,
@@ -103,11 +106,14 @@ class TensorRing:
 
     # -- plain module plumbing ------------------------------------------
 
+    @staticmethod
+    def unchecked(algebra: Algebra, bimodule: Bimodule, nilpotency: int) -> "TensorRing":
+        """The tensor ring of a bimodule whose nilpotency is certified by
+        its caller, built without certifying it again."""
+        return unchecked_instance(TensorRing, algebra, bimodule, nilpotency, {})
+
     def free(self, rank: int) -> LeftModule:
-        cache = self._cache.setdefault("free", {})
-        if rank not in cache:
-            cache[rank] = free_module(self.algebra, rank)
-        return cache[rank]
+        return free_module(self.algebra, rank)
 
     def model(self, i: int, x: LeftModule):
         return iterate_functor(self.bimodule, i, x)
@@ -265,9 +271,7 @@ class TensorRing:
             q = self.free(rank_q)
             targets = [self.model(i, q).result for i in range(self.nilpotency + 1)]
             shapes = tuple((t.dim, rank_p * self.algebra.dim) for t in targets)
-            cols = [vec_columns(self.algebra.field, h * w,
-                                [b.mat for b in free_hom_basis(self.algebra, rank_p, t)])
-                    for t, (h, w) in zip(targets, shapes)]
+            cols = [free_hom_vecs(self.algebra, rank_p, t) for t in targets]
             cache[key] = (block_diagonal(cols), shapes)
         return cache[key]
 

@@ -426,6 +426,57 @@ def reference_induced_block_map(pb, f):
     return vstack(rows)
 
 
+def reference_free_hom_basis(a, n, w):
+    """The basis of Hom(R^n, w) built one map at a time: the map (copy i,
+    basis vector t) has the block whose column s is e_s . w_t in copy i and
+    zero blocks elsewhere, two ``hstack`` calls per map."""
+    from tensorgp.exactlin import hstack
+
+    src = free_module(a, n)
+    zero_block = Matrix.zeros(a.field, w.dim, a.dim)
+    basis = []
+    for i in range(n):
+        for t in range(w.dim):
+            blocks = [zero_block] * n
+            blocks[i] = hstack([w.action[s].col(t) for s in range(a.dim)])
+            basis.append(ModuleMap.unchecked(src, w, hstack(blocks)))
+    return basis
+
+
+def reference_precompose(x, h, cols):
+    """The columns vec(b . x) for the columns vec(b) of maps b with h rows,
+    through the Kronecker factor: (x^T (x) I_h) vec(b)."""
+    from tensorgp.exactlin import kron
+
+    return kron(x.transpose(), Matrix.identity(x.field, h)) @ cols
+
+
+def reference_block_model_iso(te, d, n):
+    """The pinned block model isomorphism of ``special_rings`` built one
+    column at a time: each ambient column is a sum of scaled standard
+    basis columns, projected onto the model on its own."""
+    from tensorgp.exactlin import hstack
+
+    ring = te.ring
+    pa = d.product
+    fld = pa.algebra.field
+    freen = ring.free(n)
+    model = ring.model(1, freen)
+    ambient_rows = te.m.dim * freen.dim
+    cols = []
+    for first, count, unit, offset in ((0, d.u.dim, d.a.unit, 0),
+                                       (d.u.dim, d.v.dim, d.b.unit, pa.a.dim)):
+        for i in range(n):
+            for c in range(count):
+                col = Matrix.zeros(fld, ambient_rows, 1)
+                for t, coeff in enumerate(unit):
+                    if coeff != fld.zero():
+                        row = (first + c) * freen.dim + i * pa.dim + offset + t
+                        col = col + Matrix.basis_column(fld, ambient_rows, row).scale(coeff)
+                cols.append(model.projection @ col)
+    return hstack(cols) if cols else Matrix.zeros(fld, model.result.dim, 0)
+
+
 def _padded_columns(fld, slot_shapes, residual_shapes, entries):
     """Basis and image matrices from per-basis-vector entries (slot,
     basis map, residual matrices with None for zero): each basis column is
@@ -710,3 +761,25 @@ def reference_hom_complex_oracle(w):
         union = hstack([z, d_out]) if d_out.cols else z
         out[k] = union.rank() - d_out.rank()
     return out
+
+
+# -- the specialize fixtures ---------------------------------------------------------
+
+
+def specialize_fixture_docs():
+    """The documents of ``fixtures/morita_window.yaml`` (two-sided context
+    data over F_2, both pairings vanishing, period 2 at ranks 1 and 2,
+    with a C2' and a C3' witness) and of
+    ``fixtures/triangular_window.yaml`` (a nonzero connecting bimodule over
+    F_2, period 2, equal rank columns, so ``specialize`` also transports
+    it), keyed by file name."""
+    from tensorgp import formats
+
+    rng = random.Random(214)
+    d = random_morita_data(rng, F2)
+    w = random_morita_window(d, rng, max_rank=2, period=2)
+    rng = random.Random(210)
+    td = random_triangular_data(rng, F2)
+    tw = random_triangular_window(td, rng, max_rank=2, period=2)
+    return {"morita_window.yaml": formats.morita_to_doc(d, w),
+            "triangular_window.yaml": formats.triangular_to_doc(td, tw)}

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgp.exactlin import GF, QQ, Matrix
 from tensorgp.algebra import (
@@ -17,6 +19,7 @@ from tensorgp.algebra import (
     check_module,
     compose,
     free_hom_basis,
+    free_hom_vecs,
     free_module,
     hom_space,
     is_exact_at,
@@ -168,6 +171,63 @@ class TestHomSpace:
                             v = Matrix.column(r.field, [b.mat[i, j] for i in range(w.dim)
                                                         for j in range(n * r.dim)])
                             assert span.solve(v) is not None
+
+
+class TestFreeHomArrays:
+    """``free_hom_basis`` and ``free_hom_vecs`` against the one-map-at-a-time
+    reference, order and entries, over F_2, F_3 and Q at ranks 0 to 2, zero
+    targets included."""
+
+    @staticmethod
+    def _assert_matches(a, n, w):
+        from tensorgp.exactlin import vec_columns
+        from helpers import reference_free_hom_basis
+
+        ref = reference_free_hom_basis(a, n, w)
+        fast = free_hom_basis(a, n, w)
+        assert [b.mat for b in fast] == [b.mat for b in ref]
+        assert all(b.source is free_module(a, n) and b.target is w for b in fast)
+        assert free_hom_vecs(a, n, w) == vec_columns(a.field, 0, [b.mat for b in ref])
+
+    def test_matches_reference(self):
+        from helpers import random_module
+
+        rng = random.Random(43)
+        for field in (F2, F3, QQ):
+            for a in (ground_algebra(field), dual_numbers(field), product_fields(field, 2)):
+                targets = [zero_module(a), free_module(a, 1), free_module(a, 2),
+                           random_module(a, rng)]
+                for w in targets:
+                    for n in range(3):
+                        self._assert_matches(a, n, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from([F2, F3, QQ]), which=st.integers(0, 2), n=st.integers(0, 2),
+           seed=st.integers(0, 10_000))
+    def test_matches_reference_on_random_modules(self, field, which, n, seed):
+        from helpers import random_module
+
+        a = (ground_algebra(field), dual_numbers(field), product_fields(field, 2))[which]
+        self._assert_matches(a, n, random_module(a, random.Random(seed)))
+
+
+class TestSharedFreeModules:
+    def test_one_read_only_instance_per_algebra_and_rank(self):
+        from dataclasses import FrozenInstanceError
+
+        for field in (F2, QQ):
+            a = dual_numbers(field)
+            x = free_module(a, 2)
+            assert free_module(a, 2) is x and free_module(a, 1) is not x
+            assert x == LeftModule(a, 4, x.action)
+            with pytest.raises(FrozenInstanceError):
+                x.dim = 3
+            with pytest.raises(ValueError):
+                x.action[0]._data[0, 0] = field.one()
+            assert not isinstance(x.action, list)
+            # an equal algebra built apart holds its own, equal, instance
+            b = dual_numbers(field)
+            assert free_module(b, 2) == x
 
 
 class TestModuleMap:

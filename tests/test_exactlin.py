@@ -21,12 +21,15 @@ from tensorgp.exactlin import (
     hstack,
     is_exact_pair,
     kron,
+    kron_sum,
     lift_or_witness,
     unlifted_solution,
     unvec,
     unvec_blocks,
+    unvec_columns,
     vec,
     vec_columns,
+    vec_precompose,
     vstack,
 )
 
@@ -623,6 +626,92 @@ class TestBroadcastKron:
             want = (np.array(want, dtype=np.int64).reshape(k.shape) % field.p).tolist()
         assert grid(k) == want
         assert_canonical(k)
+
+
+class TestArrayProducts:
+    """``vec_precompose`` and ``kron_sum`` against the Kronecker forms they
+    replace, and ``unvec_columns`` against ``vec_columns``: F_2, F_3 and Q
+    (integer operands on both sides of the int64 guard included), with
+    zero-size shapes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), h=st.integers(0, 3),
+           r=st.integers(0, 3), c=st.integers(0, 3), m=st.integers(0, 3))
+    def test_vec_precompose_is_the_kronecker_product(self, data, field, h, r, c, m):
+        from helpers import reference_precompose
+
+        draw = q_operands if field == QQ else (lambda rows, cols: matrices(field, rows, cols))
+        x = data.draw(draw(r, c))
+        cols = data.draw(draw(h * r, m))
+        got = vec_precompose(cols, h, x)
+        assert got == reference_precompose(x, h, cols)
+        assert got.shape == (c * h, m)
+        assert_canonical(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), d=st.integers(1, 3),
+           n=st.integers(0, 3), k=st.integers(0, 3), r=st.integers(0, 3), c=st.integers(0, 3))
+    def test_kron_sum_is_the_sum_of_kronecker_products(self, data, field, d, n, k, r, c):
+        draw = q_operands if field == QQ else (lambda rows, cols: matrices(field, rows, cols))
+        lefts = data.draw(draw(n * d, k))
+        rights = [data.draw(draw(r, c)) for _ in range(d)]
+        want = Matrix.zeros(field, n * r, k * c)
+        for t in range(d):
+            want = want + kron(lefts.take_rows(range(t, n * d, d)), rights[t])
+        got = kron_sum(lefts, rights)
+        assert got == want
+        assert_canonical(got)
+
+    def test_at_the_guard(self):
+        # entries of 2**31 make products of 2**62, past the int64 guard
+        from helpers import reference_precompose
+
+        x = M(QQ, [[2**31, -2**31], [1, 2**31]])
+        cols = M(QQ, [[2**31, 1], [-2**31, 2], [3, 2**31], [2**31, 2**31]])
+        got = vec_precompose(cols, 2, x)
+        assert got == reference_precompose(x, 2, cols)
+        assert grid(got) == reference_object_product(np.matmul, kron(x.transpose(),
+                                                                     Matrix.identity(QQ, 2)), cols)
+        summed = kron_sum(cols, [x, x.transpose()])
+        assert summed == kron(cols.take_rows([0, 2]), x) + \
+            kron(cols.take_rows([1, 3]), x.transpose())
+        for m in (got, summed):
+            assert_canonical(m)
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionMismatch):
+            vec_precompose(Matrix.zeros(F2, 5, 1), 2, Matrix.zeros(F2, 2, 1))
+        with pytest.raises(DimensionMismatch):
+            kron_sum(Matrix.zeros(F2, 3, 1), [Matrix.zeros(F2, 1, 1)] * 2)
+        with pytest.raises(DimensionMismatch):
+            kron_sum(Matrix.zeros(F2, 2, 1), [Matrix.zeros(F2, 1, 1), Matrix.zeros(F2, 1, 2)])
+        with pytest.raises(DimensionMismatch):
+            kron_sum(Matrix.zeros(F2, 0, 1), [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), rows=st.integers(0, 3),
+           cols=st.integers(0, 3), count=st.integers(0, 4))
+    def test_unvec_columns_inverts_vec_columns(self, data, field, rows, cols, count):
+        mats = [data.draw(matrices(field, rows, cols)) for _ in range(count)]
+        stacked = vec_columns(field, rows * cols, mats)
+        assert unvec_columns(stacked, rows, cols) == mats
+
+
+class TestSharedIdentity:
+    def test_one_read_only_instance_per_field_and_size(self):
+        for field, same in ((F2, GF(2)), (F3, GF(3)), (QQ, FieldSpec.rational())):
+            i3 = Matrix.identity(field, 3)
+            assert Matrix.identity(same, 3) is i3
+            assert i3 == M(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+            assert_canonical(i3)
+            with pytest.raises(ValueError):
+                i3._data[0, 1] = field.one()
+            with pytest.raises(AttributeError):
+                i3.rows = 2
+            # results built from it are new matrices
+            assert (i3 + i3) is not i3 and Matrix.identity(field, 3) == i3
+        assert Matrix.identity(F2, 3) != Matrix.identity(F3, 3)
+        assert Matrix.identity(F2, 0).shape == (0, 0)
 
 
 class TestBatchedRank:

@@ -7,6 +7,9 @@ instances over the same fields, each next to the report it is compared
 with.  The third covers the rendered catalog of the exhaustive hunt of
 ``tests/fixtures/triangular_bundle.yaml`` up to rank 2, the output of
 ``tensorgp hunt tests/fixtures/triangular_bundle.yaml --max-rank 2``.
+The last two cover the exit code and standard output of ``tensorgp
+specialize`` on ``tests/fixtures/morita_window.yaml`` and
+``tests/fixtures/triangular_window.yaml``, which render seeded helpers.
 A refactor that changes any verdict, witness or oracle figure
 changes a digest."""
 
@@ -14,7 +17,10 @@ import hashlib
 import random
 from pathlib import Path
 
+import pytest
+
 from tensorgp import formats
+from tensorgp.cli import main
 from tensorgp.exactlin import QQ
 from tensorgp.tensor_ring import TensorRing
 from tensorgp.bimodule import zero_bimodule
@@ -25,11 +31,17 @@ from tensorgp.special_rings import (TrivialExtData, morita_checks, mu_transport,
 
 from helpers import (F2, F3, corner_bimodule, dual_numbers, random_morita_data,
                      random_morita_window, random_triangular_data,
-                     random_triangular_window, ring_pool, window_corpus)
+                     random_triangular_window, ring_pool, specialize_fixture_docs,
+                     window_corpus)
 
 GOLDEN = "ad2d0b8dd3582a0277b68c15d0db17c2fcd852424f681c24e0d7c8210c66144c"
 GOLDEN_SPECIAL = "8e48460a71fbfae146ad53f3d32bd10d80e472fa4110cecb9a2e9bf849f9595e"
 GOLDEN_HUNT = "bbdcfeb558049bd878ed608d04f55b3b2adfc7c7bf8992b9dedf1420d6666536"
+GOLDEN_SPECIALIZE_CLI = {
+    "morita_window.yaml": "374e0f89957699d5c7fccb67437e03d798946c4b7a15a4c087d5726e33bb3a22",
+    "triangular_window.yaml": "f9d2a6ec19a3d03d38ae09d0f33b51a9ef0967e4ac3a0098998bcb6a613d174e",
+}
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _windows():
@@ -101,7 +113,7 @@ def test_golden_special_digest():
 
 
 def hunt_digest() -> str:
-    text = (Path(__file__).parent / "fixtures" / "triangular_bundle.yaml").read_text()
+    text = (FIXTURES / "triangular_bundle.yaml").read_text()
     ring = formats.bundle_from_doc(formats.load(text))
     catalog = hunt_strongly_gp(ring, 2)
     return hashlib.sha256(formats.render(formats.catalog_to_doc(ring.algebra.field,
@@ -110,3 +122,21 @@ def hunt_digest() -> str:
 
 def test_golden_hunt_digest():
     assert hunt_digest() == GOLDEN_HUNT
+
+
+def specialize_cli_digest(name: str, capsys) -> str:
+    """SHA-256 of the exit code (one line) followed by the standard output
+    of ``tensorgp specialize`` on the fixture."""
+    capsys.readouterr()
+    code = main(["specialize", str(FIXTURES / name)])
+    return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECIALIZE_CLI))
+def test_golden_specialize_cli_digest(name, capsys):
+    assert specialize_cli_digest(name, capsys) == GOLDEN_SPECIALIZE_CLI[name]
+
+
+def test_specialize_fixtures_render_their_seeded_helpers():
+    for name, doc in specialize_fixture_docs().items():
+        assert (FIXTURES / name).read_text() == formats.render(doc)

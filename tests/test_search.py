@@ -11,10 +11,11 @@ import tensorgp.resolution as resolution
 import tensorgp.search as search
 import tensorgp.tensor_ring as tensor_ring
 from tensorgp.exactlin import GF, Matrix, batched_rank
-from tensorgp.algebra import LeftModule, free_hom_basis, free_module
+from tensorgp.algebra import LeftModule, free_hom_vecs, free_module
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import TensorRing
-from tensorgp.resolution import CheckReport, InternalCheckError, check_strongly_gp
+from tensorgp.resolution import (CheckReport, InternalCheckError, check_strongly_gp,
+                                  strong_report)
 from tensorgp.search import (
     BudgetExceeded,
     Catalog,
@@ -234,11 +235,11 @@ class TestStagedClassifier:
         # check on every SC2 survivor would run more often
         calls = []
 
-        def counting(s):
-            calls.append(s)
-            return check_strongly_gp(s)
+        def counting(w):
+            calls.append(w.maps[0])
+            return strong_report(w)
 
-        monkeypatch.setattr(search, "check_strongly_gp", counting)
+        monkeypatch.setattr(search, "strong_report", counting)
         for ring in (ground_ring(F3), dual_ring()):
             calls.clear()
             catalog = hunt_strongly_gp(ring, 2)
@@ -249,14 +250,14 @@ class TestStagedClassifier:
             assert sum(g.count for g in catalog.passing()) > len(catalog.passing())
 
     def test_full_check_passing_an_sc1_failure_is_an_internal_error(self, monkeypatch):
-        def passing_sc1_failures(s):
-            report = check_strongly_gp(s)
+        def passing_sc1_failures(w):
+            report = strong_report(w)
             if all(v.label != "SC1" for v in report.failures()):
                 return report
             return CheckReport(report.scheme, tuple(replace(v, status="pass", witness=None)
                                                     for v in report.verdicts))
 
-        monkeypatch.setattr(search, "check_strongly_gp", passing_sc1_failures)
+        monkeypatch.setattr(search, "strong_report", passing_sc1_failures)
         with pytest.raises(InternalCheckError, match="passes a candidate"):
             hunt_strongly_gp(dual_ring(), 1)
 
@@ -323,10 +324,10 @@ class TestStagedClassifier:
 
         def counting(*args):
             calls.append(args)
-            return free_hom_basis(*args)
+            return free_hom_vecs(*args)
 
-        monkeypatch.setattr(tensor_ring, "free_hom_basis", counting)
-        monkeypatch.setattr(resolution, "free_hom_basis", counting)
+        monkeypatch.setattr(tensor_ring, "free_hom_vecs", counting)
+        monkeypatch.setattr(resolution, "free_hom_vecs", counting)
         ring = triangular_ring()
         first = hunt_strongly_gp(ring, 2)
         assert calls

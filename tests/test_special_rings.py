@@ -20,6 +20,7 @@ from tensorgp.special_rings import (
     TriangularWindow,
     TrivialExtData,
     block_model_iso,
+    _block_model_iso,
     _morita_quadruple_columns,
     _triangular_columns,
     _trivext_columns,
@@ -39,6 +40,7 @@ from helpers import (
     F2,
     F3,
     corner_bimodule,
+    reference_block_model_iso,
     reference_induced_block_map,
     reference_morita_c3_columns,
     reference_triangular_c3_columns,
@@ -162,6 +164,102 @@ class TestBlockBuilders:
                                            block_power_module(d.v, rank_q), rng))
                         assert _triangular_columns(d, *maps, rank_p, rank_q)[:2] == \
                             reference_triangular_c3_columns(d, *maps, rank_p, rank_q)
+
+
+    def test_block_model_iso_matches_reference(self):
+        rng = random.Random(47)
+        for field in self.FIELDS:
+            a = b = product_fields(field, 2)
+            two_sided = MoritaData(a, b, corner_pair(a, b, {(0, 0): 1}, field),
+                                   corner_pair(b, a, {(1, 1): 1}, field))
+            zero = MoritaData(a, b, PairBimodule.zero(a, b), PairBimodule.zero(b, a))
+            for d in [two_sided, zero] + [random_morita_data(rng, field) for _ in range(6)]:
+                te = morita_to_trivext(d)
+                for n in range(3):
+                    assert _block_model_iso(te, d, n) == reference_block_model_iso(te, d, n)
+
+
+class TestValidateOnce:
+    """Each fact of the context and triangular paths is checked once: no
+    zero pair bimodule, no pairing with a zero side and no transport of
+    certified context data is validated again."""
+
+    @staticmethod
+    def _count(monkeypatch, names):
+        import tensorgp.bimodule as bimodule
+        import tensorgp.special_rings as special_rings
+        import tensorgp.tensor_ring as tensor_ring
+
+        calls = []
+        reals = {name: getattr(bimodule, name) for name in names}
+        for module in (bimodule, special_rings, tensor_ring):
+            for name, real in reals.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *args, _real=real, _name=name:
+                                        calls.append(_name) or _real(*args))
+        return calls
+
+    def test_as_morita_neither_checks_nor_tensors(self, monkeypatch):
+        rng = random.Random(53)
+        datas = [random_triangular_data(rng, field) for field in (F2, F3, QQ) for _ in range(4)]
+        calls = self._count(monkeypatch, ("check_bimodule", "tensor_bimodule",
+                                          "tensor_bimodule_model"))
+        for d in datas:
+            m = d.as_morita()
+            assert m.u.dim == 0 and m.u.left_alg == d.b and m.u.right_alg == d.a
+        assert calls == []
+
+    def test_transport_ring_is_not_recertified(self, monkeypatch):
+        rng = random.Random(59)
+        datas = [random_morita_data(rng, field) for field in (F2, F3, QQ) for _ in range(4)]
+        a = b = product_fields(F3, 2)
+        datas.append(MoritaData(a, b, corner_pair(a, b, {(0, 0): 2}, F3),
+                                corner_pair(b, a, {(1, 1): 1}, F3)))
+        calls = self._count(monkeypatch, ("check_bimodule", "certify_nilpotent"))
+        rings = [morita_to_trivext(d).ring for d in datas]
+        assert calls == []
+        monkeypatch.undo()
+        # what was built unchecked is what the checks would have accepted
+        from tensorgp.bimodule import check_bimodule
+
+        for d, ring in zip(datas, rings):
+            assert ring.nilpotency == 1 and ring.bimodule.dim == d.u.dim + d.v.dim
+            assert check_bimodule(ring.bimodule).valid
+            assert certify_nilpotent(ring.bimodule, 1)
+            assert TensorRing(ring.algebra, ring.bimodule, 1) == ring
+
+    def test_pairings_are_tensored_only_when_both_sides_are_nonzero(self, monkeypatch):
+        a = b = product_fields(F2, 2)
+        v = corner_pair(a, b, {(0, 0): 1}, F2)
+        u = corner_pair(b, a, {(1, 1): 1}, F2)
+        calls = self._count(monkeypatch, ("tensor_bimodule",))
+        MoritaData(a, b, v, PairBimodule.zero(b, a))
+        MoritaData(a, b, PairBimodule.zero(a, b), u)
+        assert calls == []
+        MoritaData(a, b, v, u)
+        assert calls == ["tensor_bimodule"] * 2
+
+    def test_zero_pair_bimodule_needs_one_field(self):
+        with pytest.raises(SpecialRingError):
+            PairBimodule.zero(ground_algebra(F2), ground_algebra(F3))
+        z = PairBimodule.zero(dual_numbers(F3), ground_algebra(F3))
+        assert z == PairBimodule(dual_numbers(F3), ground_algebra(F3), 0, z.left_action,
+                                 z.right_action)
+
+    def test_two_sided_corner_datum_agrees_with_its_transport(self):
+        for field in (F2, F3, QQ):
+            a = b = product_fields(field, 2)
+            d = MoritaData(a, b, corner_pair(a, b, {(0, 0): 1}, field),
+                           corner_pair(b, a, {(1, 1): 1}, field))
+            assert d.u.dim and d.v.dim
+            rng = random.Random(61)
+            for period in (1, 2, 1, 2):
+                w = random_morita_window(d, rng, max_rank=2, period=period)
+                direct = morita_checks(d, w)
+                generic = check_complete(mu_transport(d, w))
+                for k in w.positions():
+                    for lab, glab in (("C1'", "C1"), ("C2'", "C2"), ("C3'", "C3")):
+                        assert direct.status(k, lab) == generic.status(k, glab)
 
 
 class TestTrivialExtension:
