@@ -9,12 +9,14 @@ of non-pivot coordinates of the deterministic row reduction of that span,
 so every model is reproducible.  The same construction gives the tensor
 product of two bimodules.
 
-Tensor powers are left-nested, M^{(x)(i+1)} = M (x)_R M^{(x)i}, and the
-i-fold application of the functor F = M (x)_R - is modelled once per
-(i, argument) pair as (M^{(x)i}) (x)_R X; nested application is available
-separately as a cross-check.  The canonical comparison isomorphisms
-between the two (grafting maps) and the concatenation multiplication on
-powers are exposed for the layers above.
+Tensor powers are left-nested, M^{(x)(i+1)} = M (x)_R M^{(x)i}, each
+represented once by its model over R, and the i-fold application of the
+functor F = M (x)_R - is modelled once per (i, argument) pair as
+(M^{(x)i}) (x)_R X; nested application is available separately as a
+cross-check.  The canonical comparison isomorphisms between the two
+(grafting maps) and the concatenation multiplication on powers recurse on
+the left factor through these models, so no map passes through the
+k-level space V_M^{(x)i}, whose dimension (dim M)^i grows exponentially.
 
 What is validated: the ``Bimodule`` constructor runs :func:`check_bimodule`
 (both unit axioms, the representation law of
@@ -239,54 +241,37 @@ def tensor_bimodule(m1: Bimodule, m2: Bimodule) -> Bimodule:
     return tensor_bimodule_model(m1, m2).result
 
 
-class PowerModel(NamedTuple):
-    """The i-th tensor power with flattening maps to the free tensor space.
+def power(m: Bimodule, i: int) -> BimoduleModel:
+    """The cached left-nested i-th tensor power of m over the base ring.
 
-    ``flat_proj``: V_M^{(x)i} -> model, ``flat_sect``: model -> V_M^{(x)i};
-    for i = 0 the free space is the algebra's own coordinate space.
+    For i >= 2 this is the model of M (x)_R M^{(x)(i-1)}: ``projection``
+    P_i maps M (x)_k M^{(x)(i-1)} onto it and ``section`` S_i splits P_i.
+    Power 0 is the regular bimodule and power 1 is m, both with identity
+    maps.
     """
-
-    bim: Bimodule
-    flat_proj: Matrix
-    flat_sect: Matrix
-
-
-def power(m: Bimodule, i: int) -> PowerModel:
-    """The cached left-nested i-th tensor power of m over the base ring."""
     if i < 0:
         raise BimoduleError("negative tensor power")
     cache = m._cache.setdefault("power", {})
-    if i in cache:
-        return cache[i]
-    f = m.algebra.field
-    if i == 0:
-        pm = PowerModel(regular_bimodule(m.algebra), Matrix.identity(f, m.algebra.dim),
-                        Matrix.identity(f, m.algebra.dim))
-    elif i == 1:
-        pm = PowerModel(m, Matrix.identity(f, m.dim), Matrix.identity(f, m.dim))
-    else:
-        prev = power(m, i - 1)
-        model = tensor_bimodule_model(m, prev.bim)
-        im = Matrix.identity(f, m.dim)
-        pm = PowerModel(
-            model.result,
-            model.projection @ kron(im, prev.flat_proj),
-            kron(im, prev.flat_sect) @ model.section,
-        )
-    cache[i] = pm
-    return pm
+    if i not in cache:
+        if i <= 1:
+            pw = m if i == 1 else regular_bimodule(m.algebra)
+            ident = Matrix.identity(m.algebra.field, pw.dim)
+            cache[i] = BimoduleModel(pw, ident, ident)
+        else:
+            cache[i] = tensor_bimodule_model(m, power(m, i - 1).result)
+    return cache[i]
 
 
 def certify_nilpotent(m: Bimodule, n: int) -> bool:
     """True iff the (n+1)-st tensor power of m vanishes."""
     if n < 0:
         raise BimoduleError("negative nilpotency index")
-    return power(m, n + 1).bim.dim == 0
+    return power(m, n + 1).result.dim == 0
 
 
 def power_dims(m: Bimodule, up_to: int) -> list:
     """Dimensions of the tensor powers 0..up_to (diagnostic helper)."""
-    return [power(m, i).bim.dim for i in range(up_to + 1)]
+    return [power(m, i).result.dim for i in range(up_to + 1)]
 
 
 def iterate_functor(m: Bimodule, i: int, x: LeftModule) -> TensoredModule:
@@ -305,7 +290,7 @@ def iterate_functor(m: Bimodule, i: int, x: LeftModule) -> TensoredModule:
             ident = Matrix.identity(m.algebra.field, x.dim)
             cache[key] = TensoredModule(None, x, x, ident, ident)
         else:
-            cache[key] = tensor_module(power(m, i).bim, x)
+            cache[key] = tensor_module(power(m, i).result, x)
     return cache[key]
 
 
@@ -313,7 +298,7 @@ def iterate_functor_map(m: Bimodule, i: int, f: ModuleMap) -> ModuleMap:
     """F^i(f) between the canonical models."""
     if i == 0:
         return f
-    pw = power(m, i).bim
+    pw = power(m, i).result
     return tensor_map(pw, f, iterate_functor(m, i, f.source), iterate_functor(m, i, f.target))
 
 
@@ -329,31 +314,39 @@ def concat_mult(m: Bimodule, a: int, b: int) -> Matrix:
     """Concatenation multiplication mu: p(a) (x)_k p(b) -> p(a+b).
 
     Grade-0 factors act through the unit isomorphisms (left or right
-    action of the base ring); higher grades go through the free tensor
-    space flattenings.  Columns are indexed (p(a) basis, p(b) basis) with
-    the left factor major.
+    action of the base ring).  Otherwise mu recurses on the left factor
+    through the left-nested models: mu(1, b) = P_{b+1}, and for a >= 2
+    mu(a, b) = P_{a+b} (I_M (x) mu(a-1, b)) (S_a (x) I), so every operand
+    is a model over R, never the k-level space V_M^{(x)(a+b)}.  Columns
+    are indexed (p(a) basis, p(b) basis) with the left factor major.
     """
     pa, pb = power(m, a), power(m, b)
     f = m.algebra.field
     if a == 0:
-        return hstack([pb.bim.left_action[i] for i in range(m.algebra.dim)]) \
-            if m.algebra.dim else Matrix.zeros(f, pb.bim.dim, 0)
+        return hstack([pb.result.left_action[i] for i in range(m.algebra.dim)]) \
+            if m.algebra.dim else Matrix.zeros(f, pb.result.dim, 0)
     if b == 0:
         cols = []
-        for i in range(pa.bim.dim):
-            cols.append(hstack([pa.bim.right_action[j].col(i) for j in range(m.algebra.dim)]))
-        return hstack(cols) if cols else Matrix.zeros(f, pa.bim.dim, 0)
+        for i in range(pa.result.dim):
+            cols.append(hstack([pa.result.right_action[j].col(i) for j in range(m.algebra.dim)]))
+        return hstack(cols) if cols else Matrix.zeros(f, pa.result.dim, 0)
     pab = power(m, a + b)
-    return pab.flat_proj @ kron(pa.flat_sect, pb.flat_sect)
+    if a == 1:
+        return pab.projection
+    return pab.projection @ kron(Matrix.identity(f, m.dim), concat_mult(m, a - 1, b)) \
+        @ kron(pa.section, Matrix.identity(f, pb.result.dim))
 
 
 def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     """The canonical isomorphism F^a(F^b(x)-model) -> F^{a+b}(x)-model.
 
     For a = 0 or b = 0 the two models coincide on the nose and the map is
-    the identity.  Otherwise the map lifts through the sections to the
-    free tensor space, concatenates, and projects back; the result is
-    validated to be a linear isomorphism.  Both kinds are memoised.
+    the identity.  Otherwise it recurses on the left factor: split
+    M^{(x)a} by S_a, graft the inner F^{a-1}(F^b(x)) onto F^{a+b-1}(x),
+    and project through P_{a+b}.  Each step lifts a class to a
+    representative and projects it back, so the result is the canonical
+    map.  It is validated to be a linear isomorphism.  Both kinds are
+    memoised.
     """
     cache = m._cache.setdefault("graft", {})
     key = (a, b, x)
@@ -366,11 +359,11 @@ def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     outer = iterate_functor(m, a, fbx.result)
     fabx = iterate_functor(m, a + b, x)
     f = m.algebra.field
-    ix = Matrix.identity(f, x.dim)
-    pa, pb, pab = power(m, a), power(m, b), power(m, a + b)
-    psi_b = kron(pb.flat_sect, ix) @ fbx.section
-    phi_ab = fabx.projection @ kron(pab.flat_proj, ix)
-    mat = phi_ab @ kron(pa.flat_sect, psi_b) @ outer.section
+    inner = iterate_functor(m, a + b - 1, x).section @ graft(m, a - 1, b, x).mat \
+        @ iterate_functor(m, a - 1, fbx.result).projection
+    mat = fabx.projection @ kron(power(m, a + b).projection, Matrix.identity(f, x.dim)) \
+        @ kron(Matrix.identity(f, m.dim), inner) \
+        @ kron(power(m, a).section, Matrix.identity(f, fbx.result.dim)) @ outer.section
     iso = ModuleMap(outer.result, fabx.result, mat)
     if outer.result.dim != fabx.result.dim or mat.rank() != fabx.result.dim:
         raise BimoduleError("internal: grafting map is not an isomorphism")

@@ -29,6 +29,7 @@ from tensorgp.resolution import (
     IncompatibleBimodule,
     InternalCheckError,
     NotCompleteResolution,
+    ResolutionError,
     Verdict,
     check_compatibility,
     check_complete,
@@ -178,8 +179,10 @@ def _oracle_report(w) -> CheckReport:
 
 def cmd_check(args) -> int:
     doc = _load(args.window)
-    if args.period is not None:
-        doc.setdefault("window", {})["period"] = args.period
+    section = doc.get("window")
+    if args.period is not None and isinstance(section, dict):
+        # any other section is refused by window_from_doc with a FormatError
+        section["period"] = args.period
     w = formats.window_from_doc(doc)
     field = w.ring.algebra.field
     if args.mode in ("paper", "both"):
@@ -481,15 +484,17 @@ def main(argv=None) -> int:
     except FormatError as exc:
         _say(str(exc))
         return EXIT_INVALID
-    except (NotNilpotent, SpecialRingError) as exc:
-        _say(f"invalid input: {exc}")
-        return EXIT_INVALID
     except BudgetExceeded as exc:
         _say(str(exc))
         return EXIT_INTERNAL
     except InternalCheckError as exc:
         _say(f"internal error: {exc}")
         return EXIT_INTERNAL
+    except (NotNilpotent, SpecialRingError, ResolutionError) as exc:
+        # a ResolutionError here is a request the window cannot serve, such
+        # as an index with no map; its internal subclass is caught above
+        _say(f"invalid input: {exc}")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

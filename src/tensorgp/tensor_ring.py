@@ -101,7 +101,7 @@ class TensorRing:
         if not certify_nilpotent(self.bimodule, self.nilpotency):
             raise NotNilpotent(
                 f"tensor power {self.nilpotency + 1} has dimension "
-                f"{power(self.bimodule, self.nilpotency + 1).bim.dim}, not 0"
+                f"{power(self.bimodule, self.nilpotency + 1).result.dim}, not 0"
             )
 
     # -- plain module plumbing ------------------------------------------
@@ -119,7 +119,7 @@ class TensorRing:
         return iterate_functor(self.bimodule, i, x)
 
     def power_dim(self, i: int) -> int:
-        return power(self.bimodule, i).bim.dim
+        return power(self.bimodule, i).result.dim
 
     # -- the four functors ----------------------------------------------
 

@@ -395,6 +395,50 @@ def reference_c3_columns(ring, through):
                            image_cols))
 
 
+# -- the flat reference for grafts and concatenation -----------------------------
+
+
+def reference_flat_power(m, i):
+    """(flat_proj, flat_sect) of the i-th tensor power: flat_proj maps the
+    k-level space V_M^{(x)i}, of dimension (dim M)^i, onto the power's
+    model and flat_sect splits it; for i = 0 the k-level space is the
+    algebra's own coordinate space."""
+    from tensorgp.bimodule import power
+    from tensorgp.exactlin import kron
+
+    pw = power(m, i)
+    if i <= 1:
+        return pw.projection, pw.section
+    proj, sect = reference_flat_power(m, i - 1)
+    im = Matrix.identity(m.algebra.field, m.dim)
+    return pw.projection @ kron(im, proj), kron(im, sect) @ pw.section
+
+
+def reference_concat_mult(m, a, b):
+    """Concatenation p(a) (x)_k p(b) -> p(a+b) for a, b >= 1 through the
+    k-level space: flat_proj_{a+b} (flat_sect_a (x) flat_sect_b)."""
+    from tensorgp.exactlin import kron
+
+    return reference_flat_power(m, a + b)[0] @ kron(reference_flat_power(m, a)[1],
+                                                    reference_flat_power(m, b)[1])
+
+
+def reference_graft(m, a, b, x):
+    """The matrix of the graft F^a(F^b(x)) -> F^{a+b}(x) for a, b >= 1
+    through the k-level space: lift both factors by their flat sections,
+    concatenate, and project back through flat_proj_{a+b}."""
+    from tensorgp.bimodule import iterate_functor
+    from tensorgp.exactlin import kron
+
+    fbx = iterate_functor(m, b, x)
+    outer = iterate_functor(m, a, fbx.result)
+    fabx = iterate_functor(m, a + b, x)
+    ix = Matrix.identity(m.algebra.field, x.dim)
+    psi_b = kron(reference_flat_power(m, b)[1], ix) @ fbx.section
+    phi_ab = fabx.projection @ kron(reference_flat_power(m, a + b)[0], ix)
+    return phi_ab @ kron(reference_flat_power(m, a)[1], psi_b) @ outer.section
+
+
 # -- references for the special-ring block builders -----------------------------
 
 

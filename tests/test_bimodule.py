@@ -23,6 +23,7 @@ from tensorgp.bimodule import (
     power_dims,
     regular_bimodule,
     tensor_bimodule,
+    tensor_bimodule_model,
     tensor_map,
     tensor_module,
     zero_bimodule,
@@ -37,6 +38,9 @@ from helpers import (
     ground_algebra,
     path_bimodule,
     product_fields,
+    reference_concat_mult,
+    reference_graft,
+    ring_pool,
     simple_over_product,
     x_multiplication,
 )
@@ -328,12 +332,48 @@ class TestConcatMult:
         m = path_bimodule(F2, 4)
         from tensorgp.exactlin import kron
         for a, b, c in [(1, 1, 1), (0, 1, 1), (1, 1, 0), (1, 0, 1)]:
-            da = power(m, a).bim.dim
-            db = power(m, b).bim.dim
-            dc = power(m, c).bim.dim
+            da = power(m, a).result.dim
+            db = power(m, b).result.dim
+            dc = power(m, c).result.dim
             left = concat_mult(m, a + b, c) @ kron(concat_mult(m, a, b), Matrix.identity(F2, dc))
             right = concat_mult(m, a, b + c) @ kron(Matrix.identity(F2, da), concat_mult(m, b, c))
             assert left == right
+
+
+def _flat_reference_cases():
+    """(bimodule, highest a + b) for the corpus ring pool over F_2 and F_3,
+    up to the first vanishing power, and for the six-vertex path ring over
+    F_3 (nilpotency 5)."""
+    cases = [(ring.bimodule, max(2, ring.nilpotency + 1)) for ring in ring_pool()]
+    return cases + [(path_bimodule(F3, 6), 5)]
+
+
+class TestFlatReference:
+    """The left-nested recursions over R equal the k-level construction
+    through V_M^{(x)i}, matrix for matrix."""
+
+    @pytest.mark.parametrize("m, top", _flat_reference_cases())
+    def test_graft_and_concat_match_flat_construction(self, m, top):
+        for rank in (1, 2):
+            x = free_module(m.algebra, rank)
+            for a in range(1, top):
+                for b in range(1, top + 1 - a):
+                    assert graft(m, a, b, x).mat == reference_graft(m, a, b, x), (rank, a, b)
+        for a in range(1, top):
+            for b in range(1, top + 1 - a):
+                assert concat_mult(m, a, b) == reference_concat_mult(m, a, b), (a, b)
+
+    def test_powers_are_left_nested_models(self):
+        m = path_bimodule(F3, 4)
+        for i in (0, 1):
+            pw = power(m, i)
+            assert pw.projection == pw.section == Matrix.identity(F3, pw.result.dim)
+        assert power(m, 1).result is m
+        for i in (2, 3, 4):
+            nested = tensor_bimodule_model(m, power(m, i - 1).result)
+            assert power(m, i).result.dim == nested.result.dim
+            assert power(m, i).projection == nested.projection
+            assert power(m, i).section == nested.section
 
 
 class TestDirectSum:

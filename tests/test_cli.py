@@ -344,6 +344,15 @@ class TestCheck:
         upgraded = yaml.safe_load(out.read_text())
         assert upgraded["window_local"] is False
 
+    def test_period_flag_on_a_list_window_section(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(fixture("x_window.yaml")).read_text())
+        doc["window"] = [1, 2]
+        bad = tmp_path / "list_window.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["check", str(bad), "--period", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "missing window section" in err and "Traceback" not in err
+
     def test_non_integer_lo_is_invalid_input(self, tmp_path, capsys):
         text = Path(fixture("x_window.yaml")).read_text()
         assert "  lo: 0\n" in text
@@ -379,6 +388,26 @@ class TestExtractAndStrong:
 
     def test_extract_refused_on_failing_window(self):
         assert main(["extract-gp", fixture("identity_window.yaml")]) == 1
+
+    def test_index_with_no_map_is_invalid_input(self, tmp_path, capsys):
+        doc = yaml.safe_load(Path(fixture("x_window.yaml")).read_text())
+        doc["window"].pop("period")
+        local = tmp_path / "local.yaml"
+        local.write_text(yaml.safe_dump(doc))
+        args = ["extract-gp", str(local), "--k", "1", "--allow-window-local"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "invalid input: no map at index 1\n"
+
+    def test_internal_check_error_still_exits_3(self, tmp_path, capsys, monkeypatch):
+        from tensorgp import cli
+        from tensorgp.resolution import InternalCheckError
+
+        def broken(*args, **kwargs):
+            raise InternalCheckError("structure map does not restrict to the kernel")
+
+        monkeypatch.setattr(cli, "extract_gp", broken)
+        assert main(["extract-gp", fixture("x_window.yaml"), "--k", "0"]) == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_strong(self, tmp_path):
         out = tmp_path / "report.yaml"
