@@ -146,10 +146,8 @@ def cmd_validate(args) -> int:
                     _parse_trivext(doc)
                 elif kind == "complex":
                     formats.complex_from_doc(doc)
-                elif kind == "morita":
-                    formats.morita_from_doc(doc)
                 else:
-                    formats.triangular_from_doc(doc)
+                    formats.context_from_doc(doc)
             except (FormatError, NotNilpotent, SpecialRingError) as exc:
                 problems = [f"{path}: {exc}"]
         else:
@@ -320,10 +318,7 @@ def _triangular_disagrees(tri, context, positions) -> bool:
 
 def cmd_specialize(args) -> int:
     doc = _load(args.file)
-    kind = args.kind or doc.get("kind")
-    if kind != doc.get("kind"):
-        _say(f"file has kind {doc.get('kind')!r}, not {kind!r}")
-        return EXIT_INVALID
+    kind = doc.get("kind")
     if kind == "trivext":
         d, w = _parse_trivext(doc)
         special = trivext_checks(d, w)
@@ -339,17 +334,17 @@ def cmd_specialize(args) -> int:
         _say(special.summary())
         _say("specialized and generic verdicts agree")
         return EXIT_PASS if special.passed else EXIT_FAIL
+    if kind not in ("morita", "triangular"):
+        _say(f"unknown specialization kind {kind!r}")
+        return EXIT_INVALID
+    d, w = formats.context_from_doc(doc)
+    field = d.a.field
     if kind == "morita":
-        d, w = formats.morita_from_doc(doc)
-        field = d.a.field
-        special = morita_checks(d, w)
+        special = context = morita_checks(d, w)
         out = {"kind": "specialize-report", "specialized": formats.report_to_doc(field, special)}
-        context = special
-    elif kind == "triangular":
-        td, tw = formats.triangular_from_doc(doc)
-        field = td.a.field
-        special = triangular_checks(td, tw)
-        d, w = td.as_morita(), tw.as_morita(td)
+    else:
+        special = triangular_checks(d, w)
+        d, w = d.as_morita(), w.as_morita(d)
         context = morita_checks(d, w)
         if _triangular_disagrees(special, context, w.positions()):
             _say("internal: triangular and context-ring verdicts differ")
@@ -357,9 +352,6 @@ def cmd_specialize(args) -> int:
         out = {"kind": "specialize-report",
                "specialized": formats.report_to_doc(field, special),
                "context": formats.report_to_doc(field, context)}
-    else:
-        _say(f"unknown specialization kind {kind!r}")
-        return EXIT_INVALID
     try:
         transported = mu_transport(d, w)
     except SpecialRingError as exc:
@@ -460,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("specialize", help="run a specialized checker with the generic "
                                           "verdicts side by side")
     p.add_argument("file")
-    p.add_argument("--kind", choices=("trivext", "morita", "triangular"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_specialize)
 

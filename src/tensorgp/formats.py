@@ -623,10 +623,8 @@ def tmodule_to_doc(t: TModule) -> dict:
 # -- context and triangular ring files ----------------------------------------------
 
 
-def pair_bimodule_to_doc(pb) -> dict:
-    return {"dim": pb.dim,
-            "left_action": [matrix_to_doc(m) for m in pb.left_action],
-            "right_action": [matrix_to_doc(m) for m in pb.right_action]}
+# the map families of a context ring window; a triangular one has no gamma
+_CONTEXT_MAPS = ("tau", "sigma", "beta", "gamma")
 
 
 def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: str):
@@ -644,146 +642,96 @@ def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: s
         return tuple(matrix_from_doc(field, x, f"{where}.{key}[{i}]")
                      for i, x in enumerate(nodes))
 
+    # read outside the try, so that their errors keep their one path
+    left, right = acts("left_action", left_alg), acts("right_action", right_alg)
     try:
-        return PairBimodule(left_alg, right_alg, dim,
-                            acts("left_action", left_alg), acts("right_action", right_alg))
+        return PairBimodule(left_alg, right_alg, dim, left, right)
     except Exception as exc:
         raise FormatError(where, str(exc))
 
 
-def _context_maps_from_doc(d, node, with_gamma: bool, where: str):
-    from tensorgp.special_rings import block_power_module
+def context_to_doc(d, w) -> dict:
+    """The file of a context ring window (``kind: morita``), or of a
+    triangular ring window (``kind: triangular``), which has no
+    ``bimodule_u`` and no ``gamma`` maps."""
+    from tensorgp.special_rings import TriangularData
 
-    field = d.a.field
+    triangular = isinstance(d, TriangularData)
+    names = _CONTEXT_MAPS[:3] if triangular else _CONTEXT_MAPS
+    doc = {"kind": "triangular" if triangular else "morita",
+           "field": field_to_doc(d.a.field),
+           "algebra_a": algebra_to_doc(d.a),
+           "algebra_b": algebra_to_doc(d.b),
+           "bimodule_v": bimodule_to_doc(d.v)}
+    if not triangular:
+        doc["bimodule_u"] = bimodule_to_doc(d.u)
+    doc["window"] = {
+        "lo": w.lo,
+        "ranks_p": Inline(list(w.ranks_p)),
+        "ranks_q": Inline(list(w.ranks_q)),
+        **({"period": w.period} if w.period is not None else {}),
+        "maps": [{name: matrix_to_doc(getattr(w, name)[t].mat) for name in names}
+                 for t in range(len(w.tau))],
+    }
+    return doc
+
+
+def context_from_doc(doc):
+    """The data and window of a context ring file, as :class:`MoritaData`
+    and :class:`MoritaWindow`, or of a triangular ring file, as
+    :class:`TriangularData` and :class:`TriangularWindow`.  Error paths
+    start with the kind of the file."""
+    from tensorgp.special_rings import (MoritaData, MoritaWindow, TriangularData,
+                                        TriangularWindow, block_power_module)
+
+    where = doc.get("kind")
+    if where not in ("morita", "triangular"):
+        raise FormatError("context", f"expected kind 'morita' or 'triangular', got {where!r}")
+    triangular = where == "triangular"
+    field = field_from_doc(doc.get("field"), f"{where}.field")
+    a = algebra_from_doc(field, doc.get("algebra_a"), f"{where}.algebra_a")
+    b = algebra_from_doc(field, doc.get("algebra_b"), f"{where}.algebra_b")
+    parts = [a, b, pair_bimodule_from_doc(a, b, doc.get("bimodule_v"), f"{where}.bimodule_v")]
+    if not triangular:
+        parts.append(pair_bimodule_from_doc(b, a, doc.get("bimodule_u"), f"{where}.bimodule_u"))
+    try:
+        d = (TriangularData if triangular else MoritaData)(*parts)
+    except Exception as exc:
+        raise FormatError(where, str(exc))
+    node = doc.get("window")
+    if not isinstance(node, dict):
+        raise FormatError(where, "missing window section")
+    where = f"{where}.window"
     maps_node = node.get("maps")
     if not isinstance(maps_node, list):
         raise FormatError(where, "window needs ranks_p, ranks_q and maps")
     ranks_p = ranks_from_doc(node.get("ranks_p"), len(maps_node), f"{where}.ranks_p")
     ranks_q = ranks_from_doc(node.get("ranks_q"), len(maps_node), f"{where}.ranks_q")
-    tau, sigma, beta, gamma = [], [], [], []
+    families = {name: [] for name in (_CONTEXT_MAPS[:3] if triangular else _CONTEXT_MAPS)}
     for t, mnode in enumerate(maps_node):
+        at = f"{where}.maps[{t}]"
         if not isinstance(mnode, dict):
-            raise FormatError(f"{where}.maps[{t}]", "expected a mapping of map names")
-        src_p = free_module(d.a, ranks_p[t])
-        tgt_p = free_module(d.a, ranks_p[t + 1])
-        src_q = free_module(d.b, ranks_q[t])
-        tgt_q = free_module(d.b, ranks_q[t + 1])
+            raise FormatError(at, "expected a mapping of map names")
+        src_p, src_q = free_module(d.a, ranks_p[t]), free_module(d.b, ranks_q[t])
+        spaces = {"tau": (src_p, free_module(d.a, ranks_p[t + 1])),
+                  "sigma": (src_q, free_module(d.b, ranks_q[t + 1])),
+                  "beta": (src_p, block_power_module(d.v, ranks_q[t + 1]))}
+        if not triangular:
+            spaces["gamma"] = (src_q, block_power_module(d.u, ranks_p[t + 1]))
         try:
-            tau.append(ModuleMap(src_p, tgt_p,
-                                 matrix_from_doc(field, mnode["tau"], f"{where}.maps[{t}].tau")))
-            sigma.append(ModuleMap(src_q, tgt_q,
-                                   matrix_from_doc(field, mnode["sigma"],
-                                                   f"{where}.maps[{t}].sigma")))
-            beta.append(ModuleMap(src_p, block_power_module(d.v, ranks_q[t + 1]),
-                                  matrix_from_doc(field, mnode["beta"],
-                                                  f"{where}.maps[{t}].beta")))
-            if with_gamma:
-                gamma.append(ModuleMap(src_q, block_power_module(d.u, ranks_p[t + 1]),
-                                       matrix_from_doc(field, mnode["gamma"],
-                                                       f"{where}.maps[{t}].gamma")))
+            for name, (src, tgt) in spaces.items():
+                families[name].append(
+                    ModuleMap(src, tgt, matrix_from_doc(field, mnode[name], f"{at}.{name}")))
         except FormatError:
             raise
         except KeyError as exc:
-            raise FormatError(f"{where}.maps[{t}]", f"missing map {exc}")
+            raise FormatError(at, f"missing map {exc}")
         except Exception as exc:
-            raise FormatError(f"{where}.maps[{t}]", str(exc))
-    return ranks_p, ranks_q, tau, sigma, beta, gamma
-
-
-def morita_to_doc(d, w) -> dict:
-    maps = []
-    for t in range(len(w.tau)):
-        maps.append({"tau": matrix_to_doc(w.tau[t].mat),
-                     "sigma": matrix_to_doc(w.sigma[t].mat),
-                     "beta": matrix_to_doc(w.beta[t].mat),
-                     "gamma": matrix_to_doc(w.gamma[t].mat)})
-    return {"kind": "morita",
-            "field": field_to_doc(d.a.field),
-            "algebra_a": algebra_to_doc(d.a),
-            "algebra_b": algebra_to_doc(d.b),
-            "bimodule_v": pair_bimodule_to_doc(d.v),
-            "bimodule_u": pair_bimodule_to_doc(d.u),
-            "window": {
-                "lo": w.lo,
-                "ranks_p": Inline(list(w.ranks_p)),
-                "ranks_q": Inline(list(w.ranks_q)),
-                **({"period": w.period} if w.period is not None else {}),
-                "maps": maps,
-            }}
-
-
-def morita_from_doc(doc, where: str = "morita"):
-    from tensorgp.special_rings import MoritaData, MoritaWindow
-
-    if doc.get("kind") != "morita":
-        raise FormatError(where, "expected kind 'morita'")
-    field = field_from_doc(doc.get("field"), f"{where}.field")
-    a = algebra_from_doc(field, doc.get("algebra_a"), f"{where}.algebra_a")
-    b = algebra_from_doc(field, doc.get("algebra_b"), f"{where}.algebra_b")
-    v = pair_bimodule_from_doc(a, b, doc.get("bimodule_v"), f"{where}.bimodule_v")
-    u = pair_bimodule_from_doc(b, a, doc.get("bimodule_u"), f"{where}.bimodule_u")
+            raise FormatError(at, str(exc))
+    lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
     try:
-        d = MoritaData(a, b, v, u)
+        w = (TriangularWindow if triangular else MoritaWindow)(
+            lo, ranks_p, ranks_q, *families.values(), period=node.get("period"))
     except Exception as exc:
         raise FormatError(where, str(exc))
-    node = doc.get("window")
-    if not isinstance(node, dict):
-        raise FormatError(where, "missing window section")
-    ranks_p, ranks_q, tau, sigma, beta, gamma = _context_maps_from_doc(
-        d, node, True, f"{where}.window")
-    lo = int_from_doc(node.get("lo", 0), f"{where}.window.lo")
-    try:
-        w = MoritaWindow(lo, ranks_p, ranks_q,
-                         tuple(tau), tuple(sigma), tuple(beta), tuple(gamma),
-                         period=node.get("period"))
-    except Exception as exc:
-        raise FormatError(f"{where}.window", str(exc))
-    return d, w
-
-
-def triangular_to_doc(d, w) -> dict:
-    maps = []
-    for t in range(len(w.tau)):
-        maps.append({"tau": matrix_to_doc(w.tau[t].mat),
-                     "sigma": matrix_to_doc(w.sigma[t].mat),
-                     "beta": matrix_to_doc(w.beta[t].mat)})
-    return {"kind": "triangular",
-            "field": field_to_doc(d.a.field),
-            "algebra_a": algebra_to_doc(d.a),
-            "algebra_b": algebra_to_doc(d.b),
-            "bimodule_v": pair_bimodule_to_doc(d.v),
-            "window": {
-                "lo": w.lo,
-                "ranks_p": Inline(list(w.ranks_p)),
-                "ranks_q": Inline(list(w.ranks_q)),
-                **({"period": w.period} if w.period is not None else {}),
-                "maps": maps,
-            }}
-
-
-def triangular_from_doc(doc, where: str = "triangular"):
-    from tensorgp.special_rings import TriangularData, TriangularWindow
-
-    if doc.get("kind") != "triangular":
-        raise FormatError(where, "expected kind 'triangular'")
-    field = field_from_doc(doc.get("field"), f"{where}.field")
-    a = algebra_from_doc(field, doc.get("algebra_a"), f"{where}.algebra_a")
-    b = algebra_from_doc(field, doc.get("algebra_b"), f"{where}.algebra_b")
-    v = pair_bimodule_from_doc(a, b, doc.get("bimodule_v"), f"{where}.bimodule_v")
-    try:
-        d = TriangularData(a, b, v)
-    except Exception as exc:
-        raise FormatError(where, str(exc))
-    node = doc.get("window")
-    if not isinstance(node, dict):
-        raise FormatError(where, "missing window section")
-    ranks_p, ranks_q, tau, sigma, beta, _ = _context_maps_from_doc(
-        d, node, False, f"{where}.window")
-    lo = int_from_doc(node.get("lo", 0), f"{where}.window.lo")
-    try:
-        w = TriangularWindow(lo, ranks_p, ranks_q,
-                             tuple(tau), tuple(sigma), tuple(beta),
-                             period=node.get("period"))
-    except Exception as exc:
-        raise FormatError(f"{where}.window", str(exc))
     return d, w

@@ -34,7 +34,7 @@ from itertools import accumulate
 from typing import Optional
 
 from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witness,
-                               unlifted_solution, unvec, unvec_blocks, vec, vec_columns,
+                               unlifted_solution, unvec_blocks, vec, vec_columns,
                                vec_precompose, vstack)
 from tensorgp.algebra import (
     LeftModule,
@@ -393,12 +393,26 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     ring = prev.ring
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
-    rank_mid = prev.target_rank
-    basis, shapes = ring.slot_frame(rank_mid, 1)
-    constraint = _functional_constraints(ring, prev)
-    col = unlifted_solution(basis, constraint,
-                            (lambda: constraint) if next_ is prev
-                            else lambda: _functional_constraints(ring, next_))
+    basis, shapes = ring.slot_frame(prev.target_rank, 1)
+    return factor_check((basis, _functional_constraints(ring, prev), shapes),
+                        None if next_ is prev else lambda: _functional_constraints(ring, next_))
+
+
+def factor_check(mid, out):
+    """Functional tuples killing the incoming maps must factor through the
+    outgoing ones: the one functional-lift step of C3, of the
+    compatibility hom-lift and of the specialized conditions of that shape.
+
+    ``mid`` is (slot basis, constraint, slot shapes) of the incoming maps
+    at the middle ranks.  ``out`` is a zero-argument callable returning the
+    image matrix of the outgoing maps at the next ranks, or None when the
+    outgoing maps and ranks are the incoming ones (a one-periodic
+    position), whose image is the constraint itself.  Returns (passed,
+    witness); the witness is the first solution that does not factor,
+    split into the slot shapes.
+    """
+    basis, constraint, shapes = mid
+    col = unlifted_solution(basis, constraint, out or (lambda: constraint))
     if col is None:
         return True, None
     return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
@@ -534,13 +548,10 @@ def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_m
     vec(b . f) = (f^T (x) I) vec(b) over the free_hom_basis maps b."""
     h = w_target.dim
     basis_mid = free_hom_vecs(algebra, rank_mid, w_target)
-    col = unlifted_solution(basis_mid, vec_precompose(basis_mid, h, prev.mat),
-                            lambda: vec_precompose(free_hom_vecs(algebra, rank_out, w_target),
-                                                   h, next_.mat))
-    if col is None:
-        return True, None
-    return False, FunctionalWitness((unvec(algebra.field, col, w_target.dim,
-                                           rank_mid * algebra.dim),))
+    mid = (basis_mid, vec_precompose(basis_mid, h, prev.mat), [(h, rank_mid * algebra.dim)])
+    return factor_check(mid, None if next_ is prev else
+                        lambda: vec_precompose(free_hom_vecs(algebra, rank_out, w_target),
+                                               h, next_.mat))
 
 
 def check_compatibility(m: Bimodule, pc: ResolutionWindow, levels: int) -> CheckReport:

@@ -46,8 +46,8 @@ from itertools import product
 from typing import Optional
 
 from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, direct_sum,
-                               is_exact_pair, kron, kron_sum, unlifted_solution, unvec_blocks,
-                               vec_columns, vec_precompose, vstack)
+                               is_exact_pair, kron, kron_sum, vec_columns, vec_precompose,
+                               vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -71,11 +71,11 @@ from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.resolution import (
     CheckReport,
     BlockWitness,
-    FunctionalWitness,
     InternalCheckError,
     ResolutionWindow,
     Verdict,
     _hom_lift_check,
+    factor_check,
     kernel_lift,
     periodic_index,
 )
@@ -210,25 +210,6 @@ def induced_block_map(pb: PairBimodule, f: ModuleMap) -> Matrix:
     return kron_sum(images, pb.right_action)
 
 
-def _vecs(field, mats) -> Matrix:
-    """The vec'd images of the maps of a slot basis under a functor, as
-    columns.  A slot has no basis maps only when its rank or its target is
-    zero, and then every vec has length 0, as in :func:`free_hom_vecs`."""
-    return vec_columns(field, 0, mats)
-
-
-def _factor_check(mid, out):
-    """Functional tuples killing the incoming maps must factor through the
-    outgoing ones.  ``mid`` is (basis, constraint, slot shapes) of the
-    incoming maps at the middle ranks and ``out()`` the same for the
-    outgoing maps; returns (passed, witness)."""
-    basis, constraint, shapes = mid
-    col = unlifted_solution(basis, constraint, lambda: out()[1])
-    if col is None:
-        return True, None
-    return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
-
-
 # -- trivial extensions -------------------------------------------------------
 
 
@@ -312,7 +293,8 @@ def _trivext_slots(d: TrivialExtData, rank: int):
         src, tgt = ring.model(1, ring.free(rank)), ring.model(1, free1)
         basis1 = free_hom_basis(d.r, rank, free1)
         d._cache[key] = (free_hom_vecs(d.r, rank, free1),
-                         _vecs(fld, [tensor_map(d.m, b, src, tgt).mat for b in basis1]),
+                         vec_columns(fld, 0, [tensor_map(d.m, b, src, tgt).mat
+                                              for b in basis1]),
                          free_hom_vecs(d.r, rank, tgt.result))
     return d._cache[key]
 
@@ -334,7 +316,8 @@ def _trivext_c3(d: TrivialExtData, prev: StarMorphism, next_: StarMorphism):
     """Functional pairs (f1, f2) with f1 into the rank-one free and f2 into
     its tensor block, killing the incoming pair, must factor through the
     outgoing pair."""
-    return _factor_check(_trivext_columns(d, prev), lambda: _trivext_columns(d, next_))
+    return factor_check(_trivext_columns(d, prev),
+                        None if next_ is prev else lambda: _trivext_columns(d, next_)[1])
 
 
 # -- Morita context rings ------------------------------------------------------
@@ -491,6 +474,12 @@ def _ranks_at(w, k: int):
     return w.ranks_p[t], w.ranks_q[t]
 
 
+def _one_periodic(w, k: int) -> bool:
+    """Whether the maps out of index k of a context or triangular window
+    are the maps into it, and so are their ranks."""
+    return w.index.map_slot(k - 1) == w.index.map_slot(k)
+
+
 def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
     """Direct evaluation of the context-ring resolution conditions, with
     the rank-one test projectives on both sides (sufficient by
@@ -541,20 +530,26 @@ def _morita_slots(d: MoritaData, rank_p: int, rank_q: int):
     """Memoised per rank pair: the slot bases of f1, f2 (into the rank-one
     frees over a and b) and u1, u2 (into the rank-one powers of v and u),
     with the columns vec(U (x) b) of the f1 maps and vec(V (x) b) of the
-    f2 maps."""
+    f2 maps (:func:`_induced_columns`)."""
     key = ("slots", rank_p, rank_q)
     if key not in d._cache:
-        fld = d.a.field
-        free_a, free_b = free_module(d.a, 1), free_module(d.b, 1)
-        d._cache[key] = ((free_hom_vecs(d.a, rank_p, free_a),
-                          free_hom_vecs(d.b, rank_q, free_b),
+        d._cache[key] = ((free_hom_vecs(d.a, rank_p, free_module(d.a, 1)),
+                          free_hom_vecs(d.b, rank_q, free_module(d.b, 1)),
                           free_hom_vecs(d.a, rank_p, block_power_module(d.v, 1)),
                           free_hom_vecs(d.b, rank_q, block_power_module(d.u, 1))),
-                         _vecs(fld, [induced_block_map(d.u, b)
-                                     for b in free_hom_basis(d.a, rank_p, free_a)]),
-                         _vecs(fld, [induced_block_map(d.v, b)
-                                     for b in free_hom_basis(d.b, rank_q, free_b)]))
+                         _induced_columns(d.u, rank_p), _induced_columns(d.v, rank_q))
     return d._cache[key]
+
+
+def _induced_columns(pb: PairBimodule, n: int) -> Matrix:
+    """The columns vec(W (x) b) of the :func:`free_hom_basis` maps b from
+    the rank-n free module into the rank-one free module over the right
+    algebra of the pair W, in basis order.  The basis map (copy i, e_t)
+    induces rho(e_t) in block i and zero elsewhere, so the columns are
+    kron(I_n, [vec rho(e_t)]_t), the 0 x 0 matrix at n = 0 as in
+    :func:`free_hom_vecs`."""
+    fld = pb.right_alg.field
+    return kron(Matrix.identity(fld, n), vec_columns(fld, pb.dim * pb.dim, pb.right_action))
 
 
 def _morita_quadruple_columns(d: MoritaData, tau, sigma, beta, gamma, rank_p, rank_q):
@@ -574,8 +569,9 @@ def _morita_quadruple_columns(d: MoritaData, tau, sigma, beta, gamma, rank_p, ra
 
 
 def _morita_c3(d: MoritaData, w: MoritaWindow, k: int):
-    return _factor_check(_morita_quadruple_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
-                         lambda: _morita_quadruple_columns(d, *w.at(k), *_ranks_at(w, k + 1)))
+    return factor_check(_morita_quadruple_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
+                        None if _one_periodic(w, k) else
+                        lambda: _morita_quadruple_columns(d, *w.at(k), *_ranks_at(w, k + 1))[1])
 
 
 # -- triangular matrix rings ----------------------------------------------------
@@ -589,14 +585,14 @@ class TriangularData:
     a: Algebra
     b: Algebra
     v: PairBimodule
-    _cache: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.v.left_alg != self.a or self.v.right_alg != self.b:
             raise SpecialRingError("v must be a left module over a and right over b")
 
     def as_morita(self) -> MoritaData:
-        """The context data with the zero lower corner (memoised)."""
+        """The context data with the zero lower corner (memoised), whose
+        memo tables the triangular checkers share."""
         return self._morita
 
     @cached_property
@@ -692,26 +688,12 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
     return CheckReport("triangular", tuple(verdicts), window_local=w.period is None)
 
 
-def _triangular_slots(d: TriangularData, rank_p: int, rank_q: int):
-    """Memoised per rank pair: the slot bases of f (into the rank-one power
-    of v) and g (into the rank-one free over b), and the columns
-    vec(V (x) b) of the g maps."""
-    key = ("slots", rank_p, rank_q)
-    if key not in d._cache:
-        fld = d.a.field
-        free_b = free_module(d.b, 1)
-        d._cache[key] = (free_hom_vecs(d.a, rank_p, block_power_module(d.v, 1)),
-                         free_hom_vecs(d.b, rank_q, free_b),
-                         _vecs(fld, [induced_block_map(d.v, b)
-                                     for b in free_hom_basis(d.b, rank_q, free_b)]))
-    return d._cache[key]
-
-
 def _triangular_columns(d: TriangularData, tau, sigma, beta, rank_p, rank_q):
     """Basis and image of (f, g) |-> (f.tau + (V (x) g).beta, g.sigma) over
     the slot bases out of the given ranks, and the shapes of the two
-    slots."""
-    f, g, v_g = _triangular_slots(d, rank_p, rank_q)
+    slots.  The slots of f and g are those of u1 and f2 in the context ring
+    of ``d`` (:func:`_morita_slots`), and so are the columns vec(V (x) g)."""
+    (_, g, f, _), _, v_g = _morita_slots(d.as_morita(), rank_p, rank_q)
     dv, db = d.v.dim, d.b.dim
     image = block_matrix([[vec_precompose(f, dv, tau.mat), vec_precompose(v_g, dv, beta.mat)],
                           [None, vec_precompose(g, db, sigma.mat)]])
@@ -723,8 +705,9 @@ def _triangular_v(d: TriangularData, w: TriangularWindow, k: int):
     """Pairs (f into the v-block, g into the rank-one bottom free) with
     g . sigma_prev = 0 and f . tau_prev + (v (x) g) . beta_prev = 0 must
     factor as g = g' . sigma_next, f = f' . tau_next + (v (x) g') . beta_next."""
-    return _factor_check(_triangular_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
-                         lambda: _triangular_columns(d, *w.at(k), *_ranks_at(w, k + 1)))
+    return factor_check(_triangular_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
+                        None if _one_periodic(w, k) else
+                        lambda: _triangular_columns(d, *w.at(k), *_ranks_at(w, k + 1))[1])
 
 
 # -- transport into the generic language -----------------------------------------

@@ -470,6 +470,19 @@ def reference_induced_block_map(pb, f):
     return vstack(rows)
 
 
+def reference_induced_columns(pb, n):
+    """The columns vec(W (x) b) of the free_hom_basis maps b from the
+    rank-n free module into the rank-one free module over the right algebra
+    of the pair W, one ``induced_block_map`` per basis map."""
+    from tensorgp.algebra import free_hom_basis
+    from tensorgp.exactlin import vec_columns
+    from tensorgp.special_rings import induced_block_map
+
+    balg = pb.right_alg
+    return vec_columns(balg.field, 0, [induced_block_map(pb, b) for b in
+                                       free_hom_basis(balg, n, free_module(balg, 1))])
+
+
 def reference_free_hom_basis(a, n, w):
     """The basis of Hom(R^n, w) built one map at a time: the map (copy i,
     basis vector t) has the block whose column s is e_s . w_t in copy i and
@@ -825,5 +838,5 @@ def specialize_fixture_docs():
     rng = random.Random(210)
     td = random_triangular_data(rng, F2)
     tw = random_triangular_window(td, rng, max_rank=2, period=2)
-    return {"morita_window.yaml": formats.morita_to_doc(d, w),
-            "triangular_window.yaml": formats.triangular_to_doc(td, tw)}
+    return {"morita_window.yaml": formats.context_to_doc(d, w),
+            "triangular_window.yaml": formats.context_to_doc(td, tw)}

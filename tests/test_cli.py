@@ -14,6 +14,7 @@ from tensorgp.bimodule import zero_bimodule
 
 from helpers import (
     F2,
+    F3,
     corner_bimodule,
     dual_numbers,
     full_tensor_pair,
@@ -110,17 +111,31 @@ class TestValidate:
 
     @pytest.mark.parametrize("kind", ["morita", "triangular"])
     def test_non_integer_lo_refused_in_context_windows(self, kind):
-        rng = random.Random(13)
-        if kind == "morita":
-            d = random_morita_data(rng, F2)
-            doc = formats.morita_to_doc(d, random_morita_window(d, rng, max_rank=1))
-        else:
-            d = random_triangular_data(rng, F2)
-            doc = formats.triangular_to_doc(d, random_triangular_window(d, rng, max_rank=1))
-        doc = formats.load(formats.render(doc))
+        doc = formats.load(formats.render(seeded_context_doc(kind)))
         doc["window"]["lo"] = True
         with pytest.raises(formats.FormatError, match="window.lo"):
-            getattr(formats, f"{kind}_from_doc")(doc)
+            formats.context_from_doc(doc)
+
+    @pytest.mark.parametrize("kind", ["morita", "triangular"])
+    def test_pair_bimodule_errors_name_their_path_once(self, tmp_path, capsys, kind):
+        doc = seeded_context_doc(kind)
+        doc["bimodule_v"]["left_action"] = 7
+        path = tmp_path / f"{kind}.yaml"
+        path.write_text(formats.render(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (f"{path}: {kind}.bimodule_v.left_action: "
+                                           f"expected {doc['algebra_a']['dim']} matrices\n")
+
+
+def seeded_context_doc(kind: str) -> dict:
+    """The document of a seeded context ring or triangular ring window over
+    F_2 at ranks up to 1."""
+    rng = random.Random(13)
+    if kind == "morita":
+        d = random_morita_data(rng, F2)
+        return formats.context_to_doc(d, random_morita_window(d, rng, max_rank=1))
+    d = random_triangular_data(rng, F2)
+    return formats.context_to_doc(d, random_triangular_window(d, rng, max_rank=1))
 
 
 def invalid_bundle_window(tmp_path, part: str) -> str:
@@ -175,7 +190,7 @@ def triangular_period_two_doc():
     beta = tuple(ModuleMap.zero(free_module(a, ranks_p[t]), block_power_module(d.v, 1))
                  for t in range(2))
     w = TriangularWindow(0, ranks_p, ranks_q, tau, sigma, beta, period=2)
-    return formats.triangular_to_doc(d, w)
+    return formats.context_to_doc(d, w)
 
 
 class TestPeriodRefused:
@@ -202,12 +217,7 @@ class TestPeriodRefused:
 
     @pytest.mark.parametrize("kind", ["morita", "triangular"])
     def test_boolean_period_in_context_windows(self, tmp_path, capsys, kind):
-        rng = random.Random(13)
-        if kind == "morita":
-            d = random_morita_data(rng, F2)
-            doc = formats.morita_to_doc(d, random_morita_window(d, rng, max_rank=1))
-        else:
-            doc = triangular_period_two_doc()
+        doc = seeded_context_doc(kind) if kind == "morita" else triangular_period_two_doc()
         doc["window"]["period"] = True
         path = tmp_path / f"{kind}.yaml"
         path.write_text(formats.render(doc))
@@ -479,7 +489,7 @@ class TestSpecialize:
         d = random_morita_data(rng, F2)
         w = random_morita_window(d, rng, max_rank=1)
         path = tmp_path / "morita.yaml"
-        path.write_text(formats.render(formats.morita_to_doc(d, w)))
+        path.write_text(formats.render(formats.context_to_doc(d, w)))
         out = tmp_path / "spec.yaml"
         code = main(["specialize", str(path), "--output", str(out)])
         doc = yaml.safe_load(out.read_text())
@@ -507,7 +517,7 @@ class TestSpecialize:
         d = random_morita_data(rng, F2)
         w = random_morita_window(d, rng, max_rank=1)
         path = tmp_path / "morita.yaml"
-        path.write_text(formats.render(formats.morita_to_doc(d, w)))
+        path.write_text(formats.render(formats.context_to_doc(d, w)))
         out = tmp_path / "spec.yaml"
         assert main(["specialize", str(path), "--output", str(out)]) == 0
         assert "verdicts agree" in capsys.readouterr().err
@@ -528,7 +538,7 @@ class TestSpecialize:
         d = random_triangular_data(rng, F2)
         w = random_triangular_window(d, rng, max_rank=1)
         path = tmp_path / "triangular.yaml"
-        path.write_text(formats.render(formats.triangular_to_doc(d, w)))
+        path.write_text(formats.render(formats.context_to_doc(d, w)))
         out = tmp_path / "spec.yaml"
         assert main(["specialize", str(path), "--output", str(out)]) == 0
         out.unlink()
@@ -542,16 +552,16 @@ class TestSpecialize:
         d = random_triangular_data(rng, F2)
         w = random_triangular_window(d, rng, max_rank=1)
         path = tmp_path / "triangular.yaml"
-        path.write_text(formats.render(formats.triangular_to_doc(d, w)))
+        path.write_text(formats.render(formats.context_to_doc(d, w)))
         out = tmp_path / "spec.yaml"
         code = main(["specialize", str(path), "--output", str(out)])
         assert code in (0, 1)
         doc = yaml.safe_load(out.read_text())
         assert "context" in doc
 
-    def test_kind_mismatch(self):
-        assert main(["specialize", fixture("x_window.yaml"),
-                     "--kind", "morita"]) == 2
+    def test_kind_mismatch(self, capsys):
+        assert main(["specialize", fixture("x_window.yaml")]) == 2
+        assert "unknown specialization kind 'window'" in capsys.readouterr().err
 
 
 class TestHunt:
@@ -636,13 +646,24 @@ class TestCanonicalRoundTrip:
             formats.window_from_doc(formats.load(once))))
         assert once == again
 
-    def test_morita_emission_is_stable(self):
-        rng = random.Random(13)
-        d = random_morita_data(rng, F2)
-        w = random_morita_window(d, rng, max_rank=1)
-        once = formats.render(formats.morita_to_doc(d, w))
-        d2, w2 = formats.morita_from_doc(formats.load(once))
-        assert formats.render(formats.morita_to_doc(d2, w2)) == once
+    def test_context_emission_is_stable(self):
+        """Read and write again both context kinds, byte for byte, on
+        seeded windows over F_2, F_3 and Q, window-local ones included."""
+        from tensorgp.exactlin import QQ
+
+        for field in (F2, F3, QQ):
+            for i in range(4):
+                rng = random.Random(13 + i)
+                for data, window in ((random_morita_data, random_morita_window),
+                                     (random_triangular_data, random_triangular_window)):
+                    d = data(rng, field)
+                    w = window(d, rng, max_rank=2, period=1 + i % 2)
+                    if i == 3:
+                        w = replace(w, period=None)
+                    once = formats.render(formats.context_to_doc(d, w))
+                    d2, w2 = formats.context_from_doc(formats.load(once))
+                    assert (d2, w2) == (d, w)
+                    assert formats.render(formats.context_to_doc(d2, w2)) == once
 
     def test_rational_scalars(self):
         from fractions import Fraction

@@ -49,7 +49,7 @@ def _cli_outputs(tmp: Path) -> list:
             ["extract-gp", "x_window.yaml"], ["strong", "x_window.yaml"],
             ["compat", "semisimple_complex.yaml"], ["compat", "incompatible_complex.yaml"],
             ["lift", "semisimple_complex.yaml"],
-            ["specialize", "trivext_window.yaml", "--kind", "trivext"],
+            ["specialize", "trivext_window.yaml"],
             ["hunt", "triangular_bundle.yaml", "--max-rank", "1"]]
     texts = []
     for i, (command, name, *rest) in enumerate(runs):
@@ -81,11 +81,11 @@ def _corpus_texts(tmp: Path) -> list:
             rng = random.Random(92_000 + i)
             d = random_morita_data(rng, field)
             w = random_morita_window(d, rng, max_rank=2, period=1 + i % 2)
-            texts.append(formats.render(formats.morita_to_doc(d, w)))
+            texts.append(formats.render(formats.context_to_doc(d, w)))
             texts.append(formats.render(formats.report_to_doc(field, morita_checks(d, w))))
             d = random_triangular_data(rng, field)
             w = random_triangular_window(d, rng, max_rank=2, period=1 + i % 2)
-            texts.append(formats.render(formats.triangular_to_doc(d, w)))
+            texts.append(formats.render(formats.context_to_doc(d, w)))
             texts.append(formats.render(formats.report_to_doc(field, triangular_checks(d, w))))
     return texts + _cli_outputs(tmp)
 

@@ -22,6 +22,7 @@ from tensorgp.special_rings import (
     block_model_iso,
     _block_model_iso,
     _morita_quadruple_columns,
+    _morita_slots,
     _triangular_columns,
     _trivext_columns,
     block_power_module,
@@ -42,6 +43,7 @@ from helpers import (
     corner_bimodule,
     reference_block_model_iso,
     reference_induced_block_map,
+    reference_induced_columns,
     reference_morita_c3_columns,
     reference_triangular_c3_columns,
     reference_trivext_c3_columns,
@@ -118,6 +120,22 @@ class TestBlockBuilders:
                         for n_tgt in range(3):
                             f = random_free_map(b, n_src, n_tgt, rng)
                             assert induced_block_map(v, f) == reference_induced_block_map(v, f)
+
+    def test_induced_columns_match_reference(self):
+        """The closed-form columns vec(U (x) b) and vec(V (x) b) of the
+        context slots against one induced block map per basis map."""
+        for field in self.FIELDS:
+            for a, b in ((dual_numbers(field), product_fields(field, 2)),
+                         (ground_algebra(field), dual_numbers(field))):
+                for v, u in ((PairBimodule.zero(a, b), PairBimodule.zero(b, a)),
+                             (full_tensor_pair(a, b), PairBimodule.zero(b, a)),
+                             (PairBimodule.zero(a, b), full_tensor_pair(b, a))):
+                    d = MoritaData(a, b, v, u)
+                    for rank_p in range(3):
+                        for rank_q in range(3):
+                            _, u_f1, v_f2 = _morita_slots(d, rank_p, rank_q)
+                            assert u_f1 == reference_induced_columns(u, rank_p)
+                            assert v_f2 == reference_induced_columns(v, rank_q)
 
     def test_trivext_columns_match_reference(self):
         from tensorgp.bimodule import zero_bimodule
