@@ -1,10 +1,9 @@
 """Exact dense linear algebra over prime fields F_p and the rationals.
 
-Matrices are immutable, carry their field, and every operation is exact:
-residues stay reduced mod p and rational entries are ``Fraction`` values in
-lowest terms.  Row reduction uses a fixed deterministic pivot rule (first
-nonzero entry in column order), so kernel bases, image bases and solutions
-are reproducible across runs.
+Matrices are immutable, carry their field, and every operation is exact.
+Row reduction uses a fixed deterministic pivot rule (first nonzero entry in
+column order), so kernel bases, image bases and solutions are reproducible
+across runs.
 
 Zero-sized matrices (0 x n and n x 0) are legal; they are the unique maps
 to and from the zero space and compose like any other matrix.
@@ -13,12 +12,20 @@ Matrices are values.  ``Matrix.identity`` returns one shared instance per
 (field, n), keeping the most recently used ones: neither a Matrix nor its
 array can be written, so no caller can change another's identity.
 
-Every matrix is one numpy array, and one code path serves both fields: an
-int64 array of residues over F_p and an ``object`` array of ``Fraction``
-over Q.  The field enters only through a few hooks on :class:`FieldSpec`:
-the canonical array of given scalars, a zero array, ``reduce`` (``% p``,
-or nothing over Q), the hash key, and ``product`` (matrix and Kronecker
-products).
+Every matrix is an integer numerator array ``_num`` over a positive
+denominator ``_den``:
+
+- over F_p, ``_num`` is an int64 array of residues in [0, p) and ``_den``
+  is 1;
+- over Q, the matrix is ``_num / _den`` in lowest terms: no prime divides
+  ``_den`` and every numerator, so a zero matrix has ``_den`` 1.  The
+  numerators are int64 when every one is below 2**62 in absolute value,
+  and Python ints in an ``object`` array otherwise.  The form depends on
+  the values alone, so equal matrices compare and hash equal.
+
+Sums, products, Kronecker products, stacks and the vec helpers work on
+numerators; ``Fraction`` appears only at the boundary, in ``__getitem__``,
+``entries`` and :meth:`FieldSpec.coerce`.
 
 The int64 limits, in one place:
 
@@ -28,20 +35,59 @@ The int64 limits, in one place:
   contraction (m slot coordinates, n = dim Ind(P)), so it needs
   max(m, n) * p**2 < 2**63; :func:`batched_rank` keeps every entry below
   p**2.
-- Over Q, ``product`` computes in int64 when every entry of both operands
-  is an integer and max(|A|, 1) * max(|B|, 1) * max(k, 1) < 2**62, with k
-  the inner dimension of a matrix product and 1 for a Kronecker product.
-  Every partial sum is then below 2**62 in absolute value, so the result
-  is exact; any other product is the ``object`` product of ``Fraction``s.
-  Either way the result holds the same ``Fraction`` values.
+- Over Q, numerator arithmetic runs in int64 when a bound on every
+  partial result is below the guard 2**62: max(|A|, 1) * max(|B|, 1) *
+  max(k, 1) for a product with k terms per entry (the inner dimension of
+  a matrix product, 1 for a Kronecker product), and for a sum or a stack
+  the scaled bounds max(|A|, 1) * (L / a) of the operands over their
+  common denominator L, added for a sum.  Otherwise it runs on Python
+  ints; the values are the same either way.  Each Q matrix keeps the
+  bound its operation proved on its numerators, and their exact largest
+  value is computed only when a bound would reach the guard.
+
+Row reduction over Q is modular and certified.  A matrix and its
+numerator array N (m x n) have the same RREF.
+
+1. For the primes p below 2**20, largest first, the F_p elimination gives
+   the RREF of N mod p and its pivots.  The rank of N mod p is at most its
+   rank over Q, and when they are equal the i-th pivot mod p is never
+   left of the i-th pivot over Q.  So the pivot list with the most pivots,
+   then the leftmost, is kept; a prime with any other list is set aside,
+   and a better list replaces the primes kept so far.
+2. The RREFs of the kept primes combine by CRT modulo their product M,
+   and are rebuilt over one common denominator d: integers a with
+   a = d * residue (mod M) and |a|, d <= sqrt(M / 2), where d grows by the
+   denominator that rational reconstruction (Wang, SYMSAC 1981; Monagan,
+   ISSAC 2004) finds for the first entry not yet an integer over it.
+   That gives a candidate R = a / d, in RREF form by construction, with r
+   pivots and kernel basis K (each free column set to 1 in turn, the pivot
+   coordinates read off R).
+3. R is accepted only when both hold:
+
+   - N K = 0, checked as an exact integer product, so dim ker N >= n - r
+     and rank N <= r;
+   - rank N mod p = r for the kept primes, so rank N >= r (a minor that
+     vanishes over the integers vanishes mod p).
+
+   Then ker N is spanned by K, so the row space of N is the orthogonal
+   complement of K, which is the row space of R (R K = 0 and R has rank
+   r).  A row space has one RREF, so R is the RREF of N.  Otherwise
+   another prime is added.  All but finitely many primes give the true
+   pivots, and once sqrt(M / 2) reaches the common denominator of the true
+   RREF and every numerator over it, the reconstruction returns it, so the
+   loop ends.
+
+:meth:`Matrix.solve` over Q returns x only after A x = b is checked
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import accumulate
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -50,8 +96,8 @@ Scalar = Union[int, Fraction]
 
 _PRIME_LIMIT = 1 << 20
 _INT64_GUARD = 1 << 62
-_TABLE_REACH = 4096  # |v| up to which int64 results map to shared Fractions
 _IDENTITY_MEMO = 512  # identity matrices kept, the most recently used
+_PRIMES = []  # the primes below _PRIME_LIMIT, largest first, found as needed
 
 
 class ExactLinError(Exception):
@@ -85,8 +131,11 @@ class FieldSpec:
 
     kind: str  # "prime" | "rational"
     p: Optional[int] = None
+    # read by nearly every matrix operation, so stored rather than derived
+    is_prime: bool = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "is_prime", self.kind == "prime")
         if self.kind == "prime":
             if self.p is None or not _is_prime(self.p):
                 raise ExactLinError(f"not a prime: {self.p!r}")
@@ -105,10 +154,6 @@ class FieldSpec:
     @staticmethod
     def rational() -> "FieldSpec":
         return FieldSpec("rational")
-
-    @property
-    def is_prime(self) -> bool:
-        return self.kind == "prime"
 
     def coerce(self, value) -> Scalar:
         """Canonicalize a scalar: reduced residue in [0, p) or a Fraction."""
@@ -146,89 +191,11 @@ class FieldSpec:
             raise ExactLinError("cannot enumerate the rationals")
         return range(self.p)
 
-    # -- array hooks: the only field-specific code under Matrix ----------
-
-    def array(self, data, rows: int, cols: int) -> np.ndarray:
-        """Canonical rows x cols array of the given rows of scalars."""
-        if self.is_prime:
-            return np.array(data, dtype=np.int64).reshape(rows, cols) % self.p
-        grid = [[Fraction(v) for v in row] for row in data]
-        if len(grid) != rows or any(len(r) != cols for r in grid):
-            raise DimensionMismatch("ragged entry grid")
-        return np.array(grid, dtype=object).reshape(rows, cols)
-
-    def zeros(self, shape) -> np.ndarray:
-        """Zero-filled array of the given shape.
-
-        Over Q the zeros must be filled in: numpy's own ``zeros`` and
-        ``eye`` with ``dtype=object`` hold ``int`` entries.
-        """
-        if self.is_prime:
-            return np.zeros(shape, dtype=np.int64)
-        return np.full(shape, Fraction(0), dtype=object)
-
-    def reduce(self, arr: np.ndarray) -> np.ndarray:
-        """Canonical form of a sum of products of canonical arrays."""
-        return arr % self.p if self.is_prime else arr
-
-    def product(self, op, a: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
-        """Canonical ``op(a, b)`` for a bilinear numpy product ``op`` whose
-        entries are sums of ``terms`` products of an entry of ``a`` and one
-        of ``b``: ``np.matmul`` with the inner dimension, or ``np.kron``
-        with 1.  Over Q it runs in int64 under the guard of the module
-        docstring."""
-        if self.is_prime:
-            return op(a, b) % self.p
-        ia = _integers(a)
-        ib = _integers(b) if ia else None
-        if ib and max(ia[1], 1) * max(ib[1], 1) * max(terms, 1) < _INT64_GUARD:
-            return _fractions(op(_int64(ia[0], a.shape), _int64(ib[0], b.shape)))
-        return op(a, b)
-
-    def key(self, arr: np.ndarray):
-        """Hashable value of an array; the bytes of an object array are
-        pointers, so Q hashes its entries."""
-        return arr.tobytes() if self.is_prime else tuple(arr.flat)
-
     def __repr__(self):
         return f"F_{self.p}" if self.kind == "prime" else "Q"
 
 
 QQ = FieldSpec.rational()
-
-
-def _integers(arr: np.ndarray):
-    """The entries of a Q array as ints with their largest absolute value,
-    or None when one of them is not an integer."""
-    flat = arr.ravel().tolist()
-    nums = [f.numerator for f in flat if f.denominator == 1]
-    if len(nums) != len(flat):
-        return None
-    return nums, max(max(nums, default=0), -min(nums, default=0))
-
-
-def _int64(nums: list, shape) -> np.ndarray:
-    return np.array(nums, dtype=np.int64).reshape(shape)
-
-
-@cache
-def _small_fractions() -> np.ndarray:
-    """Fraction(v) for v in [-_TABLE_REACH, _TABLE_REACH], at index
-    v + _TABLE_REACH."""
-    return np.array([Fraction(v) for v in range(-_TABLE_REACH, _TABLE_REACH + 1)],
-                    dtype=object)
-
-
-def _fractions(arr: np.ndarray) -> np.ndarray:
-    """The ``object`` array of ``Fraction``s of an int64 array."""
-    table = _small_fractions()
-    small = np.abs(arr) <= _TABLE_REACH
-    if small.all():
-        return table[arr + _TABLE_REACH]
-    out = np.empty(arr.shape, dtype=object)
-    out[small] = table[arr[small] + _TABLE_REACH]
-    out[~small] = [Fraction(v) for v in arr[~small].tolist()]
-    return out
 
 
 def GF(p: int) -> FieldSpec:
@@ -240,30 +207,123 @@ def _check_same_field(a: "Matrix", b: "Matrix"):
         raise FieldMismatch(f"{a.field} vs {b.field}")
 
 
+# -- integer numerator arrays over Q ----------------------------------------------
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    """The largest absolute value of an integer array; 0 when it is empty."""
+    return int(np.abs(arr).max()) if arr.size else 0
+
+
+def _canonical_rows(field: FieldSpec, data, rows: int, cols: int):
+    """The canonical numerator array and denominator of given rows of
+    scalars."""
+    if field.is_prime:
+        return np.array(data, dtype=np.int64).reshape(rows, cols) % field.p, 1
+    # ints and Fractions carry their numerator and denominator already
+    grid = [[v if isinstance(v, (int, Fraction)) else Fraction(v) for v in row] for row in data]
+    if len(grid) != rows or any(len(r) != cols for r in grid):
+        raise DimensionMismatch("ragged entry grid")
+    # over the lcm of reduced denominators the numerators share no factor
+    den = lcm(*(v.denominator for row in grid for v in row))
+    nums = [v.numerator * (den // v.denominator) for row in grid for v in row]
+    wide = max(map(abs, nums), default=0) >= _INT64_GUARD
+    return np.array(nums, dtype=object if wide else np.int64).reshape(rows, cols), den
+
+
+def _rational(field: FieldSpec, num: np.ndarray, den: int = 1,
+              bound: Optional[int] = None) -> "Matrix":
+    """The Q matrix num / den, for an integer array and den > 0, brought to
+    lowest terms and to int64 numerators when they fit under the guard.
+    ``bound``, when given, bounds the absolute numerators; it is kept as
+    the matrix's magnitude bound."""
+    if den != 1:
+        g = gcd(int(np.gcd.reduce(num, axis=None)), den)
+        if g != 1:
+            # an int64 array divisible by g >= 2**62 is zero
+            num = num // g if g < _INT64_GUARD or num.dtype == object else 0 * num
+            den //= g
+            bound = None if bound is None else bound // g
+    if num.dtype == object:
+        bound = _magnitude(num)
+        if bound < _INT64_GUARD:
+            num = num.astype(np.int64)
+    m = Matrix._from_np(field, num, den)
+    object.__setattr__(m, "_mag", bound)
+    return m
+
+
+def _exact(op, a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """``op(a, b)`` on integer arrays: in int64 when ``bound`` bounds every
+    partial result below the guard, otherwise on Python ints."""
+    if bound < _INT64_GUARD:
+        return op(a, b)
+    return op(a.astype(object), b.astype(object))
+
+
+def _scaled_bound(m: "Matrix", factor: int) -> int:
+    """max(|A|, 1) * factor for the numerators A of m, from their exact
+    magnitude when the cached bound gives a value past the guard."""
+    bound = max(m._magnitude(), 1) * factor
+    if bound >= _INT64_GUARD:  # the cached bound may be loose
+        bound = max(m._tightened(), 1) * factor
+    return bound
+
+
+def _product_bound(a: "Matrix", b: "Matrix", terms: int) -> int:
+    """The bound of the module docstring on the partial sums of a product
+    of the numerators of a and b with ``terms`` terms per entry."""
+    bound = max(a._magnitude(), 1) * max(b._magnitude(), 1) * max(terms, 1)
+    if bound >= _INT64_GUARD:  # the cached bounds may be loose
+        bound = max(a._tightened(), 1) * max(b._tightened(), 1) * max(terms, 1)
+    return bound
+
+
+def _common(mats: Sequence["Matrix"], summed: bool = False):
+    """The numerator arrays of Q matrices over their common denominator,
+    that denominator, and a bound on the scaled numerators (with
+    ``summed``, on their sum), or None for int64 arrays left unscaled.  The
+    arrays are int64 when the bound is under the guard, and Python ints
+    otherwise."""
+    dens = [m._den for m in mats]
+    den = lcm(*dens)
+    if not summed and den == min(dens) and all(m._num.dtype != object for m in mats):
+        return [m._num for m in mats], den, None
+    factors = [den // d for d in dens]
+    combine = sum if summed else max
+    bound = combine([max(m._magnitude(), 1) * f for m, f in zip(mats, factors)])
+    if bound >= _INT64_GUARD:  # the cached bounds may be loose
+        bound = combine([max(m._tightened(), 1) * f for m, f in zip(mats, factors)])
+    arrays = [m._num.astype(object) if bound >= _INT64_GUARD else m._num for m in mats]
+    return [a if f == 1 else a * f for a, f in zip(arrays, factors)], den, bound
+
+
 class Matrix:
     """Immutable exact dense matrix over a fixed :class:`FieldSpec`.
 
-    Entries are one read-only numpy array, ``_data``, canonical for the
-    field: int64 residues in [0, p), or an ``object`` array of ``Fraction``
-    over Q.  Every method is written once, on the array, and passes results
-    through ``field.reduce``; ``entries`` and indexing return ``int`` over
-    F_p and ``Fraction`` over Q.
+    The entries are ``_num / _den`` (see the module docstring): a read-only
+    int64 array of residues in [0, p) over F_p, and numerators over one
+    positive denominator in lowest terms over Q.  ``entries`` and indexing
+    return ``int`` over F_p and ``Fraction`` over Q.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "_hash", "_rref")
+    __slots__ = ("field", "rows", "cols", "_num", "_den", "_mag", "_hash", "_rref")
 
-    def __init__(self, field: FieldSpec, rows: int, cols: int, data, _raw: bool = False):
+    def __init__(self, field: FieldSpec, rows: int, cols: int, data, _raw: bool = False,
+                 _den: int = 1):
         if rows < 0 or cols < 0:
             raise DimensionMismatch("negative dimensions")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_mag", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_rref", None)
         if not _raw:
-            data = field.array(data, rows, cols)
+            data, _den = _canonical_rows(field, data, rows, cols)
             data.setflags(write=False)
-        object.__setattr__(self, "_data", data)
+        object.__setattr__(self, "_num", data)
+        object.__setattr__(self, "_den", _den)
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -277,7 +337,7 @@ class Matrix:
 
     @staticmethod
     def zeros(field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix._from_np(field, field.zeros((rows, cols)))
+        return Matrix._from_np(field, np.zeros((rows, cols), dtype=np.int64))
 
     @staticmethod
     def identity(field: FieldSpec, n: int) -> "Matrix":
@@ -297,11 +357,40 @@ class Matrix:
         return Matrix.column(field, entries)
 
     @staticmethod
-    def _from_np(field: FieldSpec, arr: np.ndarray) -> "Matrix":
-        """Wrap an array that is already canonical for the field."""
+    def _from_np(field: FieldSpec, arr: np.ndarray, den: int = 1) -> "Matrix":
+        """Wrap a numerator array and denominator already canonical for the
+        field."""
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
-        return Matrix(field, arr.shape[0], arr.shape[1], arr, _raw=True)
+        return Matrix(field, arr.shape[0], arr.shape[1], arr, _raw=True, _den=den)
+
+    def _part(self, arr: np.ndarray) -> "Matrix":
+        """The matrix of some of this matrix's numerators, reshaped or
+        selected, over its denominator."""
+        if self.field.is_prime:
+            return Matrix._from_np(self.field, arr)
+        return _rational(self.field, arr, self._den, self._mag)
+
+    def _magnitude(self) -> int:
+        """A bound on the absolute numerators (cached): the one its
+        operation proved, or else the largest absolute numerator."""
+        if self._mag is None:
+            object.__setattr__(self, "_mag", _magnitude(self._num))
+        return self._mag
+
+    def _tightened(self) -> int:
+        """The largest absolute numerator, which replaces the cached bound;
+        Python int numerators are past the guard whatever their bound."""
+        if self._num.dtype != object:
+            object.__setattr__(self, "_mag", _magnitude(self._num))
+        return self._magnitude()
+
+    def _same_entries(self, arr: np.ndarray) -> "Matrix":
+        """The matrix of a reshaping of this matrix's numerators."""
+        m = Matrix._from_np(self.field, arr, self._den)
+        if self._mag is not None:
+            object.__setattr__(m, "_mag", self._mag)
+        return m
 
     # -- inspection ---------------------------------------------------
 
@@ -312,25 +401,34 @@ class Matrix:
     @property
     def entries(self):
         """Row-major tuple-of-row-tuples of canonical scalars."""
-        return tuple(map(tuple, self._data.tolist()))
+        if self.field.is_prime:
+            return tuple(map(tuple, self._num.tolist()))
+        d = self._den
+        fraction = Fraction if d == 1 else (lambda v: Fraction(v, d))
+        return tuple(tuple(map(fraction, row)) for row in self._num.tolist())
 
     def __getitem__(self, ij) -> Scalar:
-        return self._data.item(*ij)
+        if self.field.is_prime:
+            return self._num.item(*ij)
+        return Fraction(self._num.item(*ij), self._den)
 
     def is_zero(self) -> bool:
-        return not self._data.any()
+        return not self._num.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
+        if self.field != other.field or self.shape != other.shape or self._den != other._den:
             return False
-        return bool(np.array_equal(self._data, other._data))
+        return bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
         if self._hash is None:
-            h = hash((self.field, self.rows, self.cols, self.field.key(self._data)))
-            object.__setattr__(self, "_hash", h)
+            # the bytes of an object array are pointers, so Q hashes its entries
+            key = self._num.tobytes() if self._num.dtype != object else tuple(self._num.flat)
+            if not self.field.is_prime:
+                key = (self._den, key)
+            object.__setattr__(self, "_hash", hash((self.field, self.rows, self.cols, key)))
         return self._hash
 
     def __repr__(self):
@@ -344,35 +442,52 @@ class Matrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        return Matrix._from_np(self.field,
-                               self.field.product(np.matmul, self._data, other._data, self.cols))
+        f = self.field
+        if f.is_prime:
+            return Matrix._from_np(f, np.matmul(self._num, other._num) % f.p)
+        bound = _product_bound(self, other, self.cols)
+        return _rational(f, _exact(np.matmul, self._num, other._num, bound),
+                         self._den * other._den, bound)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return Matrix._from_np(self.field, self.field.reduce(self._data + other._data))
+        f = self.field
+        if f.is_prime:
+            return Matrix._from_np(f, (self._num + other._num) % f.p)
+        (a, b), den, bound = _common([self, other], summed=True)
+        return _rational(f, a + b, den, bound)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._from_np(self.field, self.field.reduce(-self._data))
+        f = self.field
+        if f.is_prime:
+            return Matrix._from_np(f, -self._num % f.p)
+        return self._same_entries(-self._num)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        return Matrix._from_np(self.field, self.field.reduce(self._data * c))
+        f = self.field
+        c = f.coerce(c)
+        if f.is_prime:
+            return Matrix._from_np(f, self._num * c % f.p)
+        n = c.numerator
+        bound = _scaled_bound(self, max(abs(n), 1))
+        num = self._num.astype(object) if bound >= _INT64_GUARD else self._num
+        return _rational(f, num * n, self._den * c.denominator, bound)
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_np(self.field, self._data.T)
+        return self._same_entries(self._num.T)
 
     # -- block operations ----------------------------------------------
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix._from_np(self.field, self._data[list(indices), :].reshape(len(indices), self.cols))
+        return self._part(self._num[list(indices), :].reshape(len(indices), self.cols))
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix._from_np(self.field, self._data[:, list(indices)].reshape(self.rows, len(indices)))
+        return self._part(self._num[:, list(indices)].reshape(self.rows, len(indices)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Contiguous submatrix with rows [r0, r1) and columns [c0, c1)."""
@@ -385,30 +500,11 @@ class Matrix:
 
     def _compute_rref(self):
         f = self.field
-        R = self._data.copy()
-        m, n = R.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.flatnonzero(R[r:, c])
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            pv = R[r, c]
-            if pv != 1:
-                R[r] = f.reduce(R[r] * f.inv(pv))
-            # only the rows with a nonzero entry in the pivot column change
-            others = np.flatnonzero(R[:, c])
-            others = others[others != r]
-            if others.size:
-                R[others] = f.reduce(R[others] - np.outer(R[others, c], R[r]))
-            pivots.append(c)
-            r += 1
-        return Matrix._from_np(f, R), tuple(pivots)
+        if not f.is_prime:
+            return _certified_rref(self)
+        R = self._num.copy()
+        pivots = _eliminate(R, f.p)
+        return Matrix._from_np(f, R), pivots
 
     def rref(self):
         """Reduced row echelon form and its pivot columns (cached)."""
@@ -426,12 +522,16 @@ class Matrix:
         column in increasing order and back-fills the pivot coordinates.
         """
         R, pivots = self.rref()
+        f = self.field
+        if not f.is_prime:
+            return _rational(f, _kernel_numerators(R._num[:len(pivots)], R._den, pivots), R._den,
+                             max(R._magnitude(), R._den))
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        K = self.field.zeros((self.cols, len(free)))
-        K[free, range(len(free))] = self.field.one()
-        K[list(pivots), :] = self.field.reduce(-R._data[:len(pivots), free])
-        return Matrix._from_np(self.field, K)
+        K = np.zeros((self.cols, len(free)), dtype=np.int64)
+        K[free, range(len(free))] = 1
+        K[list(pivots), :] = -R._num[:len(pivots), free] % f.p
+        return Matrix._from_np(f, K)
 
     def image_basis(self) -> "Matrix":
         """Original columns at the pivot positions: a basis of the column space."""
@@ -442,6 +542,7 @@ class Matrix:
 
         Free variables are set to zero, so the result is deterministic.
         ``b`` may have several columns; all are solved simultaneously.
+        Over Q, x is returned only after self @ x = b is checked exactly.
         """
         _check_same_field(self, b)
         if self.rows != b.rows:
@@ -450,9 +551,14 @@ class Matrix:
         R, pivots = aug.rref()
         if any(pc >= self.cols for pc in pivots):
             return None
-        x = self.field.zeros((self.cols, b.cols))
-        x[list(pivots), :] = R._data[:len(pivots), self.cols:]
-        return Matrix._from_np(self.field, x)
+        x = np.zeros((self.cols, b.cols), dtype=R._num.dtype)
+        x[list(pivots), :] = R._num[:len(pivots), self.cols:]
+        if self.field.is_prime:
+            return Matrix._from_np(self.field, x)
+        x = _rational(self.field, x, R._den, R._magnitude())
+        if self @ x != b:
+            raise ExactLinError("internal: a solution does not solve its system")
+        return x
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -465,12 +571,150 @@ class Matrix:
 
 @lru_cache(maxsize=_IDENTITY_MEMO)
 def _identity(field: FieldSpec, n: int) -> Matrix:
-    arr = field.zeros((n, n))
-    np.fill_diagonal(arr, field.one())
+    arr = np.zeros((n, n), dtype=np.int64)
+    np.fill_diagonal(arr, 1)
     return Matrix._from_np(field, arr)
 
 
+# -- row reduction ---------------------------------------------------------------
+
+
+def _eliminate(R: np.ndarray, p: int) -> tuple:
+    """Bring an int64 array of residues mod p to its RREF in place; return
+    the pivot columns."""
+    m, n = R.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        pv = R[r, c]
+        if pv != 1:
+            R[r] = R[r] * pow(int(pv), p - 2, p) % p
+        # only the rows with a nonzero entry in the pivot column change
+        others = np.flatnonzero(R[:, c])
+        others = others[others != r]
+        if others.size:
+            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+        pivots.append(c)
+        r += 1
+    return tuple(pivots)
+
+
+def _primes():
+    """The primes below _PRIME_LIMIT, largest first."""
+    i = 0
+    while True:
+        if i == len(_PRIMES):
+            p = (_PRIMES[-1] if _PRIMES else _PRIME_LIMIT) - 1
+            while p > 1 and not _is_prime(p):
+                p -= 1
+            if p < 2:
+                return
+            _PRIMES.append(p)
+        yield _PRIMES[i]
+        i += 1
+
+
+def _kernel_numerators(rows: np.ndarray, den: int, pivots: tuple) -> np.ndarray:
+    """Numerators over ``den`` of the kernel basis of the RREF whose nonzero
+    rows are ``rows / den``: den on each free column in turn, and minus the
+    row entries at the pivot coordinates."""
+    n = rows.shape[1]
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    K = np.zeros((n, len(free)), dtype=rows.dtype)
+    K[free, range(len(free))] = den
+    K[list(pivots), :] = -rows[:, free]
+    return K
+
+
+def _reconstruct(residues: np.ndarray, modulus: int):
+    """Rational reconstruction over a common denominator: integers a and
+    d <= sqrt(modulus / 2) with |a| <= sqrt(modulus / 2) and a = d * residue
+    (mod modulus) entrywise, as (the array a, d); None when there are none.
+
+    d grows by the denominator of the first entry that is not yet an
+    integer over it, found by the extended Euclidean algorithm (Wang's
+    reconstruction), so a matrix whose entries share a denominator takes
+    one step per prime factor of it at most."""
+    bound = isqrt(modulus // 2)
+    if modulus * (bound + 1) >= _INT64_GUARD:
+        residues = residues.astype(object)
+    den = 1
+    while True:
+        # the residues of the integers a with |a| <= bound shift into [0, 2 bound]
+        shifted = ((residues * den if den > 1 else residues) + bound) % modulus
+        todo = np.flatnonzero(shifted > 2 * bound)
+        if not todo.size:
+            return shifted - bound, den
+        r0, r1, t0, t1 = modulus, int(residues.flat[todo[0]]) * den % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        den *= abs(t1)
+        if den > bound:
+            return None
+
+
+def _certified_rref(x: "Matrix"):
+    """The RREF over Q of the matrix x and its pivots, by the certified
+    modular elimination of the module docstring."""
+    num = x._num
+    n = num.shape[1]
+    best = None
+    for p in _primes():
+        residues = (num % p).astype(np.int64, copy=False)
+        pivots = _eliminate(residues, p)
+        r = len(pivots)
+        if r == n:
+            # [I; 0] mod p is [I; 0] over Q: N K = 0 holds with no kernel,
+            # and rank N >= n by the prime
+            return Matrix._from_np(x.field, residues), pivots
+        key = (r, [-c for c in pivots])
+        if best is None or key > best:
+            # a better pivot list: the primes kept so far were unlucky
+            best, modulus, combined = key, p, residues
+        elif key == best:
+            combined = _crt(combined, modulus, residues, p)
+            modulus *= p
+        else:
+            continue
+        candidate = _reconstruct(combined, modulus)
+        if candidate is None:
+            continue
+        R, den = candidate  # numerators over den, all at most sqrt(modulus / 2)
+        bound = isqrt(modulus // 2)
+        K = _kernel_numerators(R[:r], den, pivots)
+        if _exact(np.matmul, num, K, _scaled_bound(x, bound * n)).any():
+            continue  # N K != 0: the candidate is not the RREF
+        return _rational(x.field, R, den, bound), pivots
+    raise ExactLinError("internal: no prime below 2**20 certified the row reduction")
+
+
+def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
+    """The residues modulo modulus * p congruent to x mod ``modulus`` and to
+    y mod p, as Python ints."""
+    x = x.astype(object)
+    t = (y - x) * pow(modulus, -1, p) % p
+    return x + modulus * t
+
+
 # -- free functions ------------------------------------------------------
+
+
+def _stacked(mats: Sequence[Matrix], axis: int) -> Matrix:
+    field = mats[0].field
+    if field.is_prime:
+        return Matrix._from_np(field, np.concatenate([m._num for m in mats], axis=axis))
+    arrays, den, bound = _common(mats)
+    return _rational(field, np.concatenate(arrays, axis=axis), den, bound)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -480,7 +724,7 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
         _check_same_field(mats[0], m)
         if m.rows != mats[0].rows:
             raise DimensionMismatch("hstack: row counts differ")
-    return Matrix._from_np(mats[0].field, np.concatenate([m._data for m in mats], axis=1))
+    return _stacked(mats, 1)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -490,7 +734,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
         _check_same_field(mats[0], m)
         if m.cols != mats[0].cols:
             raise DimensionMismatch("vstack: column counts differ")
-    return Matrix._from_np(mats[0].field, np.concatenate([m._data for m in mats], axis=0))
+    return _stacked(mats, 0)
 
 
 def block_matrix(blocks, heights=None, widths=None) -> Matrix:
@@ -513,19 +757,26 @@ def block_matrix(blocks, heights=None, widths=None) -> Matrix:
                   for j in range(len(blocks[0]))]
     r_off = [0, *accumulate(heights)]
     c_off = [0, *accumulate(widths)]
-    arr = field.zeros((r_off[-1], c_off[-1]))
+    for m in given[1:]:
+        _check_same_field(given[0], m)
+    if field.is_prime:
+        arrays, den = iter([m._num for m in given]), 1
+        arr = np.zeros((r_off[-1], c_off[-1]), dtype=np.int64)
+    else:
+        scaled, den, bound = _common(given)
+        arrays = iter(scaled)
+        arr = np.zeros((r_off[-1], c_off[-1]), dtype=scaled[0].dtype)
     for i, row in enumerate(blocks):
         if len(row) != len(widths):
             raise DimensionMismatch("block_matrix: ragged block grid")
         for j, m in enumerate(row):
             if m is None:
                 continue
-            _check_same_field(given[0], m)
             if m.shape != (heights[i], widths[j]):
                 raise DimensionMismatch(f"block_matrix: block ({i}, {j}) has shape "
                                         f"{m.shape}, not {(heights[i], widths[j])}")
-            arr[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = m._data
-    return Matrix._from_np(field, arr)
+            arr[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = next(arrays)
+    return Matrix._from_np(field, arr) if field.is_prime else _rational(field, arr, den, bound)
 
 
 def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
@@ -546,7 +797,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at (i_a * b.rows + i_b, j_a * b.cols + j_b) is a[i_a, j_a] * b[i_b, j_b].
     """
     _check_same_field(a, b)
-    return Matrix._from_np(a.field, a.field.product(_kron, a._data, b._data, 1))
+    f = a.field
+    if f.is_prime:
+        return Matrix._from_np(f, _kron(a._num, b._num) % f.p)
+    bound = _product_bound(a, b, 1)
+    return _rational(f, _exact(_kron, a._num, b._num, bound), a._den * b._den, bound)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -560,9 +815,9 @@ def kron_sum(lefts: Matrix, rights: Sequence[Matrix]) -> Matrix:
     """sum_t kron(L_t, rights[t]), where row j of L_t is row j * d + t of
     ``lefts`` and d = len(rights) >= 1.
 
-    One matrix product through :meth:`FieldSpec.product`, with d terms per
-    entry: the rows (L_0[j, i], ..., L_(d-1)[j, i]) against the flattened
-    rights, regrouped into Kronecker blocks.
+    One matrix product with d terms per entry: the rows (L_0[j, i], ...,
+    L_(d-1)[j, i]) against the flattened rights, regrouped into Kronecker
+    blocks.
     """
     d = len(rights)
     if not d or lefts.rows % d:
@@ -574,12 +829,20 @@ def kron_sum(lefts: Matrix, rights: Sequence[Matrix]) -> Matrix:
         if m.shape != (r, c):
             raise DimensionMismatch("kron_sum: right factors of different shapes")
     n, k = lefts.rows // d, lefts.cols
-    left = lefts._data.reshape(n, d, k).transpose(0, 2, 1).reshape(n * k, d)
-    right = np.stack([m._data for m in rights]).reshape(d, r * c)
-    prod = field.product(np.matmul, left, right, d)
-    return Matrix._from_np(field, prod.reshape(n, k, r, c).transpose(0, 2, 1, 3)
-                           .reshape(n * r, k * c))
-
+    left = lefts._num.reshape(n, d, k).transpose(0, 2, 1).reshape(n * k, d)
+    if field.is_prime:
+        right = np.stack([m._num for m in rights]).reshape(d, r * c)
+        prod, den = np.matmul(left, right) % field.p, 1
+    else:
+        arrays, den, right_bound = _common(rights)
+        right = np.stack(arrays).reshape(d, r * c)
+        if right_bound is None:
+            right_bound = max(max(m._magnitude(), 1) for m in rights)
+        bound = _scaled_bound(lefts, right_bound * d)
+        prod = _exact(np.matmul, left, right, bound)
+        den *= lefts._den
+    prod = prod.reshape(n, k, r, c).transpose(0, 2, 1, 3).reshape(n * r, k * c)
+    return Matrix._from_np(field, prod) if field.is_prime else _rational(field, prod, den, bound)
 
 def batched_rank(field: FieldSpec, arr) -> np.ndarray:
     """Ranks over F_p of the slices of a (batch, rows, cols) integer array.
@@ -695,7 +958,7 @@ def quotient_maps(relations: Matrix):
 
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization, as a (rows*cols) x 1 matrix."""
-    return Matrix._from_np(m.field, m._data.T.reshape(-1, 1))
+    return m._same_entries(m._num.T.reshape(-1, 1))
 
 
 def vec_columns(field: FieldSpec, rows: int, mats: Sequence[Matrix]) -> Matrix:
@@ -707,23 +970,27 @@ def vec_columns(field: FieldSpec, rows: int, mats: Sequence[Matrix]) -> Matrix:
 def vec_precompose(cols: Matrix, h: int, x: Matrix) -> Matrix:
     """The columns vec(b . x) for the columns vec(b) of h-row maps b.
 
-    This is (x^T (x) I_h) @ cols, computed as one product x^T @ B through
-    :meth:`FieldSpec.product`, where B is ``cols`` reshaped to x.rows rows
-    of h * cols.cols entries, so no Kronecker factor is formed.
+    This is (x^T (x) I_h) @ cols, computed as one product x^T @ B, where B
+    is ``cols`` reshaped to x.rows rows of h * cols.cols entries, so no
+    Kronecker factor is formed.
     """
     _check_same_field(cols, x)
     if cols.rows != h * x.rows:
         raise DimensionMismatch(f"vec_precompose: {cols.rows} rows for maps {h} x {x.rows}")
     field, m = cols.field, cols.cols
-    prod = field.product(np.matmul, x._data.T, cols._data.reshape(x.rows, h * m), x.rows)
-    return Matrix._from_np(field, prod.reshape(x.cols * h, m))
+    a, b = x._num.T, cols._num.reshape(x.rows, h * m)
+    if field.is_prime:
+        return Matrix._from_np(field, (np.matmul(a, b) % field.p).reshape(x.cols * h, m))
+    bound = _product_bound(x, cols, x.rows)
+    return _rational(field, _exact(np.matmul, a, b, bound).reshape(x.cols * h, m),
+                     x._den * cols._den, bound)
 
 
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of :func:`vec` for a single column."""
     if column.rows != rows * cols or column.cols != 1:
         raise DimensionMismatch("unvec: wrong length")
-    return Matrix._from_np(field, column._data.reshape(cols, rows).T)
+    return column._same_entries(column._num.reshape(cols, rows).T)
 
 
 def unvec_columns(columns: Matrix, rows: int, cols: int) -> list:
@@ -731,9 +998,9 @@ def unvec_columns(columns: Matrix, rows: int, cols: int) -> list:
     column, from one reshape of the whole array."""
     if columns.rows != rows * cols:
         raise DimensionMismatch("unvec_columns: wrong length")
-    arr = np.ascontiguousarray(columns._data.T.reshape(columns.cols, cols, rows)
+    arr = np.ascontiguousarray(columns._num.T.reshape(columns.cols, cols, rows)
                                .transpose(0, 2, 1))
-    return [Matrix._from_np(columns.field, a) for a in arr]
+    return [columns._part(a) for a in arr]
 
 
 def unvec_blocks(column: Matrix, shapes: Sequence) -> list:

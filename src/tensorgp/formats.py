@@ -289,8 +289,8 @@ def ranks_from_doc(v, maps: int, where: str) -> tuple:
 def scalar_to_doc(field: FieldSpec, v):
     if field.is_prime:
         return int(v)
-    f = Fraction(v)
-    return int(f) if f.denominator == 1 else f
+    f = v if isinstance(v, Fraction) else Fraction(v)
+    return f.numerator if f.denominator == 1 else f
 
 
 def scalar_from_doc(field: FieldSpec, v, where: str):
@@ -302,7 +302,7 @@ def scalar_from_doc(field: FieldSpec, v, where: str):
         try:
             num, den = v.split("/")
             return Fraction(int(num), int(den))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise FormatError(where, f"bad rational scalar {v!r}")
     raise FormatError(where, f"bad scalar {v!r}")
 

@@ -210,6 +210,17 @@ def induced_block_map(pb: PairBimodule, f: ModuleMap) -> Matrix:
     return kron_sum(images, pb.right_action)
 
 
+def _induced(d: MoritaData, side: str, f: ModuleMap) -> Matrix:
+    """:func:`induced_block_map` of the pair bimodule ``d.v`` or ``d.u``
+    (``side``) at f, memoised in ``d._cache``: the maps of a window recur
+    at the next position, and the triangular checks share the cache of
+    their context data."""
+    key = ("induced", side, f)
+    if key not in d._cache:
+        d._cache[key] = induced_block_map(getattr(d, side), f)
+    return d._cache[key]
+
+
 # -- trivial extensions -------------------------------------------------------
 
 
@@ -489,10 +500,10 @@ def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
     for k in w.positions():
         tau_p, sigma_p, beta_p, gamma_p = w.at(k - 1)
         tau_n, sigma_n, beta_n, gamma_n = w.at(k)
-        vs_n = induced_block_map(d.v, sigma_n)
-        vs_p = induced_block_map(d.v, sigma_p)
-        ut_n = induced_block_map(d.u, tau_n)
-        ut_p = induced_block_map(d.u, tau_p)
+        vs_n = _induced(d, "v", sigma_n)
+        vs_p = _induced(d, "v", sigma_p)
+        ut_n = _induced(d, "u", tau_n)
+        ut_p = _induced(d, "u", tau_p)
 
         res = [tau_n.mat @ tau_p.mat,
                sigma_n.mat @ sigma_p.mat,
@@ -649,8 +660,8 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
     for k in w.positions():
         tau_p, sigma_p, beta_p = w.at(k - 1)
         tau_n, sigma_n, beta_n = w.at(k)
-        vs_n = induced_block_map(d.v, sigma_n)
-        vs_p = induced_block_map(d.v, sigma_p)
+        vs_n = _induced(d.as_morita(), "v", sigma_n)
+        vs_p = _induced(d.as_morita(), "v", sigma_p)
 
         top_complex = (tau_n.mat @ tau_p.mat).is_zero()
         verdicts.append(Verdict("(i) complex", k, "pass" if top_complex else "fail",

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
 from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_hom_basis, free_module
 from tensorgp.bimodule import Bimodule, zero_bimodule
@@ -840,3 +842,62 @@ def specialize_fixture_docs():
     tw = random_triangular_window(td, rng, max_rank=2, period=2)
     return {"morita_window.yaml": formats.context_to_doc(d, w),
             "triangular_window.yaml": formats.context_to_doc(td, tw)}
+
+
+# -- the Fraction elimination that exactlin ran over Q before it went modular -----
+
+
+def fraction_rref(m):
+    """Gauss-Jordan elimination on an ``object`` array of the ``Fraction``
+    entries of a Q matrix, with the library's pivot rule: the row
+    reduction exactlin ran before its certified modular one.  Returns the
+    RREF as a list of rows and the pivot columns."""
+    R = np.array(m.entries, dtype=object).reshape(m.shape)
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        if R[r, c] != 1:
+            R[r] = R[r] * (1 / R[r, c])
+        others = np.flatnonzero(R[:, c])
+        others = others[others != r]
+        if others.size:
+            R[others] = R[others] - np.outer(R[others, c], R[r])
+        pivots.append(c)
+        r += 1
+    return R.tolist(), tuple(pivots)
+
+
+def fraction_kernel(m):
+    """The canonical kernel basis of ``Matrix.kernel_basis`` from
+    :func:`fraction_rref`, as a list of rows."""
+    rows, pivots = fraction_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    grid = [[Fraction(0)] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        grid[f][k] = Fraction(1)
+        for t, pc in enumerate(pivots):
+            grid[pc][k] = -rows[t][f]
+    return grid
+
+
+def fraction_solve(a, b):
+    """The solution of ``Matrix.solve`` (free variables zero) from
+    :func:`fraction_rref` of [a | b], as a list of rows, or None."""
+    aug = Matrix.from_rows(QQ, [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]) \
+        if a.rows else Matrix.zeros(QQ, 0, a.cols + b.cols)
+    rows, pivots = fraction_rref(aug)
+    if any(pc >= a.cols for pc in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for t, pc in enumerate(pivots):
+        x[pc] = rows[t][a.cols:]
+    return x

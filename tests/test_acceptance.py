@@ -62,13 +62,21 @@ _COLLECTED_FAILURES = []
 
 @pytest.fixture(scope="module")
 def corpus():
-    """The F_2 and F_3 corpus, then a small one over Q: rank-2 windows on
-    the path ring cost seconds each over Q, so its ranks stop at 1 there."""
-    return window_corpus() + window_corpus(20, (QQ,), seed=30_000, path_rank=1)
+    """The F_2 and F_3 corpus, then a small one over Q, with seeded rank-2
+    windows on the three-vertex path ring."""
+    path = ring_pool((QQ,))[4]
+    rank_two = [random_window(path, 31_000 + i, ranks)
+                for i, ranks in enumerate(((2,), (2, 2), (2, 1)) * 2)]
+    return window_corpus() + window_corpus(20, (QQ,), seed=30_000) + rank_two
 
 
 def _over_q(windows):
     return sum(w.ring.algebra.field == QQ for w in windows)
+
+
+def _rank_two_paths_over_q(windows):
+    return sum(w.ring.algebra.field == QQ and w.ring.nilpotency == 2 and 2 in w.ranks
+               for w in windows)
 
 
 def _collect_failures(window, report):
@@ -88,8 +96,10 @@ def test_criterion_1_complex_and_exactness_against_assembled_matrices(corpus):
                      and report.status(k, "C2") == "pass")
             assert paper == oracle[k], f"disagreement at k={k}"
             positions += 1
+    assert _rank_two_paths_over_q(corpus) >= 6
     elapsed = time.time() - start
-    print(f"criterion 1: PASS ({len(corpus)} windows, {_over_q(corpus)} of them over Q, "
+    print(f"criterion 1: PASS ({len(corpus)} windows, {_over_q(corpus)} of them over Q "
+          f"({_rank_two_paths_over_q(corpus)} rank-2 path windows), "
           f"{positions} positions, 0 disagreements, {elapsed:.1f}s)")
 
 

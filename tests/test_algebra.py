@@ -223,7 +223,7 @@ class TestSharedFreeModules:
             with pytest.raises(FrozenInstanceError):
                 x.dim = 3
             with pytest.raises(ValueError):
-                x.action[0]._data[0, 0] = field.one()
+                x.action[0]._num[0, 0] = field.one()
             assert not isinstance(x.action, list)
             # an equal algebra built apart holds its own, equal, instance
             b = dual_numbers(field)

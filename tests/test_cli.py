@@ -264,6 +264,26 @@ class TestIntegerFieldsRefused:
         assert "parse error" in capsys.readouterr().err
 
 
+class TestZeroDenominatorRefused:
+    """A rational scalar with denominator zero is bad input (exit 2, one
+    line naming its path), not an uncaught error."""
+
+    @pytest.mark.parametrize("command,old,new,where", [
+        ("check", "entries: [['1/2', 0]", "entries: [['1/0', 0]",
+         "window.maps[0].components[0].entries[0]"),
+        ("validate", "- [[1, 0], [0, 0]]", "- [['1/0', 0], [0, 0]]",
+         "bundle.algebra.struct_consts[0][0]"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, old, new, where):
+        text = Path(fixture("q_window.yaml")).read_text()
+        assert old in text
+        path = tmp_path / "input.yaml"
+        path.write_text(text.replace(old, new, 1))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f"{where}: bad rational scalar '1/0'\n")
+
+
 class TestYamlLoader:
     def documents(self):
         texts = [p.read_text() for p in sorted(FIXTURES.glob("*.yaml"))]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -486,13 +487,23 @@ def grid(m):
 
 
 def assert_canonical(m):
-    """Every entry is a reduced int over F_p and a Fraction over Q."""
+    """Every entry is a reduced int over F_p and a Fraction over Q; the
+    read-only numerators are reduced residues over F_p, and over Q are in
+    lowest terms over a positive denominator, int64 exactly when every
+    one is below 2**62 in absolute value."""
     kind = int if m.field.is_prime else Fraction
     values = [v for row in m.entries for v in row]
     values += [m[i, j] for i in range(m.rows) for j in range(m.cols)]
     assert all(type(v) is kind for v in values)
+    assert not m._num.flags.writeable and m._num.shape == m.shape
+    nums = [int(v) for v in m._num.flat]
     if m.field.is_prime:
         assert all(0 <= v < m.field.p for v in values)
+        assert m._num.dtype == np.int64 and m._den == 1
+    else:
+        assert m._den > 0 and gcd(m._den, *nums) == 1
+        assert (m._num.dtype == object) == any(abs(v) >= 2**62 for v in nums)
+        assert [Fraction(v, m._den) for v in nums] == values[:len(nums)]
 
 
 class TestReferenceElimination:
@@ -546,9 +557,84 @@ class TestRationalStorage:
         assert len({built, product, reduced}) == 1
 
 
+@st.composite
+def wide_rationals(draw, rows, cols):
+    """A Q matrix with integer or rational entries whose numerators and
+    denominators are bounded by a drawn power of two, up to 2**70, past
+    the int64 guard; some entries are zero."""
+    bound = 2 ** draw(st.integers(0, 70))
+    num = st.integers(-bound, bound)
+    scalar = st.one_of(st.just(0), num, st.builds(Fraction, num, st.integers(1, bound)))
+    grid_ = draw(st.lists(st.lists(scalar, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    return Matrix.from_rows(QQ, grid_) if grid_ else Matrix.zeros(QQ, 0, cols)
+
+
+class TestCertifiedElimination:
+    """The certified modular elimination over Q against the ``Fraction``
+    elimination it replaced (``helpers.fraction_rref``): the RREF, its
+    pivots, kernel bases, solutions and inverses, on zero-sized matrices,
+    on small and on wide entries and denominators, and on a matrix whose
+    RREF modulo the first prime has the wrong pivots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 5), cols=st.integers(0, 5),
+           bcols=st.integers(0, 2), wide=st.booleans())
+    def test_matches_the_fraction_elimination(self, data, rows, cols, bcols, wide):
+        from helpers import fraction_kernel, fraction_rref, fraction_solve
+
+        draw = wide_rationals if wide else (lambda r, c: matrices(QQ, r, c))
+        a = data.draw(draw(rows, cols))
+        r, pivots = a.rref()
+        want_r, want_pivots = fraction_rref(a)
+        assert grid(r) == want_r and pivots == want_pivots
+        kernel = a.kernel_basis()
+        assert grid(kernel) == fraction_kernel(a)
+        assert (a @ kernel).is_zero()
+        b = data.draw(draw(rows, bcols))
+        x = a.solve(b)
+        want_x = fraction_solve(a, b)
+        assert (x is None) == (want_x is None)
+        if x is not None:
+            assert grid(x) == want_x
+            assert_canonical(x)
+        square = data.draw(draw(cols, cols))
+        want_inv = fraction_solve(square, Matrix.identity(QQ, cols))
+        if len(fraction_rref(square)[1]) == cols:
+            inv = square.inverse()
+            assert grid(inv) == want_inv
+            assert square @ inv == Matrix.identity(QQ, cols)
+            assert_canonical(inv)
+        else:
+            with pytest.raises(ExactLinError, match="singular"):
+                square.inverse()
+        for m in (r, kernel):
+            assert_canonical(m)
+
+    def test_first_prime_candidate_is_refused_by_the_product_check(self, monkeypatch):
+        # modulo the first prime p, [[p, 1]] reduces to [[0, 1]]: pivot 1
+        # and kernel (1, 0), which the exact product N K = [[p]] refuses
+        import tensorgp.exactlin as exactlin
+
+        p = next(exactlin._primes())
+        real = exactlin._reconstruct
+        candidates = []
+        monkeypatch.setattr(exactlin, "_reconstruct", lambda residues, modulus: candidates.append(
+            (modulus, real(residues, modulus))) or candidates[-1][1])
+        a = M(QQ, [[p, 1]])
+        r, pivots = a.rref()
+        assert pivots == (0,) and grid(r) == [[1, Fraction(1, p)]]
+        first_modulus, first = candidates[0]
+        assert first_modulus == p and first is not None
+        assert first[0].tolist() == [[0, 1]]  # the candidate R
+        assert len(candidates) > 1 and candidates[1][0] != p
+        assert grid(a.kernel_basis()) == [[Fraction(-1, p)], [1]]
+        assert a.solve(M(QQ, [[1]])) == M(QQ, [[Fraction(1, p)], [0]])
+
+
 def reference_object_product(op, a, b):
     """``op`` on ``object`` arrays of the ``Fraction`` entries: the plain
-    product that the int64 path of ``FieldSpec.product`` must agree with."""
+    product that the numerator products of exactlin must agree with."""
     def arr(m):
         return np.array(m.entries, dtype=object).reshape(m.shape)
     return op(arr(a), arr(b)).tolist()
@@ -570,9 +656,9 @@ def q_operands(draw, rows, cols):
 
 class TestRationalProducts:
     """``@`` and ``kron`` over Q against the plain ``object`` product:
-    negative entries, zero-size shapes, results beyond the table of small
-    Fractions, non-integral entries, numerators of 2**63 and above, and
-    operands on both sides of the 2**62 guard."""
+    negative entries, zero-size shapes, large results, non-integral
+    entries, numerators of 2**63 and above, and operands on both sides of
+    the 2**62 guard."""
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), rows=st.integers(0, 4), inner=st.integers(0, 4),
@@ -705,7 +791,7 @@ class TestSharedIdentity:
             assert i3 == M(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
             assert_canonical(i3)
             with pytest.raises(ValueError):
-                i3._data[0, 1] = field.one()
+                i3._num[0, 1] = field.one()
             with pytest.raises(AttributeError):
                 i3.rows = 2
             # results built from it are new matrices

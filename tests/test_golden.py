@@ -10,21 +10,28 @@ with.  The third covers the rendered catalog of the exhaustive hunt of
 The last two cover the exit code and standard output of ``tensorgp
 specialize`` on ``tests/fixtures/morita_window.yaml`` and
 ``tests/fixtures/triangular_window.yaml``, which render seeded helpers.
+``GOLDEN_Q`` covers rendered reports, oracle results and witness
+replays of seeded windows over Q whose maps are scaled by rationals with
+denominators on both sides of 2**31 and numerators past 2**62, and of
+rank-2 windows on the path ring.
 A refactor that changes any verdict, witness or oracle figure
 changes a digest."""
 
 import hashlib
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tensorgp import formats
 from tensorgp.cli import main
+from tensorgp.algebra import ModuleMap
 from tensorgp.exactlin import QQ
-from tensorgp.tensor_ring import TensorRing
+from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.bimodule import zero_bimodule
-from tensorgp.resolution import check_complete, exactness_oracle, hom_complex_oracle
+from tensorgp.resolution import (ResolutionWindow, check_complete, exactness_oracle,
+                                 hom_complex_oracle, replay_verdict)
 from tensorgp.search import hunt_strongly_gp, random_window
 from tensorgp.special_rings import (TrivialExtData, morita_checks, mu_transport,
                                     triangular_checks, trivext_checks)
@@ -32,10 +39,11 @@ from tensorgp.special_rings import (TrivialExtData, morita_checks, mu_transport,
 from helpers import (F2, F3, corner_bimodule, dual_numbers, random_morita_data,
                      random_morita_window, random_triangular_data,
                      random_triangular_window, ring_pool, specialize_fixture_docs,
-                     window_corpus)
+                     window_corpus, x_multiplication)
 
 GOLDEN = "ad2d0b8dd3582a0277b68c15d0db17c2fcd852424f681c24e0d7c8210c66144c"
 GOLDEN_SPECIAL = "8e48460a71fbfae146ad53f3d32bd10d80e472fa4110cecb9a2e9bf849f9595e"
+GOLDEN_Q = "7010d5e9f5442a79a29fcaf780aceb0164530d26500df32a57cfe8d7e889f590"
 GOLDEN_HUNT = "bbdcfeb558049bd878ed608d04f55b3b2adfc7c7bf8992b9dedf1420d6666536"
 GOLDEN_SPECIALIZE_CLI = {
     "morita_window.yaml": "374e0f89957699d5c7fccb67437e03d798946c4b7a15a4c087d5726e33bb3a22",
@@ -69,6 +77,63 @@ def golden_digest() -> str:
 
 def test_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+# scalars for the maps of the Q windows: denominators below and above
+# 2**31, and numerators past 2**62 (beyond the int64 range of exactlin)
+_Q_SCALARS = (
+    (Fraction(3, 7), Fraction(-5, 2**20 + 7)),
+    (Fraction(7, 2**31 + 11), Fraction(-(2**33 + 1), 3**25)),
+    (2**62 + 3, Fraction(-(2**65 + 1), 5)),
+    (Fraction(-(3**41), 2**40 + 15), 2, Fraction(1, 2**64 + 13)),
+)
+
+
+def _scaled(w, scalars, per_component):
+    """The window with map t scaled by scalars[t], or, with
+    ``per_component``, its component i scaled by scalars[t + i]: a scaling
+    per map keeps every verdict, one per component generally breaks C1."""
+    def scalar(t, i):
+        return scalars[(t + i * per_component) % len(scalars)]
+
+    maps = tuple(StarMorphism(w.ring, s.source_rank, s.target_rank, tuple(
+        ModuleMap(c.source, c.target, c.mat.scale(scalar(t, i)))
+        for i, c in enumerate(s.components))) for t, s in enumerate(w.maps))
+    return ResolutionWindow(w.ring, w.lo, w.ranks, maps, w.period)
+
+
+def _q_windows():
+    path = ring_pool((QQ,))[4]
+    base = window_corpus(10, (QQ,), seed=90_000, path_rank=2)
+    base += [random_window(path, 91_000 + j, ranks)
+             for j, ranks in enumerate(((2,), (2, 2), (2, 1)))]
+    base.append(random_window(path, 91_100, (2, 1, 2), periodic=False))
+    # the complete resolution of k[x]/(x^2) by multiplication by x
+    ring = TensorRing(dual_numbers(QQ), zero_bimodule(dual_numbers(QQ)), 0)
+    x = x_multiplication(QQ)
+    base.append(ResolutionWindow(ring, 0, (1, 1), (StarMorphism(
+        ring, 1, 1, (ModuleMap(ring.free(1), ring.free(1), x.mat),)),), period=1))
+    windows = list(base[-5:])
+    for i, w in enumerate(base):
+        scalars = _Q_SCALARS[i % len(_Q_SCALARS)]
+        windows.append(_scaled(w, scalars, False))
+        windows.append(_scaled(w, scalars, True))
+    return windows
+
+
+def q_digest() -> str:
+    h = hashlib.sha256()
+    for w in _q_windows():
+        report = check_complete(w)
+        h.update(formats.render(formats.report_to_doc(QQ, report)).encode())
+        h.update(repr(sorted(exactness_oracle(w).items())).encode())
+        h.update(repr(sorted(hom_complex_oracle(w).items())).encode())
+        h.update(repr([replay_verdict(w, v) for v in report.failures()]).encode())
+    return h.hexdigest()
+
+
+def test_golden_q_digest():
+    assert q_digest() == GOLDEN_Q
 
 
 def _special_reports():

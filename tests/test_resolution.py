@@ -356,6 +356,33 @@ class TestLemmaEquivalencesSample:
                 assert paper == oracle[k], f"disagreement at k={k}"
         assert check_complete(split_window).passed
 
+    def test_cold_rank_two_path_window_over_q(self):
+        """A fresh five-vertex path ring over Q (nilpotency 4) at rank 2:
+        on a seeded periodic window and on the split window, C1 and C2
+        agree with the exactness oracle, C3 with the Hom-complex oracle,
+        and every failing verdict replays."""
+        m = path_bimodule(QQ, 5)
+        ring = TensorRing(m.algebra, m, 4)
+        free = ring.free(2)
+        n = m.algebra.dim
+        split = Matrix.from_rows(QQ, [[int(j == i + n) for j in range(2 * n)]
+                                      for i in range(2 * n)])
+        comps = (ModuleMap(free, free, split),) + tuple(
+            ModuleMap.zero(free, ring.model(i, free).result) for i in range(1, 5))
+        split_window = ResolutionWindow(ring, 0, (2, 2), (StarMorphism(ring, 2, 2, comps),),
+                                        period=1)
+        for w in (search.random_window(ring, 1, (2,)), split_window):
+            report = check_complete(w)
+            exact = exactness_oracle(w)
+            defects = hom_complex_oracle(w)
+            for k in w.positions():
+                paper = (report.status(k, "C1") == "pass"
+                         and report.status(k, "C2") == "pass")
+                assert paper == exact[k], f"disagreement at k={k}"
+                assert (report.status(k, "C3") == "pass") == (defects[k] == 0)
+            assert all(replay_verdict(w, v) for v in report.failures())
+        assert check_complete(split_window).passed
+
 
 class TestExtractGP:
     def test_zero_window_extracts_zero(self):

@@ -227,6 +227,35 @@ class TestValidateOnce:
             assert m.u.dim == 0 and m.u.left_alg == d.b and m.u.right_alg == d.a
         assert calls == []
 
+    def test_each_induced_block_map_is_built_once(self, monkeypatch):
+        import tensorgp.special_rings as special_rings
+
+        real = special_rings.induced_block_map
+        built = []
+        monkeypatch.setattr(special_rings, "induced_block_map",
+                            lambda pb, f: built.append((id(pb), f)) or real(pb, f))
+        rng = random.Random(61)
+        total = 0
+        for field in (F2, F3, QQ):
+            for period in (1, 2):
+                # each data object keeps its own maps: count per object, and
+                # per side, as the two sides may be equal pair bimodules
+                d = random_morita_data(rng, field)
+                w = random_morita_window(d, rng, max_rank=2, period=period)
+                morita_checks(d, w)
+                morita_checks(d, w)
+                assert len(built) == len(set(built))
+                total += len(built)
+                built.clear()
+                t = random_triangular_data(rng, field)
+                tw = random_triangular_window(t, rng, max_rank=2, period=period)
+                triangular_checks(t, tw)
+                morita_checks(t.as_morita(), tw.as_morita(t))
+                assert len(built) == len(set(built))
+                total += len(built)
+                built.clear()
+        assert total
+
     def test_transport_ring_is_not_recertified(self, monkeypatch):
         rng = random.Random(59)
         datas = [random_morita_data(rng, field) for field in (F2, F3, QQ) for _ in range(4)]
