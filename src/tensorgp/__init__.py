@@ -10,7 +10,8 @@ The package is layered bottom-up:
 - ``resolution``    the resolution condition checkers and their oracles
 - ``special_rings`` trivial extensions, Morita context rings, triangular rings
 - ``search``        bounded enumeration and seeded random generators
-- ``cli``           file formats and the command line front end
+- ``formats``       canonical YAML files: parsing with validation, rendering
+- ``cli``           the command line front end
 """
 
 from tensorgp.exactlin import FieldSpec, Matrix

@@ -72,17 +72,46 @@ def _emit(doc: dict, output):
         sys.stdout.write(text)
 
 
-def _load(path: str) -> dict:
+def _load(path: str, parse=None):
+    """The document of an input file, or ``parse`` of it.  A FormatError
+    raised on the way starts with the path of the file, in place of the
+    ``<input>`` that stands for the document as a whole."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return formats.load(fh.read())
+            doc = formats.load(fh.read())
+        return doc if parse is None else parse(doc)
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(path, str(exc))
+    except FormatError as exc:
+        raise FormatError(path, str(exc).removeprefix("<input>: "))
 
 
 def _report_exit(report: CheckReport) -> int:
     _say(report.summary())
     return EXIT_PASS if report.passed else EXIT_FAIL
+
+
+# label groups (left labels, right labels) of the report pairs that must agree
+_ORACLE_GROUPS = ((("C1", "C2"), ("exact",)), (("C3",), ("hom-vanish",)))
+_TRIVEXT_GROUPS = ((("C1",), ("C1",)), (("C2",), ("C2",)), (("C3",), ("C3",)))
+_CONTEXT_GROUPS = ((("C1'",), ("C1",)), (("C2'",), ("C2",)), (("C3'",), ("C3",)))
+_TRIANGULAR_GROUPS = ((("(i) complex", "(ii) complex", "(iii)"), ("C1'",)),
+                      (("(ii) exact", "(iv)"), ("C2'",)),
+                      (("(i) lift", "(v)"), ("C3'",)))
+
+
+def _disagreement(left: CheckReport, right: CheckReport, groups, positions):
+    """The first (k, group) at which two reports differ, or None.  Each
+    side of a group reads "skip" at k when all of its verdicts there skip,
+    "pass" when all pass, and "fail" otherwise."""
+    statuses = [{(v.k, v.label): v.status for v in r.verdicts} for r in (left, right)]
+
+    def reading(side, k, labels):
+        seen = {statuses[side].get((k, label)) for label in labels}
+        return seen.pop() if seen in ({"skip"}, {"pass"}) else "fail"
+
+    return next(((k, g) for k in positions for g in groups
+                 if reading(0, k, g[0]) != reading(1, k, g[1])), None)
 
 
 # -- validate -------------------------------------------------------------------
@@ -176,12 +205,14 @@ def _oracle_report(w) -> CheckReport:
 
 
 def cmd_check(args) -> int:
-    doc = _load(args.window)
-    section = doc.get("window")
-    if args.period is not None and isinstance(section, dict):
-        # any other section is refused by window_from_doc with a FormatError
-        section["period"] = args.period
-    w = formats.window_from_doc(doc)
+    def window(doc):
+        section = doc.get("window")
+        if args.period is not None and isinstance(section, dict):
+            # any other section is refused by window_from_doc with a FormatError
+            section["period"] = args.period
+        return formats.window_from_doc(doc)
+
+    w = _load(args.window, window)
     field = w.ring.algebra.field
     if args.mode in ("paper", "both"):
         conditions = check_complete(w)
@@ -193,22 +224,19 @@ def cmd_check(args) -> int:
     if args.mode == "oracle":
         _emit(formats.report_to_doc(field, oracle), args.output)
         return _report_exit(oracle)
-    for k in w.positions():
-        cond = (conditions.status(k, "C1") == "pass" and conditions.status(k, "C2") == "pass")
-        if cond != (oracle.status(k, "exact") == "pass"):
-            _say(f"internal: checker and exactness oracle disagree at k={k}")
-            return EXIT_INTERNAL
-        if (conditions.status(k, "C3") == "pass") != (oracle.status(k, "hom-vanish") == "pass"):
-            _say(f"internal: checker and hom oracle disagree at k={k}")
-            return EXIT_INTERNAL
+    hit = _disagreement(conditions, oracle, _ORACLE_GROUPS, w.positions())
+    if hit:
+        k, group = hit
+        which = "exactness" if group is _ORACLE_GROUPS[0] else "hom"
+        _say(f"internal: checker and {which} oracle disagree at k={k}")
+        return EXIT_INTERNAL
     _say("checker and oracle agree at every position")
     _emit(formats.report_to_doc(field, conditions), args.output)
     return _report_exit(conditions)
 
 
 def cmd_extract_gp(args) -> int:
-    doc = _load(args.window)
-    w = formats.window_from_doc(doc)
+    w = _load(args.window, formats.window_from_doc)
     try:
         t = extract_gp(w, args.k, allow_window_local=args.allow_window_local)
     except ExtractionRefused as exc:
@@ -220,8 +248,7 @@ def cmd_extract_gp(args) -> int:
 
 
 def cmd_strong(args) -> int:
-    doc = _load(args.window)
-    w = formats.window_from_doc(doc)
+    w = _load(args.window, formats.window_from_doc)
     if len(w.maps) != 1 or w.ranks[0] != w.ranks[1]:
         _say("strong mode expects a window with a single map between equal ranks")
         return EXIT_INVALID
@@ -231,8 +258,7 @@ def cmd_strong(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    doc = _load(args.complex)
-    bimodule, levels, pc = formats.complex_from_doc(doc)
+    bimodule, levels, pc = _load(args.complex, formats.complex_from_doc)
     try:
         report = check_compatibility(bimodule, pc, levels)
     except NotCompleteResolution as exc:
@@ -244,8 +270,7 @@ def cmd_compat(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    doc = _load(args.complex)
-    bimodule, levels, pc = formats.complex_from_doc(doc)
+    bimodule, levels, pc = _load(args.complex, formats.complex_from_doc)
     # compatibility is checkable without nilpotency; refuse with the failing
     # level before demanding a tensor ring
     try:
@@ -278,53 +303,22 @@ def _parse_trivext(doc):
     return TrivialExtData(w.ring.algebra, w.ring.bimodule), w
 
 
-_CONTEXT_LABELS = (("C1'", "C1"), ("C2'", "C2"), ("C3'", "C3"))
-
-
-def _context_disagrees(context, generic, positions) -> bool:
-    """Whether the context-ring verdicts C1'..C3' differ from the generic
-    C1..C3 of the transported window at some position."""
-    ctx = {(v.k, v.label): v.status for v in context.verdicts}
-    gen = {(v.k, v.label): v.status for v in generic.verdicts}
-    return any(ctx.get((k, lab)) != gen.get((k, glab))
-               for k in positions for lab, glab in _CONTEXT_LABELS)
-
-
-def _triangular_disagrees(tri, context, positions) -> bool:
-    """Whether the triangular verdicts, grouped as (i) complex, (ii)
-    complex and (iii) for C1', (ii) exact and (iv) for C2', and (i) lift
-    and (v) for C3', differ from the context-ring verdicts at some
-    position.  C2' skips exactly when both of its triangular verdicts
-    skip."""
-    t = {(v.k, v.label): v.status for v in tri.verdicts}
-    c = {(v.k, v.label): v.status for v in context.verdicts}
-
-    def passes(k, *labels):
-        return all(t.get((k, lab)) == "pass" for lab in labels)
-
-    for k in positions:
-        if (c.get((k, "C1'")) == "pass") != passes(k, "(i) complex", "(ii) complex", "(iii)"):
-            return True
-        c2 = c.get((k, "C2'"))
-        if c2 == "skip":
-            if t.get((k, "(ii) exact")) != "skip" or t.get((k, "(iv)")) != "skip":
-                return True
-        elif (c2 == "pass") != passes(k, "(ii) exact", "(iv)"):
-            return True
-        if (c.get((k, "C3'")) == "pass") != passes(k, "(i) lift", "(v)"):
-            return True
-    return False
+def _specialization(doc):
+    """The kind, data and window of a trivext, morita or triangular file."""
+    kind = doc.get("kind")
+    if kind == "trivext":
+        return (kind, *_parse_trivext(doc))
+    if kind not in ("morita", "triangular"):
+        raise FormatError("<input>", f"unknown specialization kind {kind!r}")
+    return (kind, *formats.context_from_doc(doc))
 
 
 def cmd_specialize(args) -> int:
-    doc = _load(args.file)
-    kind = doc.get("kind")
+    kind, d, w = _load(args.file, _specialization)
     if kind == "trivext":
-        d, w = _parse_trivext(doc)
         special = trivext_checks(d, w)
         generic = check_complete(w)
-        if any(special.status(v.k, v.label) != generic.status(v.k, v.label)
-               for v in special.verdicts):
+        if _disagreement(special, generic, _TRIVEXT_GROUPS, w.positions()):
             _say("internal: specialized and generic verdicts differ")
             return EXIT_INTERNAL
         out = {"kind": "specialize-report",
@@ -334,10 +328,6 @@ def cmd_specialize(args) -> int:
         _say(special.summary())
         _say("specialized and generic verdicts agree")
         return EXIT_PASS if special.passed else EXIT_FAIL
-    if kind not in ("morita", "triangular"):
-        _say(f"unknown specialization kind {kind!r}")
-        return EXIT_INVALID
-    d, w = formats.context_from_doc(doc)
     field = d.a.field
     if kind == "morita":
         special = context = morita_checks(d, w)
@@ -346,7 +336,7 @@ def cmd_specialize(args) -> int:
         special = triangular_checks(d, w)
         d, w = d.as_morita(), w.as_morita(d)
         context = morita_checks(d, w)
-        if _triangular_disagrees(special, context, w.positions()):
+        if _disagreement(special, context, _TRIANGULAR_GROUPS, w.positions()):
             _say("internal: triangular and context-ring verdicts differ")
             return EXIT_INTERNAL
         out = {"kind": "specialize-report",
@@ -358,7 +348,7 @@ def cmd_specialize(args) -> int:
         out["transport_note"] = str(exc)
     else:
         generic = check_complete(transported)
-        if _context_disagrees(context, generic, w.positions()):
+        if _disagreement(context, generic, _CONTEXT_GROUPS, w.positions()):
             _say("internal: context-ring and generic verdicts differ")
             return EXIT_INTERNAL
         out["generic"] = formats.report_to_doc(field, generic)
@@ -370,18 +360,20 @@ def cmd_specialize(args) -> int:
     return EXIT_PASS if special.passed else EXIT_FAIL
 
 
-def cmd_hunt(args) -> int:
-    doc = _load(args.bundle)
+def _bundle_ring(doc) -> TensorRing:
     if doc.get("kind") != "bundle":
-        _say(f"{args.bundle}: expected a bundle file")
-        return EXIT_INVALID
+        raise FormatError("<input>", "expected a bundle file")
+    return formats.bundle_from_doc(doc)
+
+
+def cmd_hunt(args) -> int:
     if args.max_rank < 0:
         _say(f"--max-rank must be non-negative, got {args.max_rank}")
         return EXIT_INVALID
     if args.budget < 0:
         _say(f"--budget must be non-negative, got {args.budget}")
         return EXIT_INVALID
-    ring = formats.bundle_from_doc(doc)
+    ring = _load(args.bundle, _bundle_ring)
     if not ring.algebra.field.is_prime:
         _say(f"{args.bundle}: hunting enumerates a finite field, not {ring.algebra.field}")
         return EXIT_INVALID

@@ -43,6 +43,8 @@ from tensorgp.resolution import (
     complex_window,
 )
 from tensorgp.search import Catalog, CatalogGroup
+from tensorgp.special_rings import (MoritaData, MoritaWindow, PairBimodule, TriangularData,
+                                    TriangularWindow, block_power_module)
 
 
 # libyaml's parser when PyYAML was built with it; the documents are the same
@@ -628,8 +630,6 @@ _CONTEXT_MAPS = ("tau", "sigma", "beta", "gamma")
 
 
 def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: str):
-    from tensorgp.special_rings import PairBimodule
-
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "pair bimodule needs dim, left_action, right_action")
     dim = int_from_doc(node["dim"], f"{where}.dim", 0)
@@ -654,8 +654,6 @@ def context_to_doc(d, w) -> dict:
     """The file of a context ring window (``kind: morita``), or of a
     triangular ring window (``kind: triangular``), which has no
     ``bimodule_u`` and no ``gamma`` maps."""
-    from tensorgp.special_rings import TriangularData
-
     triangular = isinstance(d, TriangularData)
     names = _CONTEXT_MAPS[:3] if triangular else _CONTEXT_MAPS
     doc = {"kind": "triangular" if triangular else "morita",
@@ -681,9 +679,6 @@ def context_from_doc(doc):
     and :class:`MoritaWindow`, or of a triangular ring file, as
     :class:`TriangularData` and :class:`TriangularWindow`.  Error paths
     start with the kind of the file."""
-    from tensorgp.special_rings import (MoritaData, MoritaWindow, TriangularData,
-                                        TriangularWindow, block_power_module)
-
     where = doc.get("kind")
     if where not in ("morita", "triangular"):
         raise FormatError("context", f"expected kind 'morita' or 'triangular', got {where!r}")

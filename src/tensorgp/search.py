@@ -65,12 +65,7 @@ import numpy as np
 from tensorgp.exactlin import Matrix, batched_rank
 from tensorgp.algebra import LeftModule, ModuleMap, hom_space
 from tensorgp.tensor_ring import StarMorphism, TensorRing
-from tensorgp.resolution import (
-    InternalCheckError,
-    ResolutionWindow,
-    check_strongly_gp,
-    strong_report,
-)
+from tensorgp.resolution import CheckReport, InternalCheckError, ResolutionWindow, strong_report
 
 
 class BudgetExceeded(Exception):
@@ -193,16 +188,21 @@ def _staged(ring: TensorRing, stage: _Stage, coeffs: np.ndarray):
     return sc1, kernel_dims, sc3
 
 
+def _one_periodic(s: StarMorphism) -> tuple[CheckReport, int]:
+    """The one-periodic report of a candidate and its kernel dimension,
+    n minus the rank of its assembled matrix, from one window, so that C2
+    reads the assembled matrix the rank is taken of."""
+    w = ResolutionWindow(s.ring, 0, (s.source_rank, s.source_rank), (s,), period=1)
+    return strong_report(w), s.ring.ind_free(s.source_rank).x.dim - w.assembled(0).rank()
+
+
 def _full_check(s: StarMorphism, kernel_dim: int, sc1: bool, sc2: bool, sc3: bool) -> None:
     """Run the one-periodic check on a candidate and cross-check it
     against its staged verdicts and its batched kernel dimension; a
     disagreement raises :class:`~tensorgp.resolution.InternalCheckError`."""
-    ring = s.ring
-    # one window: C2 reads the assembled matrix that the rank cross-check built
-    w = ResolutionWindow(ring, 0, (s.source_rank, s.source_rank), (s,), period=1)
-    if ring.ind_free(s.source_rank).x.dim - w.assembled(0).rank() != kernel_dim:
+    report, full_kernel_dim = _one_periodic(s)
+    if full_kernel_dim != kernel_dim:
         raise InternalCheckError("the batched rank disagrees with the rank of the assembled matrix")
-    report = strong_report(w)
     if report.passed and not sc2:
         raise InternalCheckError("the full check passes a candidate that fails the staged SC1 or SC2")
     staged = ("pass" if sc1 else "fail", ("pass" if sc2 else "fail") if sc1 else "skip")
@@ -279,9 +279,7 @@ def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
         p = ring.free(g.rank)
         comps = tuple(ModuleMap(p, ring.model(i, p).result, m)
                       for i, m in enumerate(g.representative))
-        s = StarMorphism(ring, g.rank, g.rank, comps)
-        report = check_strongly_gp(s)
-        kernel_dim = ring.ind_free(g.rank).x.dim - ring.assemble_star(s).rank()
+        report, kernel_dim = _one_periodic(StarMorphism(ring, g.rank, g.rank, comps))
         if report.passed != g.passed or kernel_dim != g.kernel_dim:
             return False
     return True

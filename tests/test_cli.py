@@ -23,6 +23,7 @@ from helpers import (
     random_morita_window,
     random_triangular_data,
     random_triangular_window,
+    x_multiplication,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -193,6 +194,31 @@ def triangular_period_two_doc():
     return formats.context_to_doc(d, w)
 
 
+def one_failure_triangular_doc(failing: str) -> dict:
+    """A one-periodic triangular file over F_2 with a = k[x]/(x^2), b = k
+    and v = a (x)_k b.  With "(iii)" it has tau = x, sigma = 0 and beta the
+    identity of a = v, so that beta x is not zero and (iii) is its one
+    failing condition.  With "(iv)" it has ranks q = 0 and tau = 0 on rank
+    1, so that (iv) fails while (ii) exact holds."""
+    from tensorgp.algebra import ModuleMap, free_module
+    from tensorgp.exactlin import Matrix
+    from tensorgp.special_rings import TriangularData, TriangularWindow, block_power_module
+
+    a, b = dual_numbers(F2), ground_algebra(F2)
+    d = TriangularData(a, b, full_tensor_pair(a, b))
+    p = free_module(a, 1)
+    if failing == "(iii)":
+        q = free_module(b, 1)
+        beta = ModuleMap(p, block_power_module(d.v, 1), Matrix.identity(F2, 2))
+        w = TriangularWindow(0, (1, 1), (1, 1), (x_multiplication(F2),),
+                             (ModuleMap.zero(q, q),), (beta,), period=1)
+    else:
+        q = free_module(b, 0)
+        w = TriangularWindow(0, (1, 1), (0, 0), (ModuleMap.zero(p, p),), (ModuleMap.zero(q, q),),
+                             (ModuleMap.zero(p, block_power_module(d.v, 0)),), period=1)
+    return formats.context_to_doc(d, w)
+
+
 class TestPeriodRefused:
     @pytest.mark.parametrize("period", ["1", "1.5", "a"])
     def test_bad_triangular_period(self, tmp_path, capsys, period):
@@ -281,7 +307,43 @@ class TestZeroDenominatorRefused:
         path.write_text(text.replace(old, new, 1))
         assert main([command, str(path)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and err.count(str(path)) == 1
         assert err.count("\n") == 1 and err.endswith(f"{where}: bad rational scalar '1/0'\n")
+
+    # (source, its edits to a file over Q with '1/0' as a scalar, the scalar's path)
+    _WINDOW = ("q_window.yaml", [("entries: [['1/2', 0]", "entries: [['1/0', 0]")],
+               "window.maps[0].components[0].entries[0]")
+    _COMPLEX = ("semisimple_complex.yaml",
+                [("field: 2", "field: Q"), ("entries: [[1, 0], [0, 0]]}",
+                                            "entries: [['1/0', 0], [0, 0]]}")],
+                "complex.maps[0].entries[0]")
+
+    @pytest.mark.parametrize("command,source,edits,where", [
+        ("extract-gp", *_WINDOW),
+        ("strong", *_WINDOW),
+        ("specialize", _WINDOW[0], [("kind: window", "kind: trivext"), *_WINDOW[1]],
+         _WINDOW[2]),
+        ("specialize", "triangular_window.yaml",
+         [("field: 2", "field: Q"), ("- [1, 0]", "- ['1/0', 0]")],
+         "triangular.bimodule_v.left_action[0].entries[0]"),
+        ("compat", *_COMPLEX),
+        ("lift", *_COMPLEX),
+        ("validate", *_COMPLEX),
+        ("hunt", "triangular_bundle.yaml",
+         [("field: 2", "field: Q"), ("- [[1, 0], [0, 0]]", "- [['1/0', 0], [0, 0]]")],
+         "bundle.algebra.struct_consts[0][0]"),
+    ], ids=["extract-gp", "strong", "specialize-trivext", "specialize-triangular",
+            "compat", "lift", "validate", "hunt"])
+    def test_every_command_names_its_file(self, tmp_path, capsys, command, source, edits,
+                                          where):
+        text = Path(fixture(source)).read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        path = tmp_path / "input.yaml"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"{path}: {where}: bad rational scalar '1/0'\n"
 
 
 class TestYamlLoader:
@@ -302,8 +364,11 @@ class TestYamlLoader:
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("kind: window\nwindow: [1, 2\n")
-        assert main(["check", str(path)]) == 2
-        assert "parse error" in capsys.readouterr().err
+        for command in ("validate", "check"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{path}: parse error: ") and err.count(str(path)) == 1
+            assert "<input>" not in err
 
 
 class TestCheck:
@@ -326,6 +391,38 @@ class TestCheck:
         assert main(["check", fixture("x_window.yaml"), "--mode", "oracle"]) == 0
         assert main(["check", fixture("x_window.yaml"), "--mode", "both"]) == 0
         assert main(["check", fixture("identity_window.yaml"), "--mode", "both"]) == 1
+
+    def test_complex_that_is_not_exact_fails_in_both_modes(self, tmp_path, capsys):
+        # C1 passes and C2 fails, so the exactness oracle agrees with C1
+        # and C2 together, not with C1 alone
+        from tensorgp.resolution import zero_window
+
+        a = dual_numbers(F2)
+        w = zero_window(TensorRing(a, zero_bimodule(a), 0), 1)
+        path = tmp_path / "zero.yaml"
+        path.write_text(formats.render(formats.window_to_doc(w)))
+        out = tmp_path / "report.yaml"
+        assert main(["check", str(path), "--mode", "both", "--output", str(out)]) == 1
+        assert "checker and oracle agree at every position" in capsys.readouterr().err
+        statuses = {v["label"]: v["status"] for v in yaml.safe_load(out.read_text())["verdicts"]}
+        assert statuses == {"C1": "pass", "C2": "fail", "C3": "fail"}
+
+    @pytest.mark.parametrize("oracle, flipped, message", [
+        ("exactness_oracle", lambda w: {k: False for k in w.positions()},
+         "internal: checker and exactness oracle disagree at k=0\n"),
+        ("hom_complex_oracle", lambda w: {k: 1 for k in w.positions()},
+         "internal: checker and hom oracle disagree at k=0\n"),
+    ], ids=["exactness", "hom"])
+    def test_oracle_disagreement_exits_3(self, tmp_path, capsys, monkeypatch, oracle,
+                                         flipped, message):
+        import tensorgp.cli as cli
+
+        out = tmp_path / "report.yaml"
+        monkeypatch.setattr(cli, oracle, flipped)
+        assert main(["check", fixture("x_window.yaml"), "--mode", "both",
+                     "--output", str(out)]) == 3
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     def test_rational_window_both_modes_round_trip(self, tmp_path, capsys):
         from tensorgp.exactlin import QQ
@@ -580,8 +677,25 @@ class TestSpecialize:
         assert "context" in doc
 
     def test_kind_mismatch(self, capsys):
-        assert main(["specialize", fixture("x_window.yaml")]) == 2
-        assert "unknown specialization kind 'window'" in capsys.readouterr().err
+        path = fixture("x_window.yaml")
+        assert main(["specialize", path]) == 2
+        assert capsys.readouterr().err == f"{path}: unknown specialization kind 'window'\n"
+
+    @pytest.mark.parametrize("failing", ["(iii)", "(iv)"])
+    def test_failing_triangular_condition_is_not_a_disagreement(self, tmp_path, capsys,
+                                                                  failing):
+        out = tmp_path / "spec.yaml"
+        path = tmp_path / "triangular.yaml"
+        path.write_text(formats.render(one_failure_triangular_doc(failing)))
+        assert main(["specialize", str(path), "--output", str(out)]) == 1
+        assert "differ" not in capsys.readouterr().err
+        statuses = {v["label"]: v["status"]
+                    for v in yaml.safe_load(out.read_text())["specialized"]["verdicts"]}
+        assert statuses[failing] == "fail"
+        if failing == "(iii)":
+            assert [label for label, s in statuses.items() if s == "fail"] == ["(iii)"]
+        else:
+            assert statuses["(ii) exact"] == "pass"
 
 
 class TestHunt:

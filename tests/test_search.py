@@ -179,6 +179,18 @@ class TestHunt:
         cat = hunt_strongly_gp(ring, 1)
         assert reverify_catalog(ring, cat)
 
+    @pytest.mark.parametrize("tamper", [
+        lambda g: replace(g, passed=not g.passed),
+        lambda g: replace(g, kernel_dim=g.kernel_dim + 1),
+    ], ids=["passed", "kernel_dim"])
+    def test_tampered_catalog_refused(self, tamper):
+        ring = dual_ring()
+        cat = hunt_strongly_gp(ring, 1)
+        assert len(cat.groups) > 1
+        for i, g in enumerate(cat.groups):
+            groups = cat.groups[:i] + (tamper(g),) + cat.groups[i + 1:]
+            assert not reverify_catalog(ring, replace(cat, groups=groups))
+
     def test_determinism(self):
         a = hunt_strongly_gp(triangular_ring(), 1)
         b = hunt_strongly_gp(triangular_ring(), 1)
