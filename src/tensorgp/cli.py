@@ -75,12 +75,14 @@ def _emit(doc: dict, output):
 def _load(path: str, parse=None):
     """The document of an input file, or ``parse`` of it.  A FormatError
     raised on the way starts with the path of the file, in place of the
-    ``<input>`` that stands for the document as a whole."""
+    ``<input>`` that stands for the document as a whole, and so does a
+    failed certificate (``NotNilpotent``, ``SpecialRingError``) of the
+    parsed data."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = formats.load(fh.read())
         return doc if parse is None else parse(doc)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, NotNilpotent, SpecialRingError) as exc:
         raise FormatError(path, str(exc))
     except FormatError as exc:
         raise FormatError(path, str(exc).removeprefix("<input>: "))

@@ -523,15 +523,10 @@ class Matrix:
         """
         R, pivots = self.rref()
         f = self.field
-        if not f.is_prime:
-            return _rational(f, _kernel_numerators(R._num[:len(pivots)], R._den, pivots), R._den,
-                             max(R._magnitude(), R._den))
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        K = np.zeros((self.cols, len(free)), dtype=np.int64)
-        K[free, range(len(free))] = 1
-        K[list(pivots), :] = -R._num[:len(pivots), free] % f.p
-        return Matrix._from_np(f, K)
+        K = _kernel_numerators(R._num[:len(pivots)], R._den, pivots)
+        if f.is_prime:
+            return Matrix._from_np(f, K % f.p)
+        return _rational(f, K, R._den, max(R._magnitude(), R._den))
 
     def image_basis(self) -> "Matrix":
         """Original columns at the pivot positions: a basis of the column space."""

@@ -18,8 +18,11 @@ each checkable position:
   A(f) V, with A(f) the assembled matrix of f, memoised per ring and rank
   for a basis of tuples, and V the stacked components of alpha.
 
-Every failing verdict carries a witness that re-verifies through the
-low-level matrix operations alone; see :func:`replay_verdict`.  The
+Each condition shape is one step returning (status, witness):
+:func:`vanishing`, :func:`kernel_lift` and :func:`factor_check`, which
+the specialized checkers share.  Every failing verdict carries a witness
+that re-verifies through the low-level matrix operations alone; see
+:func:`replay_verdict`.  The
 witness of C2 and C3 is the first candidate column that does not lift,
 found by one elimination (:func:`tensorgp.exactlin.lift_or_witness`).
 
@@ -294,17 +297,28 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
 # -- the three conditions ----------------------------------------------------
 
 
-def check_c1(prev: StarMorphism, next_: StarMorphism):
-    """All composite components of next . prev must vanish.
+def vanishing(residuals, first: int = 1):
+    """The complex step: every residual block must vanish.
 
-    Returns (passed, witness); the witness is the first nonzero component
-    with its block index.
+    Returns (status, witness); the witness is the first nonzero block with
+    its index, the blocks numbered from ``first``.
     """
-    comps = star_compose(next_, prev)
-    for j, comp in enumerate(comps.components, start=1):
-        if not comp.is_zero():
-            return False, BlockWitness(j, comp.mat)
-    return True, None
+    for j, r in enumerate(residuals, start=first):
+        if not r.is_zero():
+            return "fail", BlockWitness(j, r)
+    return "pass", None
+
+
+def gated(label: str, k, ok: bool, note: str, step) -> Verdict:
+    """The verdict of ``step()`` where its precondition ``ok`` holds, and a
+    skip with ``note`` elsewhere, where ``step`` is not called."""
+    return Verdict(label, k, *step()) if ok else Verdict(label, k, "skip", note=note)
+
+
+def check_c1(prev: StarMorphism, next_: StarMorphism):
+    """All composite components of next . prev must vanish
+    (:func:`vanishing`)."""
+    return vanishing(c.mat for c in star_compose(next_, prev).components)
 
 
 def check_c2(w: ResolutionWindow, k: int):
@@ -386,36 +400,37 @@ def check_c3(prev: StarMorphism, next_: StarMorphism):
     outgoing map; the test module is the induced free module of rank one,
     which suffices because the condition is additive in the test module.
 
-    Returns (passed, witness); the witness is the offending tuple.  At a
-    one-periodic position (``next_ is prev``) the constraint matrix is
-    also the image lifted through, so it is built once.
+    Returns (status, witness) of :func:`factor_check`.
     """
     ring = prev.ring
     if prev.target_rank != next_.source_rank:
         raise ResolutionError("maps do not share a middle rank")
-    basis, shapes = ring.slot_frame(prev.target_rank, 1)
-    return factor_check((basis, _functional_constraints(ring, prev), shapes),
-                        None if next_ is prev else lambda: _functional_constraints(ring, next_))
+
+    def columns(through):
+        basis, shapes = ring.slot_frame(through.target_rank, 1)
+        return basis, _functional_constraints(ring, through), shapes
+
+    return factor_check(columns, (prev,), (next_,))
 
 
-def factor_check(mid, out):
+def factor_check(columns, here, there):
     """Functional tuples killing the incoming maps must factor through the
     outgoing ones: the one functional-lift step of C3, of the
     compatibility hom-lift and of the specialized conditions of that shape.
 
-    ``mid`` is (slot basis, constraint, slot shapes) of the incoming maps
-    at the middle ranks.  ``out`` is a zero-argument callable returning the
-    image matrix of the outgoing maps at the next ranks, or None when the
-    outgoing maps and ranks are the incoming ones (a one-periodic
-    position), whose image is the constraint itself.  Returns (passed,
-    witness); the witness is the first solution that does not factor,
-    split into the slot shapes.
+    ``columns(*here)`` is (slot basis, constraint, slot shapes) of the
+    incoming maps at the middle ranks, and the image of the outgoing maps
+    is ``columns(*there)[1]``.  Where ``there == here`` (a one-periodic
+    position) the image is the constraint itself, built once.  Returns
+    (status, witness); the witness is the first solution that does not
+    factor, split into the slot shapes.
     """
-    basis, constraint, shapes = mid
-    col = unlifted_solution(basis, constraint, out or (lambda: constraint))
+    basis, constraint, shapes = columns(*here)
+    col = unlifted_solution(basis, constraint, (lambda: constraint) if there == here
+                            else lambda: columns(*there)[1])
     if col is None:
-        return True, None
-    return False, FunctionalWitness(tuple(unvec_blocks(col, shapes)))
+        return "pass", None
+    return "fail", FunctionalWitness(tuple(unvec_blocks(col, shapes)))
 
 
 # -- the full window check ---------------------------------------------------
@@ -432,14 +447,10 @@ def check_complete(w: ResolutionWindow) -> CheckReport:
     for k in w.positions():
         prev = w.map_at(k - 1)
         next_ = w.map_at(k)
-        ok1, w1 = check_c1(prev, next_)
-        verdicts.append(Verdict("C1", k, "pass" if ok1 else "fail", w1))
-        if ok1:
-            verdicts.append(Verdict("C2", k, *check_c2(w, k)))
-        else:
-            verdicts.append(Verdict("C2", k, "skip", note="C1 failed"))
-        ok3, w3 = check_c3(prev, next_)
-        verdicts.append(Verdict("C3", k, "pass" if ok3 else "fail", w3))
+        c1 = check_c1(prev, next_)
+        verdicts.append(Verdict("C1", k, *c1))
+        verdicts.append(gated("C2", k, c1[0] == "pass", "C1 failed", lambda: check_c2(w, k)))
+        verdicts.append(Verdict("C3", k, *check_c3(prev, next_)))
     return CheckReport("generic", tuple(verdicts), window_local=w.period is None)
 
 
@@ -545,11 +556,12 @@ def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_m
     """Functionals into w_target killing prev must factor through next_:
     vec(b . f) = (f^T (x) I) vec(b) over the free_hom_basis maps b."""
     h = w_target.dim
-    basis_mid = free_hom_vecs(algebra, rank_mid, w_target)
-    mid = (basis_mid, vec_precompose(basis_mid, h, prev.mat), [(h, rank_mid * algebra.dim)])
-    return factor_check(mid, None if next_ is prev else
-                        lambda: vec_precompose(free_hom_vecs(algebra, rank_out, w_target),
-                                               h, next_.mat))
+
+    def columns(f, rank):
+        basis = free_hom_vecs(algebra, rank, w_target)
+        return basis, vec_precompose(basis, h, f.mat), [(h, rank * algebra.dim)]
+
+    return factor_check(columns, (prev, rank_mid), (next_, rank_out))
 
 
 def check_compatibility(m: Bimodule, pc: ResolutionWindow, levels: int) -> CheckReport:
@@ -587,9 +599,8 @@ def check_compatibility(m: Bimodule, pc: ResolutionWindow, levels: int) -> Check
             # lifted pair is a complex and exactness is its kernel lift.
             lifted = (iterate_functor_map(m, i, f).mat for f in (fprev, fnext))
             verdicts.append(Verdict(f"F{i}-exact", k, *kernel_lift(*lifted)))
-            ok, w = _hom_lift_check(algebra, target, fprev, fnext,
-                                    pc.rank_at(k), pc.rank_at(k + 1))
-            verdicts.append(Verdict(f"F{i}-hom-lift", k, "pass" if ok else "fail", w))
+            verdicts.append(Verdict(f"F{i}-hom-lift", k, *_hom_lift_check(
+                algebra, target, fprev, fnext, pc.rank_at(k), pc.rank_at(k + 1))))
     return CheckReport("compat", tuple(verdicts), window_local=pc.period is None)
 
 

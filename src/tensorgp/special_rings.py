@@ -41,7 +41,7 @@ block (x^T (x) I) [vec(W (x) b)], both one product (``vec_precompose``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Optional
 
@@ -70,14 +70,15 @@ from tensorgp.bimodule import (
 from tensorgp.tensor_ring import StarMorphism, TensorRing
 from tensorgp.resolution import (
     CheckReport,
-    BlockWitness,
     InternalCheckError,
     ResolutionWindow,
     Verdict,
     _hom_lift_check,
     factor_check,
+    gated,
     kernel_lift,
     periodic_index,
+    vanishing,
 )
 
 
@@ -270,25 +271,12 @@ def trivext_checks(d: TrivialExtData, w: ResolutionWindow) -> CheckReport:
         f_a1n = tensor_map(m, a1n, ring.model(1, a1n.source), ring.model(1, a1n.target))
         f_a1p = tensor_map(m, a1p, ring.model(1, a1p.source), ring.model(1, a1p.target))
 
-        r_top = a1n.mat @ a1p.mat
-        r_bot = a2n.mat @ a1p.mat + f_a1n.mat @ a2p.mat
-        if r_top.is_zero() and r_bot.is_zero():
-            verdicts.append(Verdict("C1", k, "pass"))
-            c1_ok = True
-        else:
-            wit = BlockWitness(1, r_top) if not r_top.is_zero() else BlockWitness(2, r_bot)
-            verdicts.append(Verdict("C1", k, "fail", wit))
-            c1_ok = False
-
-        if not c1_ok:
-            verdicts.append(Verdict("C2", k, "skip", note="C1 failed"))
-        else:
-            status, wit = kernel_lift(block_matrix([[a1p.mat, None], [a2p.mat, f_a1p.mat]]),
-                                      block_matrix([[a1n.mat, None], [a2n.mat, f_a1n.mat]]))
-            verdicts.append(Verdict("C2", k, status, wit))
-
-        ok3, wit3 = _trivext_c3(d, prev, next_)
-        verdicts.append(Verdict("C3", k, "pass" if ok3 else "fail", wit3))
+        c1 = vanishing([a1n.mat @ a1p.mat, a2n.mat @ a1p.mat + f_a1n.mat @ a2p.mat])
+        verdicts.append(Verdict("C1", k, *c1))
+        verdicts.append(gated("C2", k, c1[0] == "pass", "C1 failed", lambda: kernel_lift(
+            block_matrix([[a1p.mat, None], [a2p.mat, f_a1p.mat]]),
+            block_matrix([[a1n.mat, None], [a2n.mat, f_a1n.mat]]))))
+        verdicts.append(Verdict("C3", k, *_trivext_c3(d, prev, next_)))
     return CheckReport("trivext", tuple(verdicts), window_local=w.period is None)
 
 
@@ -327,8 +315,7 @@ def _trivext_c3(d: TrivialExtData, prev: StarMorphism, next_: StarMorphism):
     """Functional pairs (f1, f2) with f1 into the rank-one free and f2 into
     its tensor block, killing the incoming pair, must factor through the
     outgoing pair."""
-    return factor_check(_trivext_columns(d, prev),
-                        None if next_ is prev else lambda: _trivext_columns(d, next_)[1])
+    return factor_check(partial(_trivext_columns, d), (prev,), (next_,))
 
 
 # -- Morita context rings ------------------------------------------------------
@@ -485,12 +472,6 @@ def _ranks_at(w, k: int):
     return w.ranks_p[t], w.ranks_q[t]
 
 
-def _one_periodic(w, k: int) -> bool:
-    """Whether the maps out of index k of a context or triangular window
-    are the maps into it, and so are their ranks."""
-    return w.index.map_slot(k - 1) == w.index.map_slot(k)
-
-
 def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
     """Direct evaluation of the context-ring resolution conditions, with
     the rank-one test projectives on both sides (sufficient by
@@ -505,35 +486,22 @@ def morita_checks(d: MoritaData, w: MoritaWindow) -> CheckReport:
         ut_n = _induced(d, "u", tau_n)
         ut_p = _induced(d, "u", tau_p)
 
-        res = [tau_n.mat @ tau_p.mat,
-               sigma_n.mat @ sigma_p.mat,
-               beta_n.mat @ tau_p.mat + vs_n @ beta_p.mat,
-               gamma_n.mat @ sigma_p.mat + ut_n @ gamma_p.mat]
-        bad = next((idx for idx, r in enumerate(res) if not r.is_zero()), None)
-        if bad is None:
-            verdicts.append(Verdict("C1'", k, "pass"))
-            c1_ok = True
-        else:
-            verdicts.append(Verdict("C1'", k, "fail", BlockWitness(bad + 1, res[bad])))
-            c1_ok = False
+        c1 = vanishing([tau_n.mat @ tau_p.mat,
+                        sigma_n.mat @ sigma_p.mat,
+                        beta_n.mat @ tau_p.mat + vs_n @ beta_p.mat,
+                        gamma_n.mat @ sigma_p.mat + ut_n @ gamma_p.mat])
+        verdicts.append(Verdict("C1'", k, *c1))
 
-        if not c1_ok:
-            verdicts.append(Verdict("C2'", k, "skip", note="C1' failed"))
-        else:
-            status_a, wit_a = kernel_lift(
-                block_matrix([[tau_p.mat, None], [beta_p.mat, vs_p]]),
-                block_matrix([[tau_n.mat, None], [beta_n.mat, vs_n]]))
-            status_b, wit_b = kernel_lift(
-                block_matrix([[sigma_p.mat, None], [gamma_p.mat, ut_p]]),
-                block_matrix([[sigma_n.mat, None], [gamma_n.mat, ut_n]]))
-            if status_a == "pass" and status_b == "pass":
-                verdicts.append(Verdict("C2'", k, "pass"))
-            else:
-                wit = wit_a if status_a == "fail" else wit_b
-                verdicts.append(Verdict("C2'", k, "fail", wit))
+        def both_sides():
+            """Both side lifts run; the first failing side is reported."""
+            side_a = kernel_lift(block_matrix([[tau_p.mat, None], [beta_p.mat, vs_p]]),
+                                 block_matrix([[tau_n.mat, None], [beta_n.mat, vs_n]]))
+            side_b = kernel_lift(block_matrix([[sigma_p.mat, None], [gamma_p.mat, ut_p]]),
+                                 block_matrix([[sigma_n.mat, None], [gamma_n.mat, ut_n]]))
+            return side_a if side_a[0] == "fail" else side_b
 
-        ok3, wit3 = _morita_c3(d, w, k)
-        verdicts.append(Verdict("C3'", k, "pass" if ok3 else "fail", wit3))
+        verdicts.append(gated("C2'", k, c1[0] == "pass", "C1' failed", both_sides))
+        verdicts.append(Verdict("C3'", k, *_morita_c3(d, w, k)))
     return CheckReport("morita", tuple(verdicts), window_local=w.period is None)
 
 
@@ -580,9 +548,8 @@ def _morita_quadruple_columns(d: MoritaData, tau, sigma, beta, gamma, rank_p, ra
 
 
 def _morita_c3(d: MoritaData, w: MoritaWindow, k: int):
-    return factor_check(_morita_quadruple_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
-                        None if _one_periodic(w, k) else
-                        lambda: _morita_quadruple_columns(d, *w.at(k), *_ranks_at(w, k + 1))[1])
+    return factor_check(partial(_morita_quadruple_columns, d),
+                        (*w.at(k - 1), *_ranks_at(w, k)), (*w.at(k), *_ranks_at(w, k + 1)))
 
 
 # -- triangular matrix rings ----------------------------------------------------
@@ -663,39 +630,25 @@ def triangular_checks(d: TriangularData, w: TriangularWindow) -> CheckReport:
         vs_n = _induced(d.as_morita(), "v", sigma_n)
         vs_p = _induced(d.as_morita(), "v", sigma_p)
 
-        top_complex = (tau_n.mat @ tau_p.mat).is_zero()
-        verdicts.append(Verdict("(i) complex", k, "pass" if top_complex else "fail",
-                                None if top_complex else
-                                BlockWitness(1, tau_n.mat @ tau_p.mat),
-                                note="top complex is also exact" if top_complex and
+        top = vanishing([tau_n.mat @ tau_p.mat])
+        verdicts.append(Verdict("(i) complex", k, *top,
+                                note="top complex is also exact" if top[0] == "pass" and
                                 is_exact_pair(tau_p.mat, tau_n.mat) else ""))
         rank_mid, rank_out = _ranks_at(w, k)[0], _ranks_at(w, k + 1)[0]
-        ok_lift, wit_lift = _hom_lift_check(d.a, free_module(d.a, 1), tau_p, tau_n,
-                                            rank_mid, rank_out)
-        verdicts.append(Verdict("(i) lift", k, "pass" if ok_lift else "fail", wit_lift))
+        verdicts.append(Verdict("(i) lift", k, *_hom_lift_check(
+            d.a, free_module(d.a, 1), tau_p, tau_n, rank_mid, rank_out)))
+        bottom = vanishing([sigma_n.mat @ sigma_p.mat])
+        verdicts.append(Verdict("(ii) complex", k, *bottom))
+        mixed = vanishing([beta_n.mat @ tau_p.mat + vs_n @ beta_p.mat], first=3)
+        verdicts.append(Verdict("(iii)", k, *mixed))
 
-        bottom_complex = (sigma_n.mat @ sigma_p.mat).is_zero()
-        verdicts.append(Verdict("(ii) complex", k, "pass" if bottom_complex else "fail",
-                                None if bottom_complex else
-                                BlockWitness(1, sigma_n.mat @ sigma_p.mat)))
-
-        mixed = beta_n.mat @ tau_p.mat + vs_n @ beta_p.mat
-        verdicts.append(Verdict("(iii)", k, "pass" if mixed.is_zero() else "fail",
-                                None if mixed.is_zero() else BlockWitness(3, mixed)))
-
-        differentials_ok = top_complex and bottom_complex and mixed.is_zero()
-        if not differentials_ok:
-            verdicts.append(Verdict("(ii) exact", k, "skip", note="not a complex"))
-            verdicts.append(Verdict("(iv)", k, "skip", note="not a complex"))
-        else:
-            status_b, wit_b = kernel_lift(sigma_p.mat, sigma_n.mat)
-            verdicts.append(Verdict("(ii) exact", k, status_b, wit_b))
-            status_a, wit_a = kernel_lift(block_matrix([[tau_p.mat, None], [beta_p.mat, vs_p]]),
-                                          block_matrix([[tau_n.mat, None], [beta_n.mat, vs_n]]))
-            verdicts.append(Verdict("(iv)", k, status_a, wit_a))
-
-        ok5, wit5 = _triangular_v(d, w, k)
-        verdicts.append(Verdict("(v)", k, "pass" if ok5 else "fail", wit5))
+        complex_ok = all(c[0] == "pass" for c in (top, bottom, mixed))
+        verdicts.append(gated("(ii) exact", k, complex_ok, "not a complex",
+                              lambda: kernel_lift(sigma_p.mat, sigma_n.mat)))
+        verdicts.append(gated("(iv)", k, complex_ok, "not a complex", lambda: kernel_lift(
+            block_matrix([[tau_p.mat, None], [beta_p.mat, vs_p]]),
+            block_matrix([[tau_n.mat, None], [beta_n.mat, vs_n]]))))
+        verdicts.append(Verdict("(v)", k, *_triangular_v(d, w, k)))
     return CheckReport("triangular", tuple(verdicts), window_local=w.period is None)
 
 
@@ -716,9 +669,8 @@ def _triangular_v(d: TriangularData, w: TriangularWindow, k: int):
     """Pairs (f into the v-block, g into the rank-one bottom free) with
     g . sigma_prev = 0 and f . tau_prev + (v (x) g) . beta_prev = 0 must
     factor as g = g' . sigma_next, f = f' . tau_next + (v (x) g') . beta_next."""
-    return factor_check(_triangular_columns(d, *w.at(k - 1), *_ranks_at(w, k)),
-                        None if _one_periodic(w, k) else
-                        lambda: _triangular_columns(d, *w.at(k), *_ranks_at(w, k + 1))[1])
+    return factor_check(partial(_triangular_columns, d),
+                        (*w.at(k - 1), *_ranks_at(w, k)), (*w.at(k), *_ranks_at(w, k + 1)))
 
 
 # -- transport into the generic language -----------------------------------------

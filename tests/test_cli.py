@@ -346,6 +346,35 @@ class TestZeroDenominatorRefused:
         assert capsys.readouterr().err == f"{path}: {where}: bad rational scalar '1/0'\n"
 
 
+class TestFailedCertificateNamesItsFile:
+    """A nilpotency certificate that fails while a file is parsed is
+    reported on one line that starts with the path, as ``validate``
+    reports it."""
+
+    _WINDOW = ("q_window.yaml", [("  nilpotency: 1", "  nilpotency: 0")])
+
+    @pytest.mark.parametrize("command,source,edits", [
+        ("check", *_WINDOW),
+        ("strong", *_WINDOW),
+        ("extract-gp", *_WINDOW),
+        ("hunt", "bad_nilpotency_bundle.yaml", []),
+        ("specialize", "trivext_window.yaml", [("  nilpotency: 1", "  nilpotency: 0")]),
+    ], ids=["check", "strong", "extract-gp", "hunt", "specialize"])
+    def test_exit_2(self, tmp_path, capsys, command, source, edits):
+        text = Path(fixture(source)).read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        path = tmp_path / "input.yaml"
+        path.write_text(text)
+        line = f"{path}: tensor power 1 has dimension 1, not 0\n"
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == line
+        if command != "hunt":  # validate reports a bundle's certificate in its own words
+            assert main(["validate", str(path)]) == 2
+            assert capsys.readouterr().err == line
+
+
 class TestYamlLoader:
     def documents(self):
         texts = [p.read_text() for p in sorted(FIXTURES.glob("*.yaml"))]

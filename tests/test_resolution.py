@@ -117,22 +117,22 @@ class TestC1:
         ring = triangular_ring()
         rng = random.Random(5)
         prev = random_star(ring, 1, 1, rng)
-        ok, _ = check_c1(prev, StarMorphism.zero(ring, 1, 1))
-        assert ok
+        status, _ = check_c1(prev, StarMorphism.zero(ring, 1, 1))
+        assert status == "pass"
 
     def test_x_squared_vanishes(self):
         ring = dual_ring()
         s = x_star(ring)
-        ok, _ = check_c1(s, s)
-        assert ok
+        status, _ = check_c1(s, s)
+        assert status == "pass"
 
     def test_identity_fails_at_first_block(self):
         ring = triangular_ring()
         p = ring.free(1)
         ident = StarMorphism(ring, 1, 1, (ModuleMap.identity(p),
                                           ModuleMap.zero(p, ring.model(1, p).result)))
-        ok, wit = check_c1(ident, ident)
-        assert not ok
+        status, wit = check_c1(ident, ident)
+        assert status == "fail"
         assert isinstance(wit, BlockWitness) and wit.j == 1
 
 
@@ -165,29 +165,32 @@ class TestC3:
     def test_vacuous_on_zero_ranks(self):
         ring = triangular_ring()
         z = StarMorphism.zero(ring, 0, 0)
-        ok, _ = check_c3(z, z)
-        assert ok
+        status, _ = check_c3(z, z)
+        assert status == "pass"
 
     def test_x_period_one_passes(self):
         ring = dual_ring()
         s = x_star(ring)
-        ok, _ = check_c3(s, s)
-        assert ok
+        status, _ = check_c3(s, s)
+        assert status == "pass"
 
     def test_x_then_zero_fails_with_functional_witness(self):
         ring = dual_ring()
         s = x_star(ring)
         z = StarMorphism.zero(ring, 1, 1)
-        ok, wit = check_c3(s, z)
-        assert not ok
+        status, wit = check_c3(s, z)
+        assert status == "fail"
         assert isinstance(wit, FunctionalWitness)
         # the witness functional kills multiplication by x
         assert (wit.components[0] @ s.components[0].mat).is_zero()
         assert not wit.components[0].is_zero()
 
     def test_period_one_builds_the_constraint_once(self, monkeypatch):
-        # at next_ is prev the constraint matrix doubles as the lifted
-        # image; verdicts and witnesses equal those of an equal copy
+        # at a one-periodic position the constraint matrix doubles as the
+        # lifted image, also when the outgoing map is an equal but distinct
+        # copy: a window-local window of s and its copy reports as the
+        # period-1 window of s; at its next position the outgoing map
+        # differs, so its image is built too
         import tensorgp.resolution as resolution
 
         calls = []
@@ -196,19 +199,33 @@ class TestC3:
             calls.append(through)
             return _functional_constraints(ring, through)
 
+        def unplaced(report, k):
+            return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
+
         monkeypatch.setattr(resolution, "_functional_constraints", counting)
         rng = random.Random(44)
-        seen = set()
+        seen, built_out = set(), 0
         for ring in ring_pool((F2, F3, QQ)):
             for rank in range(3):
                 s = random_star(ring, rank, rank, rng)
-                copy = StarMorphism(ring, rank, rank, tuple(s.components))
+                copy = StarMorphism(ring, rank, rank, tuple(
+                    ModuleMap.unchecked(c.source, c.target, c.mat.scale(1))
+                    for c in s.components))
+                assert copy == s and copy is not s
+                assert all(a.mat is not b.mat for a, b in zip(copy.components, s.components))
                 calls.clear()
-                same = check_c3(s, s)
-                assert len(calls) == 1
-                assert same == check_c3(s, copy)
-                seen.add(same[0])
-        assert seen == {True, False}
+                periodic = check_complete(ResolutionWindow(ring, 0, (rank, rank), (s,), period=1))
+                assert calls == [s]
+                out = random_star(ring, rank, rank + 1, rng)
+                local = ResolutionWindow(ring, 0, (rank, rank, rank, rank + 1), (s, copy, out))
+                calls.clear()
+                report = check_complete(local)
+                # the image is built only where some functional kills copy
+                assert calls in ([s, copy], [s, copy, out])
+                built_out += len(calls) == 3
+                assert unplaced(report, 1) == unplaced(periodic, 0)
+                seen.add(periodic.status(0, "C3"))
+        assert seen == {"pass", "fail"} and built_out
 
 
 class TestC3Operator:
@@ -555,8 +572,8 @@ class TestHomComplexOracle:
         w = ResolutionWindow(ring, 0, (1, 1, 1), (s, z))
         defects = hom_complex_oracle(w)
         assert defects[1] == 1
-        ok, _ = check_c3(s, z)
-        assert not ok
+        status, _ = check_c3(s, z)
+        assert status == "fail"
 
     # rank shapes sharing ranks across windows, periodic and window-local
     SHAPES = (((1,), True), ((2, 1), True), ((0, 2), True), ((1, 2, 1), False), ((2,), True))

@@ -456,6 +456,44 @@ class TestMoritaChecks:
             with pytest.raises(SpecialRingError, match="beta map 0"):
                 check(d, w)
 
+    def test_repeated_maps_are_one_periodic(self, monkeypatch):
+        # a window with no period that holds the same maps twice builds one
+        # quadruple constraint at that position and reports as the period-1
+        # window; at the next position the ranks grow, so its image is
+        # built too
+        import tensorgp.special_rings as special_rings
+
+        real = special_rings._morita_quadruple_columns
+        ranks_built = []
+        monkeypatch.setattr(special_rings, "_morita_quadruple_columns",
+                            lambda d, *args: ranks_built.append(args[4:]) or real(d, *args))
+
+        def unplaced(report, k):
+            return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
+
+        rng = random.Random(67)
+        seen, built_out = set(), 0
+        for field in (F2, F3, QQ):
+            for _ in range(6):
+                d = random_morita_data(rng, field)
+                w = random_morita_window(d, rng, max_rank=2, period=1)
+                r = w.ranks_p[0]
+                grow = (random_free_map(d.a, r, r + 1, rng), random_free_map(d.b, r, r + 1, rng),
+                        random_hom(free_module(d.a, r), block_power_module(d.v, r + 1), rng),
+                        random_hom(free_module(d.b, r), block_power_module(d.u, r + 1), rng))
+                ranks = (r, r, r, r + 1)
+                doubled = MoritaWindow(0, ranks, ranks, *(
+                    family * 2 + (g,) for family, g in zip((w.tau, w.sigma, w.beta, w.gamma), grow)))
+                ranks_built.clear()
+                report = morita_checks(d, doubled)
+                # the image is built only where some quadruple kills the maps
+                assert ranks_built in ([(r, r)] * 2, [(r, r)] * 2 + [(r + 1, r + 1)])
+                built_out += len(ranks_built) == 3
+                periodic = morita_checks(d, w)
+                assert unplaced(report, 1) == unplaced(periodic, 0)
+                seen.add(periodic.status(0, "C3'"))
+        assert seen == {"pass", "fail"} and built_out
+
 
 class TestMuTransport:
     def test_zero_data_zero_window(self):
