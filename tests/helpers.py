@@ -121,6 +121,12 @@ def ring_pool(fields=(F2, F3)):
     return rings
 
 
+def verdicts_at(report, k):
+    """(label, status, witness, note) of each verdict of a report at index
+    k, without the index, so reports at different indices compare."""
+    return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
+
+
 # -- the hunter's reference: component lists from slot-basis maps ---------------
 
 

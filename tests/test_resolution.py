@@ -46,6 +46,7 @@ from helpers import (
     reference_c3_columns,
     reference_hom_complex_oracle,
     ring_pool,
+    verdicts_at,
     augmentation_bimodule,
     corner_bimodule,
     dual_numbers,
@@ -199,9 +200,6 @@ class TestC3:
             calls.append(through)
             return _functional_constraints(ring, through)
 
-        def unplaced(report, k):
-            return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
-
         monkeypatch.setattr(resolution, "_functional_constraints", counting)
         rng = random.Random(44)
         seen, built_out = set(), 0
@@ -223,7 +221,7 @@ class TestC3:
                 # the image is built only where some functional kills copy
                 assert calls in ([s, copy], [s, copy, out])
                 built_out += len(calls) == 3
-                assert unplaced(report, 1) == unplaced(periodic, 0)
+                assert verdicts_at(report, 1) == verdicts_at(periodic, 0)
                 seen.add(periodic.status(0, "C3"))
         assert seen == {"pass", "fail"} and built_out
 

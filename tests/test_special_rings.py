@@ -58,6 +58,7 @@ from helpers import (
     random_morita_window,
     random_triangular_data,
     random_triangular_window,
+    verdicts_at,
     x_multiplication,
 )
 
@@ -468,9 +469,6 @@ class TestMoritaChecks:
         monkeypatch.setattr(special_rings, "_morita_quadruple_columns",
                             lambda d, *args: ranks_built.append(args[4:]) or real(d, *args))
 
-        def unplaced(report, k):
-            return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
-
         rng = random.Random(67)
         seen, built_out = set(), 0
         for field in (F2, F3, QQ):
@@ -490,7 +488,7 @@ class TestMoritaChecks:
                 assert ranks_built in ([(r, r)] * 2, [(r, r)] * 2 + [(r + 1, r + 1)])
                 built_out += len(ranks_built) == 3
                 periodic = morita_checks(d, w)
-                assert unplaced(report, 1) == unplaced(periodic, 0)
+                assert verdicts_at(report, 1) == verdicts_at(periodic, 0)
                 seen.add(periodic.status(0, "C3'"))
         assert seen == {"pass", "fail"} and built_out
 
