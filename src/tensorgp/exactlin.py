@@ -23,6 +23,10 @@ denominator ``_den``:
   and Python ints in an ``object`` array otherwise.  The form depends on
   the values alone, so equal matrices compare and hash equal.
 
+A numerator array is never written after construction, so it may be a
+read-only view of another matrix's array: ``take_rows``, ``take_cols``
+and ``block`` slice when given a step-1 range inside the matrix.
+
 Sums, products, Kronecker products, stacks and the vec helpers work on
 numerators; ``Fraction`` appears only at the boundary, in ``__getitem__``,
 ``entries`` and :meth:`FieldSpec.coerce`.
@@ -413,13 +417,15 @@ class Matrix:
         return Fraction(self._num.item(*ij), self._den)
 
     def is_zero(self) -> bool:
-        return not self._num.any()
+        return not np.count_nonzero(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.field != other.field or self.shape != other.shape or self._den != other._den:
             return False
+        if self._num.dtype == other._num.dtype == np.int64:
+            return self._num.tobytes() == other._num.tobytes()
         return bool(np.array_equal(self._num, other._num))
 
     def __hash__(self):
@@ -484,9 +490,13 @@ class Matrix:
     # -- block operations ----------------------------------------------
 
     def take_rows(self, indices: Sequence[int]) -> "Matrix":
+        if _in_bounds(indices, self.rows):
+            return self._part(self._num[indices.start:indices.stop])
         return self._part(self._num[list(indices), :].reshape(len(indices), self.cols))
 
     def take_cols(self, indices: Sequence[int]) -> "Matrix":
+        if _in_bounds(indices, self.cols):
+            return self._part(self._num[:, indices.start:indices.stop])
         return self._part(self._num[:, list(indices)].reshape(self.rows, len(indices)))
 
     def block(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
@@ -564,6 +574,13 @@ class Matrix:
         return x
 
 
+def _in_bounds(indices, n: int) -> bool:
+    """Whether the indices are a step-1 ``range`` inside [0, n], which a
+    slice selects; any other index list takes numpy's fancy indexing."""
+    return type(indices) is range and indices.step == 1 and \
+        0 <= indices.start <= indices.stop <= n
+
+
 @lru_cache(maxsize=_IDENTITY_MEMO)
 def _identity(field: FieldSpec, n: int) -> Matrix:
     arr = np.zeros((n, n), dtype=np.int64)
@@ -583,20 +600,23 @@ def _eliminate(R: np.ndarray, p: int) -> tuple:
     for c in range(n):
         if r == m:
             break
-        nz = np.flatnonzero(R[r:, c])
-        if nz.size == 0:
+        nz = R[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        pv = R[r, c]
+            row = R[pr].copy()
+            R[pr] = R[r]
+            R[r] = row
+        pv = int(R[r, c])
         if pv != 1:
-            R[r] = R[r] * pow(int(pv), p - 2, p) % p
+            R[r] = R[r] * pow(pv, p - 2, p) % p
         # only the rows with a nonzero entry in the pivot column change
-        others = np.flatnonzero(R[:, c])
-        others = others[others != r]
+        col = R[:, c].copy()
+        col[r] = 0
+        others = col.nonzero()[0]
         if others.size:
-            R[others] = (R[others] - np.outer(R[others, c], R[r])) % p
+            R[others] = (R[others] - np.outer(col[others], R[r])) % p
         pivots.append(c)
         r += 1
     return tuple(pivots)

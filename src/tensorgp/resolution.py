@@ -271,9 +271,10 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
     """Component list of the composite s2 . s1.
 
     The j-th component is the convolution sum of grafted functor-power
-    lifts; assembling the result equals the product of the assembled
-    matrices.  Composites of valid component lists are valid, so the
-    components are built unchecked.
+    lifts, with the terms of a zero factor skipped since F^(i-1)(0) = 0;
+    assembling the result equals the product of the assembled matrices.
+    Composites of valid component lists are valid, so the components are
+    built unchecked.
     """
     ring = s1.ring
     if s2.ring != ring or s1.target_rank != s2.source_rank:
@@ -287,9 +288,12 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
         target = ring.model(j - 1, q2).result
         acc = Matrix.zeros(ring.algebra.field, target.dim, p.dim)
         for i in range(1, j + 1):
-            lifted = iterate_functor_map(m, i - 1, s2.components[j - i])
+            outer, inner = s2.components[j - i], s1.components[i - 1]
+            if outer.is_zero() or inner.is_zero():  # F^(i-1)(0) = 0
+                continue
+            lifted = iterate_functor_map(m, i - 1, outer)
             g = graft(m, i - 1, j - i, q2).mat
-            acc = acc + g @ lifted.mat @ s1.components[i - 1].mat
+            acc = acc + g @ lifted.mat @ inner.mat
         comps.append(ModuleMap.unchecked(p, target, acc))
     return StarMorphism(ring, s1.source_rank, s2.target_rank, tuple(comps))
 
@@ -364,21 +368,19 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
 def _functional_basis(ring: TensorRing, rank: int):
     """Per block j of Ind(R), its height and the columns vec(A(e_a)_j) of
     the j-th row blocks of the assembled matrices of the unit functional
-    tuples e_a out of the free module of the given rank, in the order of
-    the slot frame ``ring.slot_frame(rank, 1)``, memoised per (ring, rank).
+    tuples e_a out of the free module of the given rank, sliced from
+    ``ring.unit_assemblies(rank, 1)`` in slot-frame order, memoised per
+    (ring, rank).
     Only rank 0 has no tuples, and there every such column has length 0."""
     cache = ring._cache.setdefault("functional_basis", {})
     if rank not in cache:
-        frame, shapes = ring.slot_frame(rank, 1)
+        shapes = ring.slot_frame(rank, 1)[1]
         offsets = [0, *accumulate(h for h, _ in shapes)]
-        block_cols = [[] for _ in shapes]
-        m = frame.cols
-        for a in range(m):
-            unit = ring.assemble_star(ring.star_at(rank, 1, [int(a == b) for b in range(m)]))
-            for j, cols in enumerate(block_cols):
-                cols.append(vec(unit.block(offsets[j], offsets[j + 1], 0, unit.cols)))
+        units = ring.unit_assemblies(rank, 1)
         empty = Matrix.zeros(ring.algebra.field, 0, 0)
-        cache[rank] = [(h, hstack(c) if c else empty) for (h, _), c in zip(shapes, block_cols)]
+        cache[rank] = [(h, hstack([vec(u.block(lo, hi, 0, u.cols)) for u in units])
+                        if units else empty)
+                       for (h, _), lo, hi in zip(shapes, offsets, offsets[1:])]
     return cache[rank]
 
 
@@ -651,7 +653,9 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
     stacked ``hom_t`` basis is memoised as ``(size, stack)`` per rank in
     ``ring._cache["oracle_hom"]``.  That key belongs to this oracle alone:
     no condition checker reads it, so the oracle stays independent of
-    the checkers' assembled functionals.
+    the checkers' assembled functionals.  Within one call each map slot's
+    differential is built once: a period-1 window meets its map at both
+    ends of its one position.
     """
     ring = w.ring
     field = ring.algebra.field
@@ -666,9 +670,19 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
             hom_cache[rank] = (len(cols), hstack(cols) if cols else None)
         return hom_cache[rank]
 
+    differentials = {}
+
     def differential(k):
-        """Matrix of precomposition with alpha^k in the chosen bases:
-        vec(h alpha^k) = (alpha^k^T (x) I) vec(h), solved for all h at once."""
+        """Matrix of precomposition with alpha^k in the chosen bases, one
+        per map slot of the window."""
+        t = w.index.map_slot(k)
+        if t not in differentials:
+            differentials[t] = precomposition(k)
+        return differentials[t]
+
+    def precomposition(k):
+        """vec(h alpha^k) = (alpha^k^T (x) I) vec(h), solved for all h at
+        once."""
         src_dim, src_stack = hom_basis(k + 1)
         tgt_dim, tgt_stack = hom_basis(k)
         if not src_dim:

@@ -135,13 +135,12 @@ class _Stage:
 
 
 def _units(ring: TensorRing, rank_p: int, rank_q: int) -> np.ndarray:
-    """The assembled matrices of the unit candidates of a rank pair, one
-    slice each."""
-    m = ring.slot_frame(rank_p, rank_q)[0].cols
-    shape = (m, ring.ind_free(rank_q).x.dim, ring.ind_free(rank_p).x.dim)
-    units = [ring.assemble_star(ring.star_at(rank_p, rank_q, [int(a == b) for b in range(m)]))
-             for a in range(m)]
-    return np.array([u.entries for u in units], dtype=np.int64).reshape(shape)
+    """The assembled matrices of the unit candidates of a rank pair
+    (:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`), one slice
+    each."""
+    units = ring.unit_assemblies(rank_p, rank_q)
+    shape = (len(units), ring.ind_free(rank_q).x.dim, ring.ind_free(rank_p).x.dim)
+    return np.array([u._num for u in units], dtype=np.int64).reshape(shape)
 
 
 def _stage(ring: TensorRing, rank: int) -> _Stage:

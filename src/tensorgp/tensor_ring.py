@@ -25,7 +25,10 @@ Memo tables live in ``TensorRing._cache``, one key per reader: ``ind_free``
 and ``algebra_model`` here (the free modules are memoised on the algebra,
 by :func:`~tensorgp.algebra.free_module`); ``slot_frame``, the coordinate
 frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
-for ``search`` and the C3 checker; ``functional_basis`` for the C3
+for ``search`` and the C3 checker; ``unit_assemblies``, the assembled
+matrices of the unit candidates per rank pair
+(:meth:`TensorRing.unit_assemblies`), the one unit table that the hunter's
+staging and the C3 checker share; ``functional_basis`` for the C3
 checker; ``oracle_hom``, the stacked ``hom_t`` bases of
 Hom(Ind P^r, Ind R) per rank r, for :func:`resolution.hom_complex_oracle`
 only, so that no checker reads what the oracle computed; ``hunt_stage``
@@ -286,13 +289,28 @@ class TensorRing:
         return StarMorphism(self, rank_p, rank_q, tuple(
             ModuleMap.unchecked(p, self.model(i, q).result, m) for i, m in enumerate(mats)))
 
+    def unit_assemblies(self, rank_p: int, rank_q: int) -> tuple:
+        """The assembled matrices of the unit candidates e_a of a rank pair,
+        in slot-frame order (see :meth:`slot_frame`), memoised per rank
+        pair: the one unit table of the hunter's staging and the C3
+        checker's functional basis."""
+        cache = self._cache.setdefault("unit_assemblies", {})
+        key = (rank_p, rank_q)
+        if key not in cache:
+            m = self.slot_frame(rank_p, rank_q)[0].cols
+            cache[key] = tuple(
+                self.assemble_star(self.star_at(rank_p, rank_q, [int(a == b) for b in range(m)]))
+                for a in range(m))
+        return cache[key]
+
     def assemble_star(self, s: "StarMorphism") -> Matrix:
         """The lower-triangular block matrix of a component list, a map
         Ind(free source rank) -> Ind(free target rank).
 
         Block (j, i), 1-indexed and lower triangular, is the grafted
-        (j-i+1)-th component under the (i-1)-st functor power.  Every such
-        matrix is a morphism of pairs, so it is not re-validated.
+        (j-i+1)-th component under the (i-1)-st functor power, and a zero
+        block where that component is zero, since F^(i-1)(0) = 0.  Every
+        such matrix is a morphism of pairs, so it is not re-validated.
         """
         if s.ring != self:
             raise TensorRingError("star morphism belongs to a different ring")
@@ -307,10 +325,10 @@ class TensorRing:
         for j in range(1, n + 2):
             cells = []
             for i in range(1, n + 2):
-                if j < i:
+                comp = s.components[j - i] if j >= i else None
+                if comp is None or comp.is_zero():  # F^(i-1)(0) = 0
                     cells.append(Matrix.zeros(f, tgt_dims[j - 1], src_dims[i - 1]))
                 else:
-                    comp = s.components[j - i]
                     lifted = iterate_functor_map(m, i - 1, comp)
                     g = graft(m, i - 1, j - i, q)
                     cells.append(g.mat @ lifted.mat)

@@ -529,6 +529,163 @@ class TestReferenceElimination:
             assert_canonical(m)
 
 
+P_MAX = GF(1048573)  # the largest prime below 2**20, the int64 bound of F_p
+
+
+def nonzero_scalar(field, rng):
+    if field.is_prime:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+def from_entries(field, entries, cols):
+    return Matrix.from_rows(field, entries) if entries else Matrix.zeros(field, 0, cols)
+
+
+def assert_matches_reference(field, entries, cols):
+    a = from_entries(field, entries, cols)
+    r, pivots = a.rref()
+    want_r, want_pivots = reference_rref(field, a.entries, cols)
+    assert grid(r) == want_r and pivots == want_pivots
+    kernel = a.kernel_basis()
+    assert kernel.shape == (cols, cols - len(pivots))
+    assert grid(kernel) == reference_kernel(field, a.entries, cols)
+    for m in (r, kernel):
+        assert_canonical(m)
+    return pivots
+
+
+class TestLargerElimination:
+    """The elimination against ``reference_rref`` beyond 5 x 5: sparse
+    matrices with row swaps and all-zero columns, tall and wide shapes,
+    the largest prime below 2**20, and zero-sized matrices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(FIELDS + [P_MAX]), rows=st.integers(0, 12),
+           cols=st.integers(0, 16), density=st.sampled_from((0.1, 0.25, 0.5)),
+           seed=st.integers(0, 2 ** 32))
+    def test_sparse_matrices_up_to_12_by_16(self, field, rows, cols, density, seed):
+        rng = random.Random(seed)
+        zero_cols = set(rng.sample(range(cols), rng.randint(0, cols // 3)))
+        entries = [[nonzero_scalar(field, rng)
+                    if c not in zero_cols and rng.random() < density else 0
+                    for c in range(cols)] for _ in range(rows)]
+        pivots = assert_matches_reference(field, entries, cols)
+        assert not zero_cols & set(pivots)
+
+    @pytest.mark.parametrize("field", FIELDS + [P_MAX])
+    def test_row_swaps_and_zero_columns(self, field):
+        # row i has its leading entry in column 15 - i, and every third
+        # column is zero, so almost every pivot comes from a later row
+        rng = random.Random(71)
+        entries = [[0] * 16 for _ in range(12)]
+        for i in range(12):
+            for c in range(15 - i, 16):
+                if c % 3 and (c == 15 - i or rng.random() < 0.5):
+                    entries[i][c] = nonzero_scalar(field, rng)
+        pivots = assert_matches_reference(field, entries, 16)
+        assert pivots and all(c % 3 for c in pivots)
+
+    @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (16, 3), (3, 16), (12, 5), (5, 12)])
+    @pytest.mark.parametrize("field", FIELDS + [P_MAX])
+    def test_tall_and_wide(self, field, shape):
+        rows, cols = shape
+        rng = random.Random(rows * 100 + cols)
+        entries = [[nonzero_scalar(field, rng) if rng.random() < 0.6 else 0
+                    for _ in range(cols)] for _ in range(rows)]
+        assert_matches_reference(field, entries, cols)
+
+    def test_largest_prime_stays_exact(self):
+        # entries near p make every product of two residues near 2**40
+        p = P_MAX.p
+        rng = random.Random(73)
+        entries = [[rng.randrange(p - 16, p) for _ in range(10)] for _ in range(8)]
+        assert len(assert_matches_reference(P_MAX, entries, 10)) == 8
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 7), (7, 0)])
+    @pytest.mark.parametrize("field", FIELDS + [P_MAX])
+    def test_zero_sized(self, field, shape):
+        rows, cols = shape
+        a = Matrix.zeros(field, rows, cols)
+        r, pivots = a.rref()
+        assert r.shape == shape and pivots == ()
+        assert a.kernel_basis() == Matrix.identity(field, cols)
+        assert_matches_reference(field, [[0] * cols for _ in range(rows)], cols)
+
+
+class TestSlicePath:
+    """``take_rows``, ``take_cols`` and ``block`` slice on a step-1 range
+    inside the matrix and index row by row otherwise: negative indices
+    count from the end and out-of-range ones raise ``IndexError``, as
+    Python lists do."""
+
+    INDICES = [range(0, 4), range(1, 3), range(2, 2), range(4, 4), range(3, 1),
+               range(-1, 2), range(-4, 0), range(-5, 1), range(2, 6), range(0, 5),
+               range(4, 5), range(0, 4, 2), range(3, -1, -1), [0, 2], (3, 1, 3)]
+
+    @staticmethod
+    def matrix(field):
+        rng = random.Random(79)
+        return Matrix.from_rows(field, [[nonzero_scalar(field, rng) for _ in range(4)]
+                                        for _ in range(4)])
+
+    @pytest.mark.parametrize("indices", INDICES, ids=repr)
+    @pytest.mark.parametrize("field", [F3, QQ])
+    def test_rows_and_cols_as_python_indexing(self, field, indices):
+        m = self.matrix(field)
+        entries = m.entries
+        try:
+            want = [entries[i] for i in indices]
+        except IndexError:
+            with pytest.raises(IndexError):
+                m.take_rows(indices)
+            with pytest.raises(IndexError):
+                m.take_cols(indices)
+            return
+        rows = m.take_rows(indices)
+        assert rows.shape == (len(want), 4) and grid(rows) == [list(r) for r in want]
+        cols = m.take_cols(indices)
+        assert cols.shape == (4, len(want))
+        assert grid(cols.transpose()) == [[row[i] for row in entries] for i in indices]
+        for piece in (rows, cols):
+            assert_canonical(piece)
+
+    @pytest.mark.parametrize("bounds", [(1, 3, 0, 4), (-1, 4, 0, 2), (0, 4, -2, 1),
+                                        (2, 6, 0, 1), (0, 1, 3, 5), (3, 1, 0, 4)])
+    @pytest.mark.parametrize("field", [F3, QQ])
+    def test_block_as_python_indexing(self, field, bounds):
+        r0, r1, c0, c1 = bounds
+        m = self.matrix(field)
+        entries = m.entries
+        try:
+            want = [[entries[i][j] for j in range(c0, c1)] for i in range(r0, r1)]
+        except IndexError:
+            with pytest.raises(IndexError):
+                m.block(*bounds)
+            return
+        b = m.block(*bounds)
+        assert b.shape == (len(range(r0, r1)), len(range(c0, c1))) and grid(b) == want
+        assert_canonical(b)
+
+    @pytest.mark.parametrize("field", [F3, QQ])
+    def test_slices_are_read_only_values(self, field):
+        m = M(field, [[1, 2, 0, 1], [2, 2, 1, 0], [0, 1, 1, 2]]) if field.is_prime else \
+            M(field, [[Fraction(1, 2), 2, 0], [Fraction(3, 4), 1, Fraction(1, 4)],
+                      [2, Fraction(1, 2), 1]])
+        before = grid(m)
+        pieces = [(m.take_rows(range(1, 3)), [1, 2], range(m.cols)),
+                  (m.take_cols(range(1, 3)), range(m.rows), [1, 2]),
+                  (m.block(0, 2, 1, 3), [0, 1], [1, 2])]
+        for piece, rows, cols in pieces:
+            fresh = Matrix.from_rows(field, [[m[i, j] for j in cols] for i in rows])
+            assert not piece._num.flags.writeable
+            assert piece == fresh and fresh == piece and hash(piece) == hash(fresh)
+            assert_canonical(piece)
+        if field.is_prime:
+            assert np.shares_memory(pieces[0][0]._num, m._num)
+        assert grid(m) == before
+
+
 class TestRationalStorage:
     def test_results_hold_fractions_also_without_terms(self):
         a = M(QQ, [[Fraction(1, 2), 3], [0, Fraction(-2, 3)]])

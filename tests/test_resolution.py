@@ -621,6 +621,29 @@ class TestHomComplexOracle:
         assert calls == []
         assert defects == reference_hom_complex_oracle(w)
 
+    def test_one_differential_per_map_slot(self, monkeypatch):
+        # a period-1 window meets its one map at both ends of its position
+        # and a period-2 window each map at two positions: one solve per
+        # map slot between nonzero ranks (a zero Hom space needs none),
+        # with the results of the per-call reference
+        solves = []
+        solve = Matrix.solve
+
+        def counting(a, b):
+            solves.append(b.shape)
+            return solve(a, b)
+
+        for ring in ring_pool((F2, F3, QQ)):
+            for i, (ranks, periodic) in enumerate(self.SHAPES):
+                w = search.random_window(ring, 200 + i, ranks, periodic=periodic)
+                want = reference_hom_complex_oracle(w)
+                monkeypatch.setattr(Matrix, "solve", counting)
+                solves.clear()
+                assert hom_complex_oracle(w) == want
+                monkeypatch.setattr(Matrix, "solve", solve)
+                assert len(solves) == sum(1 for t in range(len(w.maps))
+                                          if w.ranks[t] and w.ranks[t + 1])
+
     def _corrupted(self, entry):
         ring = dual_ring()
         w = search.random_window(ring, 5, (1, 2))

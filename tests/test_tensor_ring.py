@@ -2,10 +2,13 @@
 ring model and morphism spaces."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorgp.exactlin import QQ, Matrix, is_exact_pair, unvec, vec, vstack
+from tensorgp.exactlin import QQ, Matrix, hstack, is_exact_pair, unvec, vec, vstack
 from tensorgp.algebra import (
     LeftModule,
     ModuleMap,
@@ -15,7 +18,8 @@ from tensorgp.algebra import (
     is_exact_at,
     zero_module,
 )
-from tensorgp.bimodule import tensor_map, zero_bimodule
+from tensorgp.bimodule import graft, iterate_functor_map, tensor_map, zero_bimodule
+from tensorgp.resolution import star_compose
 from tensorgp.search import count_star
 from tensorgp.tensor_ring import (
     DecompositionError,
@@ -217,6 +221,63 @@ class TestAssembleStar:
                               ring.assemble_star(s))
 
 
+@lru_cache(maxsize=None)
+def fp_pool():
+    return tuple(ring_pool((F2, F3)))
+
+
+def sparse_star(ring, rank_p, rank_q, rng):
+    """A component list whose components are each zero with probability
+    1/2 and random otherwise."""
+    p = ring.free(rank_p)
+    comps = []
+    for i in range(ring.nilpotency + 1):
+        target = ring.model(i, ring.free(rank_q)).result
+        zero = rng.random() < 0.5
+        comps.append(ModuleMap.zero(p, target) if zero else random_hom(p, target, rng))
+    return StarMorphism(ring, rank_p, rank_q, tuple(comps))
+
+
+def per_cell_assembly(s):
+    """The assembled matrix built cell by cell, with nothing skipped:
+    block (j, i) is graft(i-1, j-i) . F^(i-1)(component j-i+1) for j >= i
+    and zero above the diagonal."""
+    ring = s.ring
+    m, n = ring.bimodule, ring.nilpotency
+    p, q = ring.free(s.source_rank), ring.free(s.target_rank)
+    rows = []
+    for j in range(1, n + 2):
+        cells = []
+        for i in range(1, n + 2):
+            if j < i:
+                cells.append(Matrix.zeros(ring.algebra.field, ring.model(j - 1, q).result.dim,
+                                          ring.model(i - 1, p).result.dim))
+            else:
+                lifted = iterate_functor_map(m, i - 1, s.components[j - i])
+                cells.append(graft(m, i - 1, j - i, q).mat @ lifted.mat)
+        rows.append(hstack(cells))
+    return vstack(rows)
+
+
+class TestZeroComponents:
+    """Zero components become zero blocks in ``assemble_star`` and drop
+    out of ``star_compose``; both must equal the formulas that lift
+    every component."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(index=st.integers(0, 9), ranks=st.tuples(*[st.integers(0, 2)] * 3),
+           seed=st.integers(0, 2 ** 32))
+    def test_assembly_and_composition_with_zero_components(self, index, ranks, seed):
+        ring = fp_pool()[index]
+        rng = random.Random(seed)
+        a = sparse_star(ring, ranks[1], ranks[2], rng)
+        b = sparse_star(ring, ranks[0], ranks[1], rng)
+        assert ring.assemble_star(star_compose(a, b)) == \
+            ring.assemble_star(a) @ ring.assemble_star(b)
+        for s in (a, b):
+            assert ring.assemble_star(s) == per_cell_assembly(s)
+
+
 class TestSlotFrame:
     """The memoised slot frame and ``star_at`` against the sum of scaled
     slot-basis maps (helpers.reference_star)."""
@@ -240,6 +301,12 @@ class TestSlotFrame:
                     coords = [random_scalar(field, rng) for _ in range(m)]
                     assert ring.star_at(rank_p, rank_q, coords) == \
                         reference_star(ring, rank_p, rank_q, coords)
+                    units = ring.unit_assemblies(rank_p, rank_q)
+                    assert ring.unit_assemblies(rank_p, rank_q) is units
+                    assert list(units) == [
+                        ring.assemble_star(reference_star(ring, rank_p, rank_q,
+                                                          [int(a == b) for b in range(m)]))
+                        for a in range(m)]
                     if field.is_prime:
                         assert count_star(ring, rank_p, rank_q) == field.p ** m
                     else:
