@@ -31,7 +31,6 @@ from tensorgp.exactlin import (
     FieldSpec,
     Matrix,
     hstack,
-    is_exact_pair,
     kron,
     quotient_maps,
     unvec,
@@ -257,10 +256,6 @@ def check_module(x: LeftModule) -> ValidationReport:
     return ValidationReport("module", tuple(violations))
 
 
-def zero_module(a: Algebra) -> LeftModule:
-    return LeftModule(a, 0, tuple(Matrix.zeros(a.field, 0, 0) for _ in range(a.dim)))
-
-
 def free_module(a: Algebra, n: int) -> LeftModule:
     """The free left module R^n: n block-diagonal copies of the regular
     representation, basis ordered copy-major.  One shared instance per
@@ -331,13 +326,6 @@ def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     if g.target != f.source:
         raise InvalidMap("not composable")
     return ModuleMap.unchecked(g.source, f.target, f.mat @ g.mat)
-
-
-def is_exact_at(f: ModuleMap, g: ModuleMap) -> bool:
-    """Exactness at the middle of source --f--> middle --g--> target."""
-    if f.target != g.source:
-        raise InvalidMap("maps do not share a middle module")
-    return is_exact_pair(f.mat, g.mat)
 
 
 def intertwining_system(x: LeftModule, y: LeftModule) -> Matrix:

@@ -268,11 +268,19 @@ def load(text: str) -> dict:
 # -- integers, scalars, matrices, fields -------------------------------------------
 
 
-def int_from_doc(v, where: str, minimum: Optional[int] = None) -> int:
+# the largest rank, dim, rows or cols a file may state: a larger size is
+# refused when it is read, before any array of that size is made
+MAX_SIZE = 4096
+
+
+def int_from_doc(v, where: str, minimum: Optional[int] = None,
+                 maximum: Optional[int] = None) -> int:
     """An integer field of a file: ``v`` must be an ``int`` that is not a
-    boolean, and at least ``minimum`` when one is given."""
+    boolean, at least ``minimum`` and at most ``maximum`` when given."""
     if isinstance(v, int) and not isinstance(v, bool) and (minimum is None or v >= minimum):
-        return v
+        if maximum is None or v <= maximum:
+            return v
+        raise FormatError(where, f"{v} is above the size limit {maximum}")
     want = "an integer" if minimum is None else f"an integer >= {minimum}"
     raise FormatError(where, f"expected {want}, got {v!r}")
 
@@ -285,7 +293,7 @@ def ranks_from_doc(v, maps: int, where: str) -> tuple:
     if len(v) != maps + 1:
         raise FormatError(where, f"need exactly one more rank than maps, "
                                  f"got {len(v)} ranks for {maps} maps")
-    return tuple(int_from_doc(r, f"{where}[{i}]", 0) for i, r in enumerate(v))
+    return tuple(int_from_doc(r, f"{where}[{i}]", 0, MAX_SIZE) for i, r in enumerate(v))
 
 
 def scalar_to_doc(field: FieldSpec, v):
@@ -333,8 +341,8 @@ def matrix_to_doc(m: Matrix) -> dict:
 def matrix_from_doc(field: FieldSpec, node, where: str) -> Matrix:
     if not isinstance(node, dict) or not {"rows", "cols", "entries"} <= set(node):
         raise FormatError(where, "matrix needs rows, cols, entries")
-    rows = int_from_doc(node["rows"], f"{where}.rows", 0)
-    cols = int_from_doc(node["cols"], f"{where}.cols", 0)
+    rows = int_from_doc(node["rows"], f"{where}.rows", 0, MAX_SIZE)
+    cols = int_from_doc(node["cols"], f"{where}.cols", 0, MAX_SIZE)
     entries = node["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(where, f"expected {rows} entry rows")
@@ -364,7 +372,7 @@ def algebra_from_doc(field: FieldSpec, node, where: str) -> Algebra:
     :class:`FormatError` caused by the ``InvalidAlgebra`` and its report."""
     if not isinstance(node, dict) or not {"dim", "unit", "struct_consts"} <= set(node):
         raise FormatError(where, "algebra needs dim, unit, struct_consts")
-    dim = int_from_doc(node["dim"], f"{where}.dim", 1)
+    dim = int_from_doc(node["dim"], f"{where}.dim", 1, MAX_SIZE)
     consts = node["struct_consts"]
     unit = node["unit"]
     if not isinstance(consts, list) or len(consts) != dim:
@@ -401,7 +409,7 @@ def bimodule_from_doc(algebra: Algebra, node, where: str) -> Bimodule:
     :class:`FormatError` caused by the ``InvalidBimodule`` and its report."""
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "bimodule needs dim, left_action, right_action")
-    dim = int_from_doc(node["dim"], f"{where}.dim", 0)
+    dim = int_from_doc(node["dim"], f"{where}.dim", 0, MAX_SIZE)
     def acts(key):
         nodes = node[key]
         if not isinstance(nodes, list) or len(nodes) != algebra.dim:
@@ -606,7 +614,7 @@ def catalog_from_doc(field: FieldSpec, doc, where: str = "catalog") -> Catalog:
         if not isinstance(g.get("passed"), bool):
             raise FormatError(f"{at}.passed", f"expected a boolean, got {g.get('passed')!r}")
         groups.append(CatalogGroup(
-            int_from_doc(g.get("rank"), f"{at}.rank", 0),
+            int_from_doc(g.get("rank"), f"{at}.rank", 0, MAX_SIZE),
             int_from_doc(g.get("kernel_dim"), f"{at}.kernel_dim", 0), g["passed"],
             int_from_doc(g.get("count"), f"{at}.count", 0),
             tuple(matrix_from_doc(field, m, at) for m in g["representative"]),
@@ -632,7 +640,7 @@ _CONTEXT_MAPS = ("tau", "sigma", "beta", "gamma")
 def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: str):
     if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
         raise FormatError(where, "pair bimodule needs dim, left_action, right_action")
-    dim = int_from_doc(node["dim"], f"{where}.dim", 0)
+    dim = int_from_doc(node["dim"], f"{where}.dim", 0, MAX_SIZE)
     field = left_alg.field
 
     def acts(key, alg):

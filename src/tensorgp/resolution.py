@@ -15,8 +15,10 @@ each checkable position:
   that kills the incoming map factors through the outgoing map
   (Hom-exactness against induced projectives, with the rank-one test
   module, which suffices by additivity).  The components of f . alpha are
-  A(f) V, with A(f) the assembled matrix of f, memoised per ring and rank
-  for a basis of tuples, and V the stacked components of alpha.
+  A(f) V, with V the stacked components of alpha and A(f) the assembled
+  matrix of f, read for the slot basis of tuples from the ring's unit
+  table of the rank pair (r, 1) (``TensorRing.unit_assemblies``, which
+  the hunter's staging reads too): one product and one row selection.
 
 Each condition shape is one step returning (status, witness):
 :func:`vanishing`, :func:`kernel_lift` and :func:`factor_check`, which
@@ -365,36 +367,25 @@ def _star_from_tuple(ring: TensorRing, rank: int, mats) -> StarMorphism:
     return StarMorphism(ring, rank, 1, tuple(comps))
 
 
-def _functional_basis(ring: TensorRing, rank: int):
-    """Per block j of Ind(R), its height and the columns vec(A(e_a)_j) of
-    the j-th row blocks of the assembled matrices of the unit functional
-    tuples e_a out of the free module of the given rank, sliced from
-    ``ring.unit_assemblies(rank, 1)`` in slot-frame order, memoised per
-    (ring, rank).
-    Only rank 0 has no tuples, and there every such column has length 0."""
-    cache = ring._cache.setdefault("functional_basis", {})
-    if rank not in cache:
-        shapes = ring.slot_frame(rank, 1)[1]
-        offsets = [0, *accumulate(h for h, _ in shapes)]
-        units = ring.unit_assemblies(rank, 1)
-        empty = Matrix.zeros(ring.algebra.field, 0, 0)
-        cache[rank] = [(h, hstack([vec(u.block(lo, hi, 0, u.cols)) for u in units])
-                        if units else empty)
-                       for (h, _), lo, hi in zip(shapes, offsets, offsets[1:])]
-    return cache[rank]
-
-
 def _functional_constraints(ring: TensorRing, through: StarMorphism) -> Matrix:
     """Matrix of f |-> components(f . through) over the slot-basis tuples f
     out of the free module of the target rank of ``through``.
 
-    The components of f . through are the row blocks A(f)_j V of A(f) V,
-    with V the stacked components of ``through`` (the first block column
-    of its assembled matrix), so vec(A(f)_j V) = (V^T (x) I) vec(A(f)_j).
+    The components of f . through are the row blocks of A(f) V, with A(f)
+    the assembled matrix of f and V the stacked components of ``through``
+    (the first block column of its assembled matrix).  One product on the
+    unit table of the rank pair (target rank, 1) gives every column
+    vec(A(e_a) V) = (V^T (x) I) vec(A(e_a)), and one row selection regroups
+    each column block by block, into the slot-frame order of the stacked
+    vec'd components.
     """
-    blocks = _functional_basis(ring, through.target_rank)
+    shapes = ring.slot_frame(through.target_rank, 1)[1]
+    offsets = [0, *accumulate(h for h, _ in shapes)]
     v = vstack([c.mat for c in through.components])
-    return vstack([vec_precompose(blk, h, v) for h, blk in blocks])
+    order = [c * offsets[-1] + r for lo, hi in zip(offsets, offsets[1:])
+             for c in range(v.cols) for r in range(lo, hi)]
+    table = ring.unit_assemblies(through.target_rank, 1)
+    return vec_precompose(table, offsets[-1], v).take_rows(order)
 
 
 def check_c3(prev: StarMorphism, next_: StarMorphism):

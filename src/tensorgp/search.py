@@ -15,16 +15,20 @@ Classification is staged and runs on blocks of candidates of one rank,
 from tables memoised per (ring, rank) over the unit candidates e_a (slot
 coordinate a set to 1, the others to 0) with assembled matrices A_a, and
 the unit functional tuples f_b out of the same free module (the slot
-frame of rank pair (r, 1)) with assembled matrices F_b.  The components
-of a composite are the first block column of its assembled matrix, and
-assembling a composite multiplies the assembled matrices, so every table
-is one product of assembled unit matrices:
+frame of rank pair (r, 1)) with assembled matrices F_b.  Both come from
+the ring's unit tables (:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`
+of the rank pairs (r, r) and (r, 1)), whose column a is vec(A_a); they are
+read in place, never copied.  The components of a composite are the first
+block column of its assembled matrix, and assembling a composite
+multiplies the assembled matrices, so every table is one product of
+assembled unit matrices:
 
 - SC1 by table.  T[a, b] = first block column of A_a A_b holds the
   components of e_a . e_b, so the square of the candidate with
   coordinates c is sum_{a,b} c_a c_b T[a, b]: two int64 contractions,
   reduced mod p after each.
-- SC2 by rank.  The candidate assembles to sum_a c_a A_a; one batched
+- SC2 by rank.  The candidate assembles to sum_a c_a A_a, and c times
+  the transposed (r, r) unit table reshapes to its transpose; one batched
   rank mod p (:func:`tensorgp.exactlin.batched_rank`) gives its kernel
   dimension kd.  When the square vanishes, im alpha lies in ker alpha,
   so SC2 holds iff 2 kd = n, with n = dim Ind(P).
@@ -119,9 +123,12 @@ class _Stage:
     ``square`` is m x (m * length): row b, block a holds the flattened
     first block column of A_a A_b, the components of e_a . e_b, each
     ``length`` entries long.  ``assembled`` is m x (n * n): row a holds
-    A_a, the assembled matrix of e_a.  ``precompose`` is
-    m x (height * m'): row a holds K(e_a), whose column b is the flattened
-    first block column of F_b A_a, the components of f_b . e_a.
+    vec(A_a), read in place as the transpose of the unit table
+    ``ring.unit_assemblies(rank, rank)``, so a block of coordinates times
+    it reshapes to the transposes of the candidates' assembled matrices.
+    ``precompose`` is m x (height * m'): row a holds K(e_a), whose
+    column b is the flattened first block column of F_b A_a, the
+    components of f_b . e_a.
     """
 
     m: int
@@ -134,38 +141,34 @@ class _Stage:
     precompose: np.ndarray
 
 
-def _units(ring: TensorRing, rank_p: int, rank_q: int) -> np.ndarray:
-    """The assembled matrices of the unit candidates of a rank pair
-    (:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`), one slice
-    each."""
-    units = ring.unit_assemblies(rank_p, rank_q)
-    shape = (len(units), ring.ind_free(rank_q).x.dim, ring.ind_free(rank_p).x.dim)
-    return np.array([u._num for u in units], dtype=np.int64).reshape(shape)
-
-
 def _stage(ring: TensorRing, rank: int) -> _Stage:
     """The staging tables of the given rank, memoised per ring.
 
     The SC1 and SC3 tables are products of assembled unit matrices: the
     components of a composite are the first block column of its assembled
     matrix, which is the product of the assembled matrices of its factors.
+    A column-major vec(A) reshapes row-major to the transpose of A, so each
+    unit table gives its matrices A_a as a transposed reshape.
     """
     cache = ring._cache.setdefault("hunt_stage", {})
     if rank not in cache:
         p = ring.algebra.field.p
-        assembled = _units(ring, rank, rank)
-        functionals = _units(ring, rank, 1)
-        m, n, _ = assembled.shape
-        tuples, height, _ = functionals.shape
+        n = ring.ind_free(rank).x.dim
+        height = ring.ind_free(1).x.dim
+        assembled = ring.unit_assemblies(rank, rank)._num.T
+        functionals = ring.unit_assemblies(rank, 1)._num.T
+        m, tuples = len(assembled), len(functionals)
         if max(m, n) * p ** 2 >= 1 << 63:
             raise ValueError(f"{max(m, n)} terms per sum overflow the int64 staging")
-        first = assembled[:, :, :ring.free(rank).dim]
-        square = np.einsum("aij,bjk->baik", assembled, first) % p
-        precompose = np.einsum("bij,ajk->aikb", functionals, first) % p
+        units = assembled.reshape(m, n, n).transpose(0, 2, 1)
+        first = units[:, :, :ring.free(rank).dim]
+        square = np.einsum("aij,bjk->baik", units, first) % p
+        precompose = np.einsum("bij,ajk->aikb",
+                               functionals.reshape(tuples, n, height).transpose(0, 2, 1),
+                               first) % p
         d = first.shape[2]
-        cache[rank] = _Stage(m, n * d, n, tuples, height * d,
-                             square.reshape(m, m * n * d), assembled.reshape(m, n * n),
-                             precompose.reshape(m, height * d * tuples))
+        cache[rank] = _Stage(m, n * d, n, tuples, height * d, square.reshape(m, m * n * d),
+                             assembled, precompose.reshape(m, height * d * tuples))
     return cache[rank]
 
 
@@ -177,6 +180,7 @@ def _staged(ring: TensorRing, stage: _Stage, coeffs: np.ndarray):
     count = coeffs.shape[0]
     half = (coeffs @ stage.square % field.p).reshape(count, stage.m, stage.length)
     sc1 = ~(np.einsum("ca,cal->cl", coeffs, half) % field.p).any(axis=1)
+    # the transposes of the candidates' assembled matrices, of equal ranks
     mats = (coeffs @ stage.assembled).reshape(count, stage.n, stage.n)
     kernel_dims = stage.n - batched_rank(field, mats)
     sc3 = np.zeros(count, dtype=bool)

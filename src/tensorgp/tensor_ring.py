@@ -25,14 +25,13 @@ Memo tables live in ``TensorRing._cache``, one key per reader: ``ind_free``
 and ``algebra_model`` here (the free modules are memoised on the algebra,
 by :func:`~tensorgp.algebra.free_module`); ``slot_frame``, the coordinate
 frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
-for ``search`` and the C3 checker; ``unit_assemblies``, the assembled
-matrices of the unit candidates per rank pair
-(:meth:`TensorRing.unit_assemblies`), the one unit table that the hunter's
-staging and the C3 checker share; ``functional_basis`` for the C3
-checker; ``oracle_hom``, the stacked ``hom_t`` bases of
-Hom(Ind P^r, Ind R) per rank r, for :func:`resolution.hom_complex_oracle`
-only, so that no checker reads what the oracle computed; ``hunt_stage``
-for ``search``.
+for ``search`` and the C3 checker; ``unit_assemblies``, the unit table per
+rank pair (:meth:`TensorRing.unit_assemblies`), one matrix whose column a
+is vec(A_a) for the assembled matrix A_a of the unit candidate e_a, which
+the hunter's staging and the C3 checker read in place; ``oracle_hom``,
+the stacked ``hom_t`` bases of Hom(Ind P^r, Ind R) per rank r, for
+:func:`resolution.hom_complex_oracle` only, so that no checker reads what
+the oracle computed; ``hunt_stage`` for ``search``.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from tensorgp.exactlin import (Matrix, block_diagonal, hstack, kron, unvec, unvec_blocks,
-                               vstack)
+                               vec_columns, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -124,7 +123,7 @@ class TensorRing:
     def power_dim(self, i: int) -> int:
         return power(self.bimodule, i).result.dim
 
-    # -- the four functors ----------------------------------------------
+    # -- the functors (the forgetful one is TModule.x) ------------------
 
     def ind(self, x: LeftModule) -> "InducedModule":
         """Induction: the sum of all functor powers of x with the block
@@ -166,9 +165,6 @@ class TensorRing:
         """The pair (x, 0)."""
         fx = self.model(1, x)
         return TModule(self, x, Matrix.zeros(self.algebra.field, x.dim, fx.result.dim))
-
-    def forget(self, t: "TModule") -> LeftModule:
-        return t.x
 
     def coker(self, t: "TModule") -> Cokernel:
         """Cokernel of the structure map, with the induced action."""
@@ -289,18 +285,20 @@ class TensorRing:
         return StarMorphism(self, rank_p, rank_q, tuple(
             ModuleMap.unchecked(p, self.model(i, q).result, m) for i, m in enumerate(mats)))
 
-    def unit_assemblies(self, rank_p: int, rank_q: int) -> tuple:
-        """The assembled matrices of the unit candidates e_a of a rank pair,
-        in slot-frame order (see :meth:`slot_frame`), memoised per rank
-        pair: the one unit table of the hunter's staging and the C3
-        checker's functional basis."""
+    def unit_assemblies(self, rank_p: int, rank_q: int) -> Matrix:
+        """The unit table of a rank pair, memoised per rank pair: column a
+        is vec(A_a), the column-major vec of the assembled matrix of the
+        unit candidate e_a, in slot-frame order (see :meth:`slot_frame`).
+        The hunter's staging and the C3 checker read it in place.  Only a
+        rank 0 leaves no unit candidates, and then Ind of it is 0, so the
+        table has no rows either."""
         cache = self._cache.setdefault("unit_assemblies", {})
         key = (rank_p, rank_q)
         if key not in cache:
             m = self.slot_frame(rank_p, rank_q)[0].cols
-            cache[key] = tuple(
+            cache[key] = vec_columns(self.algebra.field, 0, [
                 self.assemble_star(self.star_at(rank_p, rank_q, [int(a == b) for b in range(m)]))
-                for a in range(m))
+                for a in range(m)])
         return cache[key]
 
     def assemble_star(self, s: "StarMorphism") -> Matrix:

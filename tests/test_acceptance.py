@@ -26,7 +26,8 @@ from tensorgp.resolution import (
     lift_resolution,
     replay_verdict,
 )
-from tensorgp.search import hunt_strongly_gp, modules_isomorphic_bruteforce, random_window
+from tensorgp.search import (hunt_strongly_gp, modules_isomorphic_bruteforce, random_star,
+                             random_window)
 from tensorgp.special_rings import (
     TrivialExtData,
     morita_checks,
@@ -116,6 +117,36 @@ def test_criterion_2_functional_lifting_against_hom_complex(corpus):
     elapsed = time.time() - start
     print(f"criterion 2: PASS ({len(corpus)} windows, {_over_q(corpus)} of them over Q, "
           f"{positions} positions, 0 disagreements, {elapsed:.1f}s)")
+
+
+def test_criterion_2_c3_alone_decides_on_window_local_segments():
+    # 0 -> T -> T^2 with a zero first map: C1 holds and C2 asks only for a
+    # monomorphism, so a non-split one leaves C3 alone to fail; the rings of
+    # the pool with a nonzero bimodule are the corner and path rings
+    start = time.time()
+    alone, over_q, positions = 0, 0, 0
+    for ring in ring_pool((F2, F3, QQ)):
+        if ring.bimodule.dim == 0:
+            continue
+        rng = random.Random(1)
+        for _ in range(100):
+            w = ResolutionWindow(ring, 0, (0, 1, 2), (StarMorphism.zero(ring, 0, 1),
+                                                      random_star(ring, 1, 2, rng)))
+            report = check_complete(w)
+            defects = hom_complex_oracle(w)
+            for k in w.positions():
+                assert (report.status(k, "C3") == "pass") == (defects[k] == 0), \
+                    f"disagreement at k={k}"
+                if [report.status(k, c) for c in ("C1", "C2", "C3")] == ["pass", "pass", "fail"]:
+                    alone += 1
+                    over_q += ring.algebra.field == QQ
+                positions += 1
+            for v in report.failures():
+                assert replay_verdict(w, v), f"{v.label} witness at k={v.k} does not replay"
+    assert alone >= 50 and over_q >= 1
+    elapsed = time.time() - start
+    print(f"criterion 2 (C3 alone): PASS ({positions} positions, {alone} where only C3 "
+          f"fails, {over_q} of them over Q, 0 disagreements, {elapsed:.1f}s)")
 
 
 def test_criterion_3_canonical_worked_example():

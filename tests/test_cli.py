@@ -270,6 +270,15 @@ class TestIntegerFieldsRefused:
         ("hunt", "triangular_bundle.yaml", "nilpotency: 1", "nilpotency: true", "nilpotency"),
         ("validate", "triangular_bundle.yaml", "  dim: 2", "  dim: true", "algebra.dim"),
         ("validate", "triangular_bundle.yaml", "  dim: 1", "  dim: -1", "bimodule.dim"),
+    ] + [
+        # sizes above formats.MAX_SIZE, each refused before any array is made
+        ("check", "x_window.yaml", old, new, where) for old, new, where in (
+            ("ranks: [1, 1]", f"ranks: [{10 ** 20}, 1]", "window.ranks[0]"),
+            ("ranks: [1, 1]", f"ranks: [1, {formats.MAX_SIZE + 1}]", "window.ranks[1]"),
+            ("rows: 0, cols: 0", f"rows: 0, cols: {10 ** 20}", "left_action[0].cols"),
+            ("rows: 0, cols: 0", f"rows: {10 ** 20}, cols: 0", "left_action[0].rows"),
+            ("    dim: 0", f"    dim: {10 ** 20}", "bimodule.dim"),
+            ("    dim: 2", f"    dim: {10 ** 20}", "algebra.dim"))
     ])
     def test_exit_2(self, tmp_path, capsys, command, source, old, new, where):
         if source == "triangular":
@@ -280,7 +289,14 @@ class TestIntegerFieldsRefused:
         path = tmp_path / "input.yaml"
         path.write_text(text.replace(old, new, 1))
         assert main([command, str(path)]) == 2
-        assert where in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and where in err
+
+    def test_size_limit_is_inclusive(self):
+        assert formats.int_from_doc(formats.MAX_SIZE, "w", 0, formats.MAX_SIZE) == \
+            formats.MAX_SIZE
+        with pytest.raises(formats.FormatError, match="^w: .* above the size limit"):
+            formats.int_from_doc(formats.MAX_SIZE + 1, "w", 0, formats.MAX_SIZE)
 
     def test_integer_beyond_the_int_string_limit(self, tmp_path, capsys):
         text = Path(fixture("x_window.yaml")).read_text()

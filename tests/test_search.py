@@ -14,8 +14,8 @@ from tensorgp.exactlin import GF, Matrix, batched_rank
 from tensorgp.algebra import LeftModule, free_hom_vecs, free_module
 from tensorgp.bimodule import zero_bimodule
 from tensorgp.tensor_ring import TensorRing
-from tensorgp.resolution import (CheckReport, InternalCheckError, check_strongly_gp,
-                                  strong_report)
+from tensorgp.resolution import (CheckReport, InternalCheckError, check_complete,
+                                  check_strongly_gp, strong_report)
 from tensorgp.search import (
     BudgetExceeded,
     Catalog,
@@ -296,6 +296,16 @@ class TestStagedClassifier:
                     unit = ring.star_at(rank, rank, [int(a == b) for b in range(stage.m)])
                     constraint = resolution._functional_constraints(ring, unit)
                     assert tables[a][order].tolist() == [list(r) for r in constraint.entries]
+
+    def test_one_unit_table_per_rank_pair(self):
+        # the stager reads the (r, r) unit table in place, and C3 reads the
+        # (r, 1) one without a table of its own
+        for ring in ring_pool((F2, F3)):
+            for rank in (1, 2):
+                assert np.shares_memory(search._stage(ring, rank).assembled,
+                                        ring.unit_assemblies(rank, rank)._num)
+            check_complete(random_window(ring, 3, (1, 2)))
+            assert "functional_basis" not in ring._cache
 
     @staticmethod
     def _corrupt(ring, rank, name, edit):
