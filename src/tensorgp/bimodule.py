@@ -12,8 +12,7 @@ product of two bimodules.
 Tensor powers are left-nested, M^{(x)(i+1)} = M (x)_R M^{(x)i}, each
 represented once by its model over R, and the i-fold application of the
 functor F = M (x)_R - is modelled once per (i, argument) pair as
-(M^{(x)i}) (x)_R X; nested application is available separately as a
-cross-check.  The canonical comparison isomorphisms between the two
+(M^{(x)i}) (x)_R X.  The canonical comparison isomorphisms between the two
 (grafting maps) and the concatenation multiplication on powers recurse on
 the left factor through these models, so no map passes through the
 k-level space V_M^{(x)i}, whose dimension (dim M)^i grows exponentially.
@@ -258,7 +257,11 @@ def power(m: Bimodule, i: int) -> BimoduleModel:
             ident = Matrix.identity(m.algebra.field, pw.dim)
             cache[i] = BimoduleModel(pw, ident, ident)
         else:
-            cache[i] = tensor_bimodule_model(m, power(m, i - 1).result)
+            # bottom-up, so a large index costs no recursion depth
+            power(m, 1)
+            for j in range(2, i + 1):
+                if j not in cache:
+                    cache[j] = tensor_bimodule_model(m, cache[j - 1].result)
     return cache[i]
 
 
@@ -300,14 +303,6 @@ def iterate_functor_map(m: Bimodule, i: int, f: ModuleMap) -> ModuleMap:
         return f
     pw = power(m, i).result
     return tensor_map(pw, f, iterate_functor(m, i, f.source), iterate_functor(m, i, f.target))
-
-
-def nested_model(m: Bimodule, i: int, x: LeftModule) -> LeftModule:
-    """i literal nested applications of M (x)_R -; cross-check oracle only."""
-    cur = x
-    for _ in range(i):
-        cur = tensor_module(m, cur).result
-    return cur
 
 
 def concat_mult(m: Bimodule, a: int, b: int) -> Matrix:

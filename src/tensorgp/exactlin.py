@@ -40,14 +40,14 @@ The int64 limits, in one place:
   max(m, n) * p**2 < 2**63; :func:`batched_rank` keeps every entry below
   p**2.
 - Over Q, numerator arithmetic runs in int64 when a bound on every
-  partial result is below the guard 2**62: max(|A|, 1) * max(|B|, 1) *
-  max(k, 1) for a product with k terms per entry (the inner dimension of
-  a matrix product, 1 for a Kronecker product), and for a sum or a stack
-  the scaled bounds max(|A|, 1) * (L / a) of the operands over their
-  common denominator L, added for a sum.  Otherwise it runs on Python
-  ints; the values are the same either way.  Each Q matrix keeps the
-  bound its operation proved on its numerators, and their exact largest
-  value is computed only when a bound would reach the guard.
+  partial result is below the guard 2**62, and on Python ints otherwise;
+  the values are the same either way.  Every bound is :func:`_bound`'s
+  factor * max(|A|, 1) over the operands A, with the factor max(k, 1)
+  for a product with k terms per entry (1 for a Kronecker product), the
+  scalar's numerator for ``scale``, and L / a over the common
+  denominator L of a sum (bounds added) or a stack.  Each Q matrix keeps
+  the bound its operation proved, or the exact largest numerator, which
+  every Python int result stores, so a loose bound never compounds.
 
 Row reduction over Q is modular and certified.  A matrix and its
 numerator array N (m x n) have the same RREF.
@@ -265,22 +265,24 @@ def _exact(op, a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     return op(a.astype(object), b.astype(object))
 
 
-def _scaled_bound(m: "Matrix", factor: int) -> int:
-    """max(|A|, 1) * factor for the numerators A of m, from their exact
-    magnitude when the cached bound gives a value past the guard."""
-    bound = max(m._magnitude(), 1) * factor
-    if bound >= _INT64_GUARD:  # the cached bound may be loose
-        bound = max(m._tightened(), 1) * factor
-    return bound
+def _bound(factor: int, *mats: "Matrix") -> int:
+    """The bound rule of the module docstring: factor * max(|A|, 1) over
+    the numerators A of each matrix, read from its cached magnitude."""
+    for m in mats:
+        factor *= max(m._magnitude(), 1)
+    return factor
 
 
-def _product_bound(a: "Matrix", b: "Matrix", terms: int) -> int:
-    """The bound of the module docstring on the partial sums of a product
-    of the numerators of a and b with ``terms`` terms per entry."""
-    bound = max(a._magnitude(), 1) * max(b._magnitude(), 1) * max(terms, 1)
-    if bound >= _INT64_GUARD:  # the cached bounds may be loose
-        bound = max(a._tightened(), 1) * max(b._tightened(), 1) * max(terms, 1)
-    return bound
+def _product(op, a: "Matrix", b: "Matrix", x: np.ndarray, y: np.ndarray,
+             terms: int) -> "Matrix":
+    """The matrix ``op(x, y)`` for numerator arrays x of a and y of b, with
+    ``terms`` products summed per entry: reduced mod p over F_p, and over Q
+    guarded by :func:`_bound` and over the product of the denominators."""
+    f = a.field
+    if f.is_prime:
+        return Matrix._from_np(f, op(x, y) % f.p)
+    bound = _bound(max(terms, 1), a, b)
+    return _rational(f, _exact(op, x, y, bound), a._den * b._den, bound)
 
 
 def _common(mats: Sequence["Matrix"], summed: bool = False):
@@ -294,10 +296,7 @@ def _common(mats: Sequence["Matrix"], summed: bool = False):
     if not summed and den == min(dens) and all(m._num.dtype != object for m in mats):
         return [m._num for m in mats], den, None
     factors = [den // d for d in dens]
-    combine = sum if summed else max
-    bound = combine([max(m._magnitude(), 1) * f for m, f in zip(mats, factors)])
-    if bound >= _INT64_GUARD:  # the cached bounds may be loose
-        bound = combine([max(m._tightened(), 1) * f for m, f in zip(mats, factors)])
+    bound = (sum if summed else max)(_bound(f, m) for m, f in zip(mats, factors))
     arrays = [m._num.astype(object) if bound >= _INT64_GUARD else m._num for m in mats]
     return [a if f == 1 else a * f for a, f in zip(arrays, factors)], den, bound
 
@@ -376,18 +375,12 @@ class Matrix:
         return _rational(self.field, arr, self._den, self._mag)
 
     def _magnitude(self) -> int:
-        """A bound on the absolute numerators (cached): the one its
-        operation proved, or else the largest absolute numerator."""
+        """The bound on the absolute numerators that :func:`_bound` reads
+        (cached): the one its operation proved, or else the exact largest
+        absolute numerator, as for every Python int result."""
         if self._mag is None:
             object.__setattr__(self, "_mag", _magnitude(self._num))
         return self._mag
-
-    def _tightened(self) -> int:
-        """The largest absolute numerator, which replaces the cached bound;
-        Python int numerators are past the guard whatever their bound."""
-        if self._num.dtype != object:
-            object.__setattr__(self, "_mag", _magnitude(self._num))
-        return self._magnitude()
 
     def _same_entries(self, arr: np.ndarray) -> "Matrix":
         """The matrix of a reshaping of this matrix's numerators."""
@@ -448,12 +441,7 @@ class Matrix:
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        f = self.field
-        if f.is_prime:
-            return Matrix._from_np(f, np.matmul(self._num, other._num) % f.p)
-        bound = _product_bound(self, other, self.cols)
-        return _rational(f, _exact(np.matmul, self._num, other._num, bound),
-                         self._den * other._den, bound)
+        return _product(np.matmul, self, other, self._num, other._num, self.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self, other)
@@ -480,7 +468,7 @@ class Matrix:
         if f.is_prime:
             return Matrix._from_np(f, self._num * c % f.p)
         n = c.numerator
-        bound = _scaled_bound(self, max(abs(n), 1))
+        bound = _bound(max(abs(n), 1), self)
         num = self._num.astype(object) if bound >= _INT64_GUARD else self._num
         return _rational(f, num * n, self._den * c.denominator, bound)
 
@@ -707,7 +695,7 @@ def _certified_rref(x: "Matrix"):
         R, den = candidate  # numerators over den, all at most sqrt(modulus / 2)
         bound = isqrt(modulus // 2)
         K = _kernel_numerators(R[:r], den, pivots)
-        if _exact(np.matmul, num, K, _scaled_bound(x, bound * n)).any():
+        if _exact(np.matmul, num, K, _bound(bound * n, x)).any():
             continue  # N K != 0: the candidate is not the RREF
         return _rational(x.field, R, den, bound), pivots
     raise ExactLinError("internal: no prime below 2**20 certified the row reduction")
@@ -725,6 +713,15 @@ def _crt(x: np.ndarray, modulus: int, y: np.ndarray, p: int) -> np.ndarray:
 
 
 def _stacked(mats: Sequence[Matrix], axis: int) -> Matrix:
+    """hstack (axis 1) or vstack (axis 0) of a nonempty list of matrices
+    over one field that agree on the other axis."""
+    name, other = ("vstack", "column") if axis == 0 else ("hstack", "row")
+    if not mats:
+        raise ExactLinError(f"{name} of nothing")
+    for m in mats[1:]:
+        _check_same_field(mats[0], m)
+        if m.shape[1 - axis] != mats[0].shape[1 - axis]:
+            raise DimensionMismatch(f"{name}: {other} counts differ")
     field = mats[0].field
     if field.is_prime:
         return Matrix._from_np(field, np.concatenate([m._num for m in mats], axis=axis))
@@ -733,22 +730,10 @@ def _stacked(mats: Sequence[Matrix], axis: int) -> Matrix:
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ExactLinError("hstack of nothing")
-    for m in mats[1:]:
-        _check_same_field(mats[0], m)
-        if m.rows != mats[0].rows:
-            raise DimensionMismatch("hstack: row counts differ")
     return _stacked(mats, 1)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ExactLinError("vstack of nothing")
-    for m in mats[1:]:
-        _check_same_field(mats[0], m)
-        if m.cols != mats[0].cols:
-            raise DimensionMismatch("vstack: column counts differ")
     return _stacked(mats, 0)
 
 
@@ -812,11 +797,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     at (i_a * b.rows + i_b, j_a * b.cols + j_b) is a[i_a, j_a] * b[i_b, j_b].
     """
     _check_same_field(a, b)
-    f = a.field
-    if f.is_prime:
-        return Matrix._from_np(f, _kron(a._num, b._num) % f.p)
-    bound = _product_bound(a, b, 1)
-    return _rational(f, _exact(_kron, a._num, b._num, bound), a._den * b._den, bound)
+    return _product(_kron, a, b, a._num, b._num, 1)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -852,8 +833,8 @@ def kron_sum(lefts: Matrix, rights: Sequence[Matrix]) -> Matrix:
         arrays, den, right_bound = _common(rights)
         right = np.stack(arrays).reshape(d, r * c)
         if right_bound is None:
-            right_bound = max(max(m._magnitude(), 1) for m in rights)
-        bound = _scaled_bound(lefts, right_bound * d)
+            right_bound = max(_bound(1, m) for m in rights)
+        bound = _bound(right_bound * d, lefts)
         prod = _exact(np.matmul, left, right, bound)
         den *= lefts._den
     prod = prod.reshape(n, k, r, c).transpose(0, 2, 1, 3).reshape(n * r, k * c)
@@ -992,13 +973,9 @@ def vec_precompose(cols: Matrix, h: int, x: Matrix) -> Matrix:
     _check_same_field(cols, x)
     if cols.rows != h * x.rows:
         raise DimensionMismatch(f"vec_precompose: {cols.rows} rows for maps {h} x {x.rows}")
-    field, m = cols.field, cols.cols
-    a, b = x._num.T, cols._num.reshape(x.rows, h * m)
-    if field.is_prime:
-        return Matrix._from_np(field, (np.matmul(a, b) % field.p).reshape(x.cols * h, m))
-    bound = _product_bound(x, cols, x.rows)
-    return _rational(field, _exact(np.matmul, a, b, bound).reshape(x.cols * h, m),
-                     x._den * cols._den, bound)
+    shape = (x.cols * h, cols.cols)
+    return _product(lambda a, b: np.matmul(a, b).reshape(shape), x, cols, x._num.T,
+                    cols._num.reshape(x.rows, h * cols.cols), x.rows)
 
 
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:

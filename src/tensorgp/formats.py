@@ -548,11 +548,9 @@ def complex_from_doc(doc, where: str = "complex"):
         except Exception as exc:
             raise FormatError(f"{where}.maps[{t}]", str(exc))
     try:
-        pc = complex_window(maps, period=node.get("period"))
+        pc = complex_window(maps, period=node.get("period"), lo=lo)
     except Exception as exc:
         raise FormatError(where, str(exc))
-    if pc.lo != lo:
-        pc = ResolutionWindow(pc.ring, lo, pc.ranks, pc.maps, pc.period)
     return bimodule, levels, pc
 
 
@@ -606,8 +604,11 @@ def catalog_to_doc(field: FieldSpec, catalog: Catalog) -> dict:
 def catalog_from_doc(field: FieldSpec, doc, where: str = "catalog") -> Catalog:
     if doc.get("kind") != "catalog":
         raise FormatError(where, "expected kind 'catalog'")
+    nodes = doc.get("groups", [])
+    if not isinstance(nodes, list):
+        raise FormatError(f"{where}.groups", "expected a list of groups")
     groups = []
-    for i, g in enumerate(doc.get("groups", [])):
+    for i, g in enumerate(nodes):
         at = f"{where}.groups[{i}]"
         if not isinstance(g, dict) or not isinstance(g.get("representative"), list):
             raise FormatError(at, "expected a group with a representative list")

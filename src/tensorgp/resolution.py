@@ -42,7 +42,6 @@ from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witn
                                unlifted_solution, unvec_blocks, vec, vec_columns,
                                vec_precompose, vstack)
 from tensorgp.algebra import (
-    LeftModule,
     ModuleMap,
     free_hom_basis,
     free_hom_vecs,
@@ -55,6 +54,7 @@ from tensorgp.tensor_ring import (
     TModule,
     TensorRing,
     TensorRingError,
+    _free_rank,
 )
 
 
@@ -238,10 +238,6 @@ class ResolutionWindow:
             if s.source_rank != self.ranks[t] or s.target_rank != self.ranks[t + 1]:
                 raise ResolutionError(f"map {t} endpoints do not match the ranks")
 
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.maps)
-
     def rank_at(self, k: int) -> int:
         return self.ranks[self.index.rank_slot(k)]
 
@@ -259,11 +255,6 @@ class ResolutionWindow:
     def positions(self):
         """Indices k at which both alpha^(k-1) and alpha^k are available."""
         return self.index.positions()
-
-
-def zero_window(ring: TensorRing, rank: int = 0) -> ResolutionWindow:
-    s = StarMorphism.zero(ring, rank, rank)
-    return ResolutionWindow(ring, 0, (rank, rank), (s,), period=1)
 
 
 # -- composition of component lists ----------------------------------------
@@ -519,9 +510,10 @@ def strong_report(w: ResolutionWindow) -> CheckReport:
 # -- base-ring complexes, compatibility, and lifting -------------------------
 
 
-def complex_window(maps, period=None) -> ResolutionWindow:
-    """Wrap maps between standard free modules as a window over the tensor
-    ring of the zero bimodule (the base ring itself)."""
+def complex_window(maps, period=None, lo: int = 0) -> ResolutionWindow:
+    """Wrap maps between standard free modules, the first starting at index
+    ``lo``, as a window over the tensor ring of the zero bimodule (the base
+    ring itself)."""
     if not maps:
         raise ResolutionError("empty complex")
     algebra = maps[0].source.algebra
@@ -529,20 +521,10 @@ def complex_window(maps, period=None) -> ResolutionWindow:
     ranks = []
     stars = []
     for f in maps:
-        ranks.append(_free_rank_of(ring0, f.source))
-        stars.append(StarMorphism(ring0, ranks[-1], _free_rank_of(ring0, f.target), (f,)))
-    ranks.append(_free_rank_of(ring0, maps[-1].target))
-    return ResolutionWindow(ring0, 0, tuple(ranks), tuple(stars), period=period)
-
-
-def _free_rank_of(ring: TensorRing, x: LeftModule) -> int:
-    d = ring.algebra.dim
-    if x.dim % d:
-        raise ResolutionError("complex term is not a standard free module")
-    rank = x.dim // d
-    if ring.free(rank) != x:
-        raise ResolutionError("complex term is not the standard free module")
-    return rank
+        ranks.append(_free_rank(ring0, f.source))
+        stars.append(StarMorphism(ring0, ranks[-1], _free_rank(ring0, f.target), (f,)))
+    ranks.append(_free_rank(ring0, maps[-1].target))
+    return ResolutionWindow(ring0, lo, tuple(ranks), tuple(stars), period=period)
 
 
 def _hom_lift_check(algebra, w_target, prev: ModuleMap, next_: ModuleMap, rank_mid, rank_out):

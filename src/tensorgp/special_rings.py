@@ -367,34 +367,6 @@ def morita_to_trivext(d: MoritaData) -> TrivialExtData:
     return d._cache["trivext"]
 
 
-def morita_context_algebra(d: MoritaData) -> Algebra:
-    """Direct structure-constant model of the two-by-two context ring with
-    zero pairings, basis ordered (a, b, u, v) to match the coordinate
-    bijection onto the trivial extension."""
-    f = d.a.field
-    da, db, du, dv = d.a.dim, d.b.dim, d.u.dim, d.v.dim
-    dim = da + db + du + dv
-    off_b, off_u, off_v = da, da + db, da + db + du
-    z = f.zero()
-    consts = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for off, factor in ((0, d.a), (off_b, d.b)):
-        for i, j, k in product(range(factor.dim), repeat=3):
-            consts[off + i][off + j][off + k] = factor.consts[i][j][k]
-    # a . v and v . b land in v; column c of an action matrix is the image of basis c
-    for i, c, k in product(range(da), range(dv), range(dv)):
-        consts[i][off_v + c][off_v + k] = d.v.left_action[i][k, c]
-    for j, c, k in product(range(db), range(dv), range(dv)):
-        consts[off_v + c][off_b + j][off_v + k] = d.v.right_action[j][k, c]
-    # b . u and u . a land in u
-    for j, c, k in product(range(db), range(du), range(du)):
-        consts[off_b + j][off_u + c][off_u + k] = d.u.left_action[j][k, c]
-    for i, c, k in product(range(da), range(du), range(du)):
-        consts[off_u + c][i][off_u + k] = d.u.right_action[i][k, c]
-    unit = list(d.a.unit) + list(d.b.unit) + [z] * (du + dv)
-    return Algebra(f, dim, tuple(tuple(tuple(r) for r in plane) for plane in consts),
-                   tuple(unit))
-
-
 @dataclass(frozen=True)
 class MoritaWindow:
     """Window data for a context ring: ranks of the two projective columns

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from tensorgp.exactlin import (Matrix, block_diagonal, hstack, kron, unvec, unvec_blocks,
+from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, kron, unvec, unvec_blocks,
                                vec_columns, vstack)
 from tensorgp.algebra import (
     Algebra,
@@ -319,19 +319,16 @@ class TensorRing:
         q = self.free(s.target_rank)
         src_dims = [self.model(i, p).result.dim for i in range(n + 1)]
         tgt_dims = [self.model(j, q).result.dim for j in range(n + 1)]
-        rows = []
+        live = [not comp.is_zero() for comp in s.components]  # F^(i-1)(0) = 0
+        if not any(live):  # block_matrix needs a block
+            return Matrix.zeros(f, sum(tgt_dims), sum(src_dims))
+        blocks = [[None] * (n + 1) for _ in range(n + 1)]
         for j in range(1, n + 2):
-            cells = []
-            for i in range(1, n + 2):
-                comp = s.components[j - i] if j >= i else None
-                if comp is None or comp.is_zero():  # F^(i-1)(0) = 0
-                    cells.append(Matrix.zeros(f, tgt_dims[j - 1], src_dims[i - 1]))
-                else:
-                    lifted = iterate_functor_map(m, i - 1, comp)
-                    g = graft(m, i - 1, j - i, q)
-                    cells.append(g.mat @ lifted.mat)
-            rows.append(hstack(cells))
-        return vstack(rows)
+            for i in range(1, j + 1):
+                if live[j - i]:
+                    lifted = iterate_functor_map(m, i - 1, s.components[j - i])
+                    blocks[j - 1][i - 1] = graft(m, i - 1, j - i, q).mat @ lifted.mat
+        return block_matrix(blocks, tgt_dims, src_dims)
 
     def decompose_star(self, t: "TMorphism") -> "StarMorphism":
         """Read the components of a morphism between induced free modules

@@ -9,7 +9,8 @@ import numpy as np
 
 from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
 from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_hom_basis, free_module
-from tensorgp.bimodule import Bimodule, zero_bimodule
+from tensorgp.bimodule import Bimodule, tensor_module, zero_bimodule
+from tensorgp.resolution import ResolutionWindow
 from tensorgp.search import DEFAULT_BUDGET, BudgetExceeded
 from tensorgp.tensor_ring import StarMorphism, TensorRing
 
@@ -125,6 +126,13 @@ def verdicts_at(report, k):
     """(label, status, witness, note) of each verdict of a report at index
     k, without the index, so reports at different indices compare."""
     return [(v.label, v.status, v.witness, v.note) for v in report.verdicts if v.k == k]
+
+
+def zero_window(ring, rank=0):
+    """The one-periodic window of zero maps between free modules of one
+    rank."""
+    s = StarMorphism.zero(ring, rank, rank)
+    return ResolutionWindow(ring, 0, (rank, rank), (s,), period=1)
 
 
 # -- the hunter's reference: component lists from slot-basis maps ---------------
@@ -344,6 +352,34 @@ def random_triangular_window(d, rng, max_rank=2, period=1):
                             tuple(beta), period=period)
 
 
+def morita_context_algebra(d):
+    """Direct structure-constant model of the two-by-two context ring with
+    zero pairings, basis ordered (a, b, u, v) to match the coordinate
+    bijection onto the trivial extension."""
+    f = d.a.field
+    da, db, du, dv = d.a.dim, d.b.dim, d.u.dim, d.v.dim
+    dim = da + db + du + dv
+    off_b, off_u, off_v = da, da + db, da + db + du
+    z = f.zero()
+    consts = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    for off, factor in ((0, d.a), (off_b, d.b)):
+        for i, j, k in product(range(factor.dim), repeat=3):
+            consts[off + i][off + j][off + k] = factor.consts[i][j][k]
+    # a . v and v . b land in v; column c of an action matrix is the image of basis c
+    for i, c, k in product(range(da), range(dv), range(dv)):
+        consts[i][off_v + c][off_v + k] = d.v.left_action[i][k, c]
+    for j, c, k in product(range(db), range(dv), range(dv)):
+        consts[off_v + c][off_b + j][off_v + k] = d.v.right_action[j][k, c]
+    # b . u and u . a land in u
+    for j, c, k in product(range(db), range(du), range(du)):
+        consts[off_b + j][off_u + c][off_u + k] = d.u.left_action[j][k, c]
+    for i, c, k in product(range(da), range(du), range(du)):
+        consts[off_u + c][i][off_u + k] = d.u.right_action[i][k, c]
+    unit = list(d.a.unit) + list(d.b.unit) + [z] * (du + dv)
+    return Algebra(f, dim, tuple(tuple(tuple(r) for r in plane) for plane in consts),
+                   tuple(unit))
+
+
 # -- references for the matrix-identity builders --------------------------------
 
 
@@ -445,6 +481,15 @@ def reference_graft(m, a, b, x):
     psi_b = kron(reference_flat_power(m, b)[1], ix) @ fbx.section
     phi_ab = fabx.projection @ kron(reference_flat_power(m, a + b)[0], ix)
     return phi_ab @ kron(reference_flat_power(m, a)[1], psi_b) @ outer.section
+
+
+def nested_model(m, i, x):
+    """i literal nested applications of M (x)_R -, the cross-check of the
+    functor-power models."""
+    cur = x
+    for _ in range(i):
+        cur = tensor_module(m, cur).result
+    return cur
 
 
 # -- references for the special-ring block builders -----------------------------

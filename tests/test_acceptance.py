@@ -31,7 +31,6 @@ from tensorgp.search import (hunt_strongly_gp, modules_isomorphic_bruteforce, ra
 from tensorgp.special_rings import (
     TrivialExtData,
     morita_checks,
-    morita_context_algebra,
     morita_to_trivext,
     mu_transport,
     triangular_checks,
@@ -44,6 +43,7 @@ from helpers import (
     augmentation_bimodule,
     corner_bimodule,
     dual_numbers,
+    morita_context_algebra,
     path_bimodule,
     product_fields,
     random_hom,

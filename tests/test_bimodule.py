@@ -18,7 +18,6 @@ from tensorgp.bimodule import (
     graft_inverse,
     iterate_functor,
     iterate_functor_map,
-    nested_model,
     power,
     power_dims,
     regular_bimodule,
@@ -36,6 +35,7 @@ from helpers import (
     corner_bimodule,
     dual_numbers,
     ground_algebra,
+    nested_model,
     path_bimodule,
     product_fields,
     reference_concat_mult,

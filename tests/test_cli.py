@@ -24,6 +24,7 @@ from helpers import (
     random_triangular_data,
     random_triangular_window,
     x_multiplication,
+    zero_window,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,6 +52,15 @@ class TestValidate:
     def test_bad_nilpotency(self, capsys):
         assert main(["validate", fixture("bad_nilpotency_bundle.yaml")]) == 2
         assert "nilpotency certificate failed" in capsys.readouterr().err
+
+    def test_large_declared_nilpotency(self, tmp_path, capsys):
+        # certifying it builds every tensor power up to the declared index
+        text = Path(fixture("triangular_bundle.yaml")).read_text()
+        assert "\nnilpotency: 1\n" in text
+        path = tmp_path / "deep.yaml"
+        path.write_text(text.replace("\nnilpotency: 1\n", "\nnilpotency: 1500\n"))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == f"{path}: valid\n"
 
     @pytest.mark.parametrize("name, lines", [
         ("bad_assoc_bundle.yaml", ["algebra: unit-left violated at (0,)",
@@ -440,8 +450,6 @@ class TestCheck:
     def test_complex_that_is_not_exact_fails_in_both_modes(self, tmp_path, capsys):
         # C1 passes and C2 fails, so the exactness oracle agrees with C1
         # and C2 together, not with C1 alone
-        from tensorgp.resolution import zero_window
-
         a = dual_numbers(F2)
         w = zero_window(TensorRing(a, zero_bimodule(a), 0), 1)
         path = tmp_path / "zero.yaml"
@@ -814,6 +822,13 @@ class TestHunt:
         with pytest.raises(formats.FormatError) as exc:
             formats.catalog_from_doc(F2, doc)
         assert str(exc.value).startswith(f"{where}:")
+
+    @pytest.mark.parametrize("groups", [5, {"rank": 1, "kernel_dim": 0, "count": 1,
+                                            "passed": True, "representative": []}])
+    def test_catalog_groups_not_a_list_refused(self, groups):
+        with pytest.raises(formats.FormatError) as exc:
+            formats.catalog_from_doc(F2, {"kind": "catalog", "total": 1, "groups": groups})
+        assert str(exc.value).startswith("catalog.groups:")
 
 
 class TestCanonicalRoundTrip:

@@ -36,7 +36,6 @@ from tensorgp.resolution import (
     replay_compat_verdict,
     replay_verdict,
     star_compose,
-    zero_window,
     _functional_constraints,
 )
 
@@ -55,6 +54,7 @@ from helpers import (
     random_hom,
     random_module,
     x_multiplication,
+    zero_window,
 )
 
 

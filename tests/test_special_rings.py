@@ -29,7 +29,6 @@ from tensorgp.special_rings import (
     embed_pair_bimodule,
     induced_block_map,
     morita_checks,
-    morita_context_algebra,
     morita_to_trivext,
     mu_transport,
     product_algebra,
@@ -51,6 +50,7 @@ from helpers import (
     dual_numbers,
     full_tensor_pair,
     ground_algebra,
+    morita_context_algebra,
     product_fields,
     random_free_map,
     random_hom,
