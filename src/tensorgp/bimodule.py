@@ -13,9 +13,10 @@ Tensor powers are left-nested, M^{(x)(i+1)} = M (x)_R M^{(x)i}, each
 represented once by its model over R, and the i-fold application of the
 functor F = M (x)_R - is modelled once per (i, argument) pair as
 (M^{(x)i}) (x)_R X.  The canonical comparison isomorphisms between the two
-(grafting maps) and the concatenation multiplication on powers recurse on
-the left factor through these models, so no map passes through the
-k-level space V_M^{(x)i}, whose dimension (dim M)^i grows exponentially.
+(grafting maps) and the concatenation multiplication on powers are built
+up the left factor through these models, one step per index and without
+recursion, so no map passes through the k-level space V_M^{(x)i}, whose
+dimension (dim M)^i grows exponentially.
 
 What is validated: the ``Bimodule`` constructor runs :func:`check_bimodule`
 (both unit axioms, the representation law of
@@ -309,7 +310,7 @@ def concat_mult(m: Bimodule, a: int, b: int) -> Matrix:
     """Concatenation multiplication mu: p(a) (x)_k p(b) -> p(a+b).
 
     Grade-0 factors act through the unit isomorphisms (left or right
-    action of the base ring).  Otherwise mu recurses on the left factor
+    action of the base ring).  Otherwise mu is built up the left factor
     through the left-nested models: mu(1, b) = P_{b+1}, and for a >= 2
     mu(a, b) = P_{a+b} (I_M (x) mu(a-1, b)) (S_a (x) I), so every operand
     is a model over R, never the k-level space V_M^{(x)(a+b)}.  Columns
@@ -325,23 +326,25 @@ def concat_mult(m: Bimodule, a: int, b: int) -> Matrix:
         for i in range(pa.result.dim):
             cols.append(hstack([pa.result.right_action[j].col(i) for j in range(m.algebra.dim)]))
         return hstack(cols) if cols else Matrix.zeros(f, pa.result.dim, 0)
-    pab = power(m, a + b)
-    if a == 1:
-        return pab.projection
-    return pab.projection @ kron(Matrix.identity(f, m.dim), concat_mult(m, a - 1, b)) \
-        @ kron(pa.section, Matrix.identity(f, pb.result.dim))
+    # bottom-up in the left index, so a large index costs no recursion depth
+    mu = power(m, 1 + b).projection
+    for i in range(2, a + 1):
+        mu = power(m, i + b).projection @ kron(Matrix.identity(f, m.dim), mu) \
+            @ kron(power(m, i).section, Matrix.identity(f, pb.result.dim))
+    return mu
 
 
 def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     """The canonical isomorphism F^a(F^b(x)-model) -> F^{a+b}(x)-model.
 
     For a = 0 or b = 0 the two models coincide on the nose and the map is
-    the identity.  Otherwise it recurses on the left factor: split
+    the identity.  Otherwise it is built up the left factor: split
     M^{(x)a} by S_a, graft the inner F^{a-1}(F^b(x)) onto F^{a+b-1}(x),
     and project through P_{a+b}.  Each step lifts a class to a
     representative and projects it back, so the result is the canonical
     map.  It is validated to be a linear isomorphism.  Both kinds are
-    memoised.
+    memoised; the steps below a are filled bottom-up, so a large index
+    costs no recursion depth.
     """
     cache = m._cache.setdefault("graft", {})
     key = (a, b, x)
@@ -350,11 +353,23 @@ def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     if a == 0 or b == 0:
         cache[key] = ModuleMap.identity(iterate_functor(m, a + b, x).result)
         return cache[key]
+    graft(m, 0, b, x)  # the identity the first step grafts through
+    first = a
+    while (first - 1, b, x) not in cache:
+        first -= 1
+    for i in range(first, a + 1):
+        cache[i, b, x] = _graft_step(m, i, b, x, cache[i - 1, b, x].mat)
+    return cache[key]
+
+
+def _graft_step(m: Bimodule, a: int, b: int, x: LeftModule, below: Matrix) -> ModuleMap:
+    """The graft for (a, b, x), a, b >= 1, from the matrix ``below`` of the
+    graft for (a - 1, b, x)."""
     fbx = iterate_functor(m, b, x)
     outer = iterate_functor(m, a, fbx.result)
     fabx = iterate_functor(m, a + b, x)
     f = m.algebra.field
-    inner = iterate_functor(m, a + b - 1, x).section @ graft(m, a - 1, b, x).mat \
+    inner = iterate_functor(m, a + b - 1, x).section @ below \
         @ iterate_functor(m, a - 1, fbx.result).projection
     mat = fabx.projection @ kron(power(m, a + b).projection, Matrix.identity(f, x.dim)) \
         @ kron(Matrix.identity(f, m.dim), inner) \
@@ -362,7 +377,6 @@ def graft(m: Bimodule, a: int, b: int, x: LeftModule) -> ModuleMap:
     iso = ModuleMap(outer.result, fabx.result, mat)
     if outer.result.dim != fabx.result.dim or mat.rank() != fabx.result.dim:
         raise BimoduleError("internal: grafting map is not an isomorphism")
-    cache[key] = iso
     return iso
 
 

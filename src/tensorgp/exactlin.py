@@ -924,6 +924,21 @@ def unlifted_solution(basis: Matrix, constraint: Matrix, image) -> Optional[Matr
     return None if c is None else solutions.col(c)
 
 
+def canonical_basis(span: Matrix) -> Matrix:
+    """The canonical basis of the column span of ``span``: the basis that
+    :meth:`Matrix.kernel_basis` gives any matrix with this span as kernel.
+
+    That basis depends on the span alone.  For each free column f in
+    increasing order it is the one vector of the span with 1 at f, 0 at
+    the other free columns and support at or before f, where the free
+    columns are the last nonzero coordinates of the span's vectors.  So it
+    is the RREF of the spanning vectors as rows with their coordinates
+    reversed, read back: coordinates and rows reversed, then transposed.
+    """
+    R, pivots = span._same_entries(span._num.T[:, ::-1]).rref()
+    return R._part(R._num[:len(pivots)][::-1, ::-1].T)
+
+
 def quotient_maps(relations: Matrix):
     """Projection and section for the quotient of k^n by a column span.
 
@@ -976,6 +991,21 @@ def vec_precompose(cols: Matrix, h: int, x: Matrix) -> Matrix:
     shape = (x.cols * h, cols.cols)
     return _product(lambda a, b: np.matmul(a, b).reshape(shape), x, cols, x._num.T,
                     cols._num.reshape(x.rows, h * cols.cols), x.rows)
+
+
+def vec_postcompose(x: Matrix, cols: Matrix, w: int) -> Matrix:
+    """The columns vec(x . b) for the columns vec(b) of w-column maps b.
+
+    This is (I_w (x) x) @ cols, computed as one batched product of x with
+    ``cols`` reshaped to w blocks of x.cols rows, so no Kronecker factor is
+    formed.
+    """
+    _check_same_field(x, cols)
+    if cols.rows != w * x.cols:
+        raise DimensionMismatch(f"vec_postcompose: {cols.rows} rows for maps {x.cols} x {w}")
+    shape = (w * x.rows, cols.cols)
+    return _product(lambda a, b: np.matmul(a, b).reshape(shape), x, cols, x._num,
+                    cols._num.reshape(w, x.cols, cols.cols), x.cols)
 
 
 def unvec(field: FieldSpec, column: Matrix, rows: int, cols: int) -> Matrix:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
 from typing import Optional
 
-from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, kron, lift_or_witness,
+from tensorgp.exactlin import (Matrix, hstack, is_exact_pair, lift_or_witness,
                                unlifted_solution, unvec_blocks, vec, vec_columns,
                                vec_precompose, vstack)
 from tensorgp.algebra import (
@@ -264,10 +264,10 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
     """Component list of the composite s2 . s1.
 
     The j-th component is the convolution sum of grafted functor-power
-    lifts, with the terms of a zero factor skipped since F^(i-1)(0) = 0;
-    assembling the result equals the product of the assembled matrices.
-    Composites of valid component lists are valid, so the components are
-    built unchecked.
+    lifts, with the terms of a zero factor skipped since F^(i-1)(0) = 0
+    (each component is tested for zero once); assembling the result
+    equals the product of the assembled matrices.  Composites of valid
+    component lists are valid, so the components are built unchecked.
     """
     ring = s1.ring
     if s2.ring != ring or s1.target_rank != s2.source_rank:
@@ -276,14 +276,16 @@ def star_compose(s2: StarMorphism, s1: StarMorphism) -> StarMorphism:
     n = ring.nilpotency
     p = ring.free(s1.source_rank)
     q2 = ring.free(s2.target_rank)
+    live1 = [not c.is_zero() for c in s1.components]
+    live2 = [not c.is_zero() for c in s2.components]
     comps = []
     for j in range(1, n + 2):
         target = ring.model(j - 1, q2).result
         acc = Matrix.zeros(ring.algebra.field, target.dim, p.dim)
         for i in range(1, j + 1):
-            outer, inner = s2.components[j - i], s1.components[i - 1]
-            if outer.is_zero() or inner.is_zero():  # F^(i-1)(0) = 0
+            if not (live2[j - i] and live1[i - 1]):  # F^(i-1)(0) = 0
                 continue
+            outer, inner = s2.components[j - i], s1.components[i - 1]
             lifted = iterate_functor_map(m, i - 1, outer)
             g = graft(m, i - 1, j - i, q2).mat
             acc = acc + g @ lifted.mat @ inner.mat
@@ -616,8 +618,13 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
     induced module.
 
     At each checkable position k the spaces Hom(Ind P^k, Ind R) are solved
-    from the raw morphism constraints and the precomposition differentials
-    are expressed in those bases; the reported number is
+    from the raw morphism constraints by ``TensorRing.hom_t`` (linearity
+    one grade block at a time, then the structure equation, giving the
+    canonical kernel basis of the literal system), never read from the
+    adjunction Hom(Ind P, Y) = Hom_R(P, Y) that C3's slot frame is.  The
+    precomposition differentials are expressed in those bases, each one
+    vec product with alpha^k and one solve, with no Kronecker factor
+    formed; the reported number is
     dim ker(d^(k-1)) - dim(ker(d^(k-1)) meet im(d^k)), which vanishes
     exactly when every functional killing alpha^(k-1) factors through
     alpha^k.  Used as the independent oracle for C3.
@@ -654,14 +661,13 @@ def hom_complex_oracle(w: ResolutionWindow) -> dict:
         return differentials[t]
 
     def precomposition(k):
-        """vec(h alpha^k) = (alpha^k^T (x) I) vec(h), solved for all h at
-        once."""
+        """vec(h alpha^k) = (alpha^k^T (x) I) vec(h), one product for all
+        h, solved for all h at once."""
         src_dim, src_stack = hom_basis(k + 1)
         tgt_dim, tgt_stack = hom_basis(k)
         if not src_dim:
             return Matrix.zeros(field, tgt_dim, 0)
-        a = w.assembled(k)
-        composed = kron(a.transpose(), Matrix.identity(field, target.x.dim)) @ src_stack
+        composed = vec_precompose(src_stack, target.x.dim, w.assembled(k))
         if tgt_stack is None:
             if not composed.is_zero():
                 raise InternalCheckError("composite leaves the morphism space")

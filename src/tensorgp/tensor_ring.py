@@ -39,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
-from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, kron, unvec, unvec_blocks,
-                               vec_columns, vstack)
+from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, canonical_basis, kron,
+                               unvec_blocks, unvec_columns, vec_columns, vec_postcompose,
+                               vec_precompose)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -368,23 +369,45 @@ class TensorRing:
         """Basis of the space of morphisms of pairs t1 -> t2.
 
         An unknown e: t1.x -> t2.x is linear over the base algebra and
-        satisfies e u1 = u2 F(e) with F(e) = P2 (I (x) e) S1.  With S1_k the
-        k-th row block of S1 and (u2 P2)_k the k-th column block of u2 P2,
-        that is (u1^T (x) I - sum_k S1_k^T (x) (u2 P2)_k) vec(e) = 0.  The
-        basis is the canonical kernel of both systems stacked.
+        satisfies e u1 = u2 F(e) with F(e) = P2 (I (x) e) S1, that is
+        e u1 - sum_k U_k e S_k = 0 with S_k the k-th row block of S1 and
+        U_k the k-th column block of u2 P2.  Both sets of constraints are
+        solved literally, one after the other, and neither system is
+        stacked on the other:
+
+        - the maps linear over the base, one source grade at a time: the
+          base action on an induced module is block diagonal by functor
+          power, so Hom_R(X, Y) is the sum of the Hom_R(X_j, Y) (one block,
+          the whole of X, when t1 is not induced);
+        - the structure residuals of every such basis map at once, by
+          exact vec products, whose kernel gives the combinations that
+          are morphisms of pairs.
+
+        The basis is the canonical kernel basis of the two systems stacked
+        (see :func:`~tensorgp.exactlin.canonical_basis`), which depends only
+        on the space; when the structure equation removes nothing, the
+        grade-by-grade basis already is that basis.
         """
-        f = self.algebra.field
         a, b = t2.x.dim, t1.x.dim
         if a * b == 0:
             return []
+        # an empty grade adds no rows of vec(e) and no basis maps
+        grades = [g for g in (self.model(i, t1.base).result for i in range(self.nilpotency + 1))
+                  if g.dim] if isinstance(t1, InducedModule) else [t1.x]
+        linear = block_diagonal([intertwining_system(x, t2.x).kernel_basis() for x in grades])
+        if linear.cols == 0:
+            return []
         s1 = self.model(1, t1.x).section
         u2p2 = t2.u @ self.model(1, t2.x).projection
-        structure = kron(t1.u.transpose(), Matrix.identity(f, a))
+        c = s1.cols
+        residuals = vec_precompose(linear, a, t1.u)
         for k in range(self.bimodule.dim):
-            structure = structure - kron(s1.block(k * b, (k + 1) * b, 0, s1.cols).transpose(),
-                                         u2p2.block(0, a, k * a, (k + 1) * a))
-        ker = vstack([intertwining_system(t1.x, t2.x), structure]).kernel_basis()
-        return [TMorphism.unchecked(t1, t2, unvec(f, ker.col(c), a, b)) for c in range(ker.cols)]
+            es = vec_precompose(linear, a, s1.block(k * b, (k + 1) * b, 0, c))
+            residuals = residuals - vec_postcompose(u2p2.block(0, a, k * a, (k + 1) * a), es, c)
+        coords = residuals.kernel_basis()
+        if coords.cols < linear.cols:
+            linear = canonical_basis(linear @ coords)
+        return [TMorphism.unchecked(t1, t2, e) for e in unvec_columns(linear, a, b)]
 
 
 def _free_rank(ring: TensorRing, x: LeftModule) -> int:

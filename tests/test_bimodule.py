@@ -27,6 +27,7 @@ from tensorgp.bimodule import (
     tensor_module,
     zero_bimodule,
 )
+from tensorgp.tensor_ring import TensorRing
 
 from helpers import (
     F2,
@@ -338,6 +339,24 @@ class TestConcatMult:
             left = concat_mult(m, a + b, c) @ kron(concat_mult(m, a, b), Matrix.identity(F2, dc))
             right = concat_mult(m, a, b + c) @ kron(Matrix.identity(F2, da), concat_mult(m, b, c))
             assert left == right
+
+
+class TestLargeLeftIndex:
+    def test_graft_and_concat_mult_take_no_recursion_depth(self):
+        # past the default recursion limit of 1,000 in the left index: the
+        # corner ring declared at nilpotency 1,200 (its square already
+        # vanishes, so every map here is between zero models)
+        m = corner_bimodule(F2)
+        ring = TensorRing(m.algebra, m, 1200)
+        x = ring.free(1)
+        g = graft(m, 1200, 1, x)
+        assert g.mat.shape == (0, 0)
+        # every step below is memoised under the same key as before
+        cache = m._cache["graft"]
+        assert all((a, 1, x) in cache for a in range(1201))
+        assert graft(m, 1200, 1, x) is g
+        assert graft_inverse(m, 1200, 1, x).mat.shape == (0, 0)
+        assert concat_mult(m, 1100, 1).shape == (0, 0)
 
 
 def _flat_reference_cases():

@@ -18,6 +18,7 @@ from tensorgp.exactlin import (
     batched_rank,
     block_diagonal,
     block_matrix,
+    canonical_basis,
     direct_sum,
     hstack,
     is_exact_pair,
@@ -30,6 +31,7 @@ from tensorgp.exactlin import (
     unvec_columns,
     vec,
     vec_columns,
+    vec_postcompose,
     vec_precompose,
     vstack,
 )
@@ -905,6 +907,18 @@ class TestArrayProducts:
         assert got == want
         assert_canonical(got)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from(FIELDS), w=st.integers(0, 3),
+           r=st.integers(0, 3), c=st.integers(0, 3), m=st.integers(0, 3))
+    def test_vec_postcompose_is_the_kronecker_product(self, data, field, w, r, c, m):
+        draw = q_operands if field == QQ else (lambda rows, cols: matrices(field, rows, cols))
+        x = data.draw(draw(r, c))
+        cols = data.draw(draw(c * w, m))
+        got = vec_postcompose(x, cols, w)
+        assert got == kron(Matrix.identity(field, w), x) @ cols
+        assert got.shape == (r * w, m)
+        assert_canonical(got)
+
     def test_at_the_guard(self):
         # entries of 2**31 make products of 2**62, past the int64 guard
         from helpers import reference_precompose
@@ -918,12 +932,16 @@ class TestArrayProducts:
         summed = kron_sum(cols, [x, x.transpose()])
         assert summed == kron(cols.take_rows([0, 2]), x) + \
             kron(cols.take_rows([1, 3]), x.transpose())
-        for m in (got, summed):
+        left = vec_postcompose(x, cols, 2)
+        assert left == kron(Matrix.identity(QQ, 2), x) @ cols
+        for m in (got, summed, left):
             assert_canonical(m)
 
     def test_shape_errors(self):
         with pytest.raises(DimensionMismatch):
             vec_precompose(Matrix.zeros(F2, 5, 1), 2, Matrix.zeros(F2, 2, 1))
+        with pytest.raises(DimensionMismatch):
+            vec_postcompose(Matrix.zeros(F2, 1, 2), Matrix.zeros(F2, 5, 1), 2)
         with pytest.raises(DimensionMismatch):
             kron_sum(Matrix.zeros(F2, 3, 1), [Matrix.zeros(F2, 1, 1)] * 2)
         with pytest.raises(DimensionMismatch):
@@ -938,6 +956,40 @@ class TestArrayProducts:
         mats = [data.draw(matrices(field, rows, cols)) for _ in range(count)]
         stacked = vec_columns(field, rows * cols, mats)
         assert unvec_columns(stacked, rows, cols) == mats
+
+
+class TestCanonicalBasis:
+    """``canonical_basis`` of any spanning set of a kernel is the basis
+    ``kernel_basis`` gives: zero, full and partial kernels, spanning sets
+    with repeated and recombined columns, over F_2, F_3, F_1048573 (the
+    largest prime below 2**20) and Q."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), field=st.sampled_from([F2, F3, GF(1048573), QQ]),
+           kind=st.sampled_from(["zero", "full", "partial"]), rows=st.integers(0, 4),
+           cols=st.integers(0, 5), extra=st.integers(0, 3))
+    def test_matches_kernel_basis(self, data, field, kind, rows, cols, extra):
+        a = data.draw(matrices(field, rows, cols))
+        if kind == "zero":
+            a = vstack([a, Matrix.identity(field, cols)])
+        elif kind == "full":
+            a = Matrix.zeros(field, rows, cols)
+        kernel = a.kernel_basis()
+        if kind != "partial":
+            assert kernel.cols == (0 if kind == "zero" else cols)
+        mix = data.draw(matrices(field, kernel.cols, extra))
+        reversed_ = kernel.take_cols(list(range(kernel.cols))[::-1])
+        for span in (kernel, reversed_, hstack([kernel @ mix, reversed_]),
+                     hstack([reversed_, kernel, kernel @ mix])):
+            got = canonical_basis(span)
+            assert got == kernel
+            assert_canonical(got)
+
+    def test_empty_spans(self):
+        for field in (F2, QQ):
+            assert canonical_basis(Matrix.zeros(field, 3, 0)).shape == (3, 0)
+            assert canonical_basis(Matrix.zeros(field, 3, 2)).shape == (3, 0)
+            assert canonical_basis(Matrix.zeros(field, 0, 2)).shape == (0, 0)
 
 
 class TestSharedIdentity:

@@ -112,6 +112,27 @@ class TestStarCompose:
                 rhs = ring.assemble_star(s2) @ ring.assemble_star(s1)
                 assert lhs == rhs
 
+    def test_each_component_tested_for_zero_once(self, monkeypatch):
+        # the corner ring declared at nilpotency 400: a quadratic number of
+        # zero tests over the convolution terms would be about 80,000
+        n = 400
+        m = corner_bimodule(F2)
+        ring = TensorRing(m.algebra, m, n)
+        s = random_star(ring, 1, 1, random.Random(11))
+        assert not s.components[0].is_zero() and not s.components[1].is_zero()
+        calls = []
+        is_zero = ModuleMap.is_zero
+
+        def counting(f):
+            calls.append(f)
+            return is_zero(f)
+
+        monkeypatch.setattr(ModuleMap, "is_zero", counting)
+        composite = star_compose(s, s)
+        monkeypatch.setattr(ModuleMap, "is_zero", is_zero)
+        assert len(calls) <= 2 * (n + 1)
+        assert ring.assemble_star(composite) == ring.assemble_star(s) @ ring.assemble_star(s)
+
 
 class TestC1:
     def test_zero_next_passes(self):
@@ -589,6 +610,19 @@ class TestHomComplexOracle:
             assert sorted(ring._cache["oracle_hom"]) == [0, 1, 2]
         assert nonzero > 10
 
+    @pytest.mark.parametrize("field,rank,seed", [(F2, 2, 717975535), (F3, 3, 216783361)],
+                             ids=["F2-rank2", "F3-rank3"])
+    def test_large_path_windows_from_a_cold_memo(self, field, rank, seed):
+        # the two four-vertex path windows of the perfbench corpus-fp
+        # workload at seed 1, each on a fresh ring, so the oracle solves
+        # every Hom space it reads
+        m = path_bimodule(field, 4)
+        ring = TensorRing(m.algebra, m, 3)
+        w = search.random_window(ring, seed, (rank,))
+        defects = hom_complex_oracle(w)
+        assert sorted(ring._cache["oracle_hom"]) == [rank]
+        assert defects == reference_hom_complex_oracle(w)
+
     def test_reads_no_slot_frame(self):
         # the oracle keeps its own formula: on a fresh ring it builds its
         # Hom spaces and no slot frame
@@ -601,6 +635,7 @@ class TestHomComplexOracle:
             hom_complex_oracle(ResolutionWindow(fresh, w.lo, w.ranks, maps, period=w.period))
             assert "oracle_hom" in fresh._cache
             assert "slot_frame" not in fresh._cache
+            assert "unit_assemblies" not in fresh._cache
 
     def test_warm_ring_makes_no_hom_t_calls(self, monkeypatch):
         calls = []
