@@ -45,13 +45,13 @@ class AlgebraError(Exception):
 
 class InvalidAlgebra(AlgebraError):
     def __init__(self, report):
-        super().__init__(f"invalid algebra: {report.violations[0]}")
+        super().__init__(f"invalid algebra: {report.describe(1)[0]}")
         self.report = report
 
 
 class InvalidModule(AlgebraError):
     def __init__(self, report):
-        super().__init__(f"invalid module: {report.violations[0]}")
+        super().__init__(f"invalid module: {report.describe(1)[0]}")
         self.report = report
 
 
@@ -73,6 +73,11 @@ class ValidationReport:
     @property
     def valid(self) -> bool:
         return not self.violations
+
+    def describe(self, limit: int) -> list:
+        """The first ``limit`` violations in words, ``<axiom> violated at
+        <witness indices>``, without their residuals."""
+        return [f"{axiom} violated at {witness}" for axiom, witness, _ in self.violations[:limit]]
 
 
 def unchecked_instance(cls, *values):

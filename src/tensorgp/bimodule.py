@@ -63,7 +63,7 @@ class BimoduleError(AlgebraError):
 
 class InvalidBimodule(BimoduleError):
     def __init__(self, report):
-        super().__init__(f"invalid bimodule: {report.violations[0]}")
+        super().__init__(f"invalid bimodule: {report.describe(1)[0]}")
         self.report = report
 
 

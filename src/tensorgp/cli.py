@@ -21,7 +21,7 @@ import sys
 
 from tensorgp import formats
 from tensorgp.algebra import InvalidAlgebra
-from tensorgp.bimodule import InvalidBimodule, certify_nilpotent, power_dims
+from tensorgp.bimodule import InvalidBimodule
 from tensorgp.formats import FormatError
 from tensorgp.resolution import (
     CheckReport,
@@ -42,7 +42,6 @@ from tensorgp.resolution import (
 from tensorgp.search import BudgetExceeded, DEFAULT_BUDGET, hunt_strongly_gp, sample_strongly_gp
 from tensorgp.special_rings import (
     SpecialRingError,
-    TrivialExtData,
     morita_checks,
     mu_transport,
     triangular_checks,
@@ -75,17 +74,17 @@ def _emit(doc: dict, output):
 def _load(path: str, parse=None):
     """The document of an input file, or ``parse`` of it.  A FormatError
     raised on the way starts with the path of the file, in place of the
-    ``<input>`` that stands for the document as a whole, and so does a
-    failed certificate (``NotNilpotent``, ``SpecialRingError``) of the
-    parsed data."""
+    ``<input>`` that stands for the document as a whole, and keeps its
+    cause; a failed certificate (``NotNilpotent``, ``SpecialRingError``) of
+    the parsed data becomes the cause of one."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = formats.load(fh.read())
         return doc if parse is None else parse(doc)
     except (OSError, UnicodeDecodeError, NotNilpotent, SpecialRingError) as exc:
-        raise FormatError(path, str(exc))
+        raise FormatError(path, str(exc)) from exc
     except FormatError as exc:
-        raise FormatError(path, str(exc).removeprefix("<input>: "))
+        raise FormatError(path, str(exc).removeprefix("<input>: ")) from exc.__cause__
 
 
 def _report_exit(report: CheckReport) -> int:
@@ -119,25 +118,34 @@ def _disagreement(left: CheckReport, right: CheckReport, groups, positions):
 # -- validate -------------------------------------------------------------------
 
 
-def _validate_bundle_doc(path: str, node) -> list:
-    """The problems of a bundle file: its first parse error, the first five
-    violations of an invalid algebra or bimodule, or a failed nilpotency
-    certificate."""
+def _problems(path: str, want) -> list:
+    """The lines ``validate`` prints about a refused file, or [] for a
+    valid one.  The declared field is compared with ``want`` before
+    anything else is read.  A bundle file's own refusal, an invalid algebra
+    or bimodule or a failed nilpotency certificate, is listed from its
+    cause: the first five violations, or the dimensions of the powers."""
+    read = None
+
+    def parse(doc):
+        nonlocal read
+        read, declared = formats.classify(doc)
+        if want is not None and declared != want:
+            raise FormatError("<input>", f"field is {declared!r}, expected {want!r}")
+        if read is None:
+            raise FormatError("<input>", f"unknown kind {doc.get('kind')!r}")
+        read(doc)
+
     try:
-        field = formats.field_from_doc(node.get("field"), f"{path}: field")
-        algebra = formats.algebra_from_doc(field, node.get("algebra"), f"{path}: algebra")
-        bimodule = formats.bimodule_from_doc(algebra, node.get("bimodule"),
-                                             f"{path}: bimodule")
-        n = formats.int_from_doc(node.get("nilpotency"), f"{path}: nilpotency", 0)
+        _load(path, parse)
     except FormatError as exc:
-        if not isinstance(exc.__cause__, (InvalidAlgebra, InvalidBimodule)):
-            return [str(exc)]
-        report = exc.__cause__.report
-        return [f"{path}: {report.subject}: {kind} violated at {witness}"
-                for kind, witness, _residual in report.violations[:5]]
-    if not certify_nilpotent(bimodule, n):
-        dims = power_dims(bimodule, n + 1)
-        return [f"{path}: nilpotency certificate failed: power dimensions {dims}"]
+        cause = exc.__cause__
+        if read is formats.bundle_file_from_doc:
+            if isinstance(cause, (InvalidAlgebra, InvalidBimodule)):
+                return [f"{path}: {cause.report.subject}: {line}"
+                        for line in cause.report.describe(5)]
+            if isinstance(cause, NotNilpotent):
+                return [f"{path}: nilpotency certificate failed: power dimensions {cause.dims}"]
+        return [str(exc)]
     return []
 
 
@@ -151,44 +159,11 @@ def cmd_validate(args) -> int:
             return EXIT_INVALID
     status = EXIT_PASS
     for path in args.paths:
-        try:
-            doc = _load(path)
-        except FormatError as exc:
-            _say(str(exc))
-            status = EXIT_INVALID
-            continue
-        kind = doc.get("kind")
-        if want is not None:
-            # window, complex and trivext files declare their field in the bundle
-            node = doc.get("bundle") if kind in ("window", "complex", "trivext") else doc
-            declared = node.get("field") if isinstance(node, dict) else None
-            if declared != want:
-                _say(f"{path}: field is {declared!r}, expected {want!r}")
-                status = EXIT_INVALID
-                continue
-        if kind == "bundle":
-            problems = _validate_bundle_doc(path, doc)
-        elif kind in ("window", "complex", "morita", "triangular", "trivext"):
-            problems = []
-            try:
-                if kind == "window":
-                    formats.window_from_doc(doc)
-                elif kind == "trivext":
-                    _parse_trivext(doc)
-                elif kind == "complex":
-                    formats.complex_from_doc(doc)
-                else:
-                    formats.context_from_doc(doc)
-            except (FormatError, NotNilpotent, SpecialRingError) as exc:
-                problems = [f"{path}: {exc}"]
-        else:
-            problems = [f"{path}: unknown kind {kind!r}"]
+        problems = _problems(path, want)
+        for line in problems or [f"{path}: valid"]:
+            _say(line)
         if problems:
-            for p in problems:
-                _say(p)
             status = EXIT_INVALID
-        else:
-            _say(f"{path}: valid")
     return status
 
 
@@ -296,27 +271,8 @@ def cmd_lift(args) -> int:
     return EXIT_PASS
 
 
-def _parse_trivext(doc):
-    inner = dict(doc)
-    inner["kind"] = "window"
-    w = formats.window_from_doc(inner)
-    if w.ring.nilpotency != 1:
-        raise FormatError("trivext", "trivial extension data needs nilpotency 1")
-    return TrivialExtData(w.ring.algebra, w.ring.bimodule), w
-
-
-def _specialization(doc):
-    """The kind, data and window of a trivext, morita or triangular file."""
-    kind = doc.get("kind")
-    if kind == "trivext":
-        return (kind, *_parse_trivext(doc))
-    if kind not in ("morita", "triangular"):
-        raise FormatError("<input>", f"unknown specialization kind {kind!r}")
-    return (kind, *formats.context_from_doc(doc))
-
-
 def cmd_specialize(args) -> int:
-    kind, d, w = _load(args.file, _specialization)
+    kind, d, w = _load(args.file, formats.specialization_from_doc)
     if kind == "trivext":
         special = trivext_checks(d, w)
         generic = check_complete(w)
@@ -362,12 +318,6 @@ def cmd_specialize(args) -> int:
     return EXIT_PASS if special.passed else EXIT_FAIL
 
 
-def _bundle_ring(doc) -> TensorRing:
-    if doc.get("kind") != "bundle":
-        raise FormatError("<input>", "expected a bundle file")
-    return formats.bundle_from_doc(doc)
-
-
 def cmd_hunt(args) -> int:
     if args.max_rank < 0:
         _say(f"--max-rank must be non-negative, got {args.max_rank}")
@@ -375,7 +325,7 @@ def cmd_hunt(args) -> int:
     if args.budget < 0:
         _say(f"--budget must be non-negative, got {args.budget}")
         return EXIT_INVALID
-    ring = _load(args.bundle, _bundle_ring)
+    ring = _load(args.bundle, formats.bundle_file_from_doc)
     if not ring.algebra.field.is_prime:
         _say(f"{args.bundle}: hunting enumerates a finite field, not {ring.algebra.field}")
         return EXIT_INVALID

@@ -16,8 +16,9 @@ checked again: the free modules and functor-power models that maps are
 read against, and the ring of a bundle document identical to one read
 before, which is the same :class:`TensorRing`.
 
-Normative field names are documented in docs/format.md and mirror the
-type fields of the library.
+Every input kind is in one table, :data:`KINDS`, with its reader and the
+section that declares its field.  Normative field names are documented
+in docs/format.md and mirror the type fields of the library.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from tensorgp.resolution import (
     complex_window,
 )
 from tensorgp.search import Catalog, CatalogGroup
-from tensorgp.special_rings import (MoritaData, MoritaWindow, PairBimodule, TriangularData,
-                                    TriangularWindow, block_power_module)
+from tensorgp.special_rings import (MoritaData, MoritaWindow, PairBimodule, TrivialExtData,
+                                    TriangularData, TriangularWindow, block_power_module)
 
 
 # libyaml's parser when PyYAML was built with it; the documents are the same
@@ -356,6 +357,17 @@ def matrix_from_doc(field: FieldSpec, node, where: str) -> Matrix:
     return Matrix.from_rows(field, grid)
 
 
+def map_from_doc(source, target, node, where: str, refused_at: Optional[str] = None) -> ModuleMap:
+    """The checked map between two modules whose matrix is ``node``; a map
+    the check refuses is a FormatError at ``refused_at``, by default at
+    ``where``."""
+    mat = matrix_from_doc(source.algebra.field, node, where)
+    try:
+        return ModuleMap(source, target, mat)
+    except Exception as exc:
+        raise FormatError(refused_at or where, str(exc))
+
+
 # -- algebras and bimodules --------------------------------------------------------
 
 
@@ -404,21 +416,28 @@ def bimodule_to_doc(m: Bimodule) -> dict:
             "right_action": [matrix_to_doc(x) for x in m.right_action]}
 
 
+def _actions(field: FieldSpec, node, where: str, what: str, counts: tuple, refusal: str):
+    """The dim and the left and right action matrices of a bimodule node
+    (``what`` names it), with ``counts`` matrices on each side; a list of
+    another length is refused with ``refusal``, formatted with its count."""
+    if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
+        raise FormatError(where, f"{what} needs dim, left_action, right_action")
+    dim = int_from_doc(node["dim"], f"{where}.dim", 0, MAX_SIZE)
+    sides = []
+    for key, count in zip(("left_action", "right_action"), counts):
+        nodes = node[key]
+        if not isinstance(nodes, list) or len(nodes) != count:
+            raise FormatError(f"{where}.{key}", refusal.format(count))
+        sides.append(tuple(matrix_from_doc(field, x, f"{where}.{key}[{i}]")
+                           for i, x in enumerate(nodes)))
+    return dim, *sides
+
+
 def bimodule_from_doc(algebra: Algebra, node, where: str) -> Bimodule:
     """Parse and validate a bimodule; an invalid one is a
     :class:`FormatError` caused by the ``InvalidBimodule`` and its report."""
-    if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
-        raise FormatError(where, "bimodule needs dim, left_action, right_action")
-    dim = int_from_doc(node["dim"], f"{where}.dim", 0, MAX_SIZE)
-    def acts(key):
-        nodes = node[key]
-        if not isinstance(nodes, list) or len(nodes) != algebra.dim:
-            raise FormatError(f"{where}.{key}",
-                              f"expected one matrix per algebra basis index ({algebra.dim})")
-        return tuple(matrix_from_doc(algebra.field, x, f"{where}.{key}[{i}]")
-                     for i, x in enumerate(nodes))
-    left = acts("left_action")
-    right = acts("right_action")
+    dim, left, right = _actions(algebra.field, node, where, "bimodule", (algebra.dim,) * 2,
+                                "expected one matrix per algebra basis index ({})")
     for i, mat in enumerate(left + right):
         if mat.shape != (dim, dim):
             raise FormatError(where, f"action matrix {i} is not {dim} x {dim}")
@@ -466,6 +485,32 @@ def bundle_from_doc(node, where: str = "bundle") -> TensorRing:
     return _RINGS[key]
 
 
+def bundle_file_from_doc(doc) -> TensorRing:
+    """The tensor ring of a bundle file, whose top level is its bundle."""
+    if doc.get("kind") != "bundle":
+        raise FormatError("<input>", "expected a bundle file")
+    return bundle_from_doc(doc)
+
+
+def _expect_kind(doc, kinds: tuple, where: str):
+    kind = doc.get("kind")
+    if kind not in kinds:
+        raise FormatError(where, f"expected kind {' or '.join(map(repr, kinds))}, got {kind!r}")
+    return kind
+
+
+def _section(doc, name: str, where: str, no_maps: tuple) -> tuple:
+    """The ``name`` section of a document and its ``maps`` list; a missing
+    list is refused with the path and message ``no_maps``."""
+    node = doc.get(name)
+    if not isinstance(node, dict):
+        raise FormatError(where, f"missing {name} section")
+    maps = node.get("maps")
+    if not isinstance(maps, list):
+        raise FormatError(*no_maps)
+    return node, maps
+
+
 # -- windows -------------------------------------------------------------------
 
 
@@ -486,18 +531,14 @@ def window_to_doc(w: ResolutionWindow) -> dict:
     return node
 
 
-def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
-    if doc.get("kind") != "window":
-        raise FormatError(where, f"expected kind 'window', got {doc.get('kind')!r}")
+def window_from_doc(doc, where: str = "window", kind: str = "window") -> ResolutionWindow:
+    """The window of a window file, or of a file of another ``kind`` with
+    the same sections."""
+    _expect_kind(doc, (kind,), where)
     ring = bundle_from_doc(doc.get("bundle"), f"{where}.bundle")
-    node = doc.get("window")
-    if not isinstance(node, dict):
-        raise FormatError(where, "missing window section")
+    node, maps_node = _section(doc, "window", where,
+                               (f"{where}.maps", "expected a list of component lists"))
     lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
-    maps_node = node.get("maps")
-    period = node.get("period")
-    if not isinstance(maps_node, list):
-        raise FormatError(f"{where}.maps", "expected a list of component lists")
     ranks = ranks_from_doc(node.get("ranks"), len(maps_node), f"{where}.ranks")
     stars = []
     for t, mnode in enumerate(maps_node):
@@ -505,21 +546,24 @@ def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
         if not isinstance(comps_node, list) or len(comps_node) != ring.nilpotency + 1:
             raise FormatError(f"{where}.maps[{t}]",
                               f"expected {ring.nilpotency + 1} components")
-        p = ring.free(ranks[t])
-        comps = []
-        for i, cnode in enumerate(comps_node):
-            mat = matrix_from_doc(ring.algebra.field, cnode,
-                                  f"{where}.maps[{t}].components[{i}]")
-            target = ring.model(i, ring.free(ranks[t + 1])).result
-            try:
-                comps.append(ModuleMap(p, target, mat))
-            except Exception as exc:
-                raise FormatError(f"{where}.maps[{t}].components[{i}]", str(exc))
-        stars.append(StarMorphism(ring, ranks[t], ranks[t + 1], tuple(comps)))
+        p, q = ring.free(ranks[t]), ring.free(ranks[t + 1])
+        stars.append(StarMorphism(ring, ranks[t], ranks[t + 1], tuple(
+            map_from_doc(p, ring.model(i, q).result, cnode, f"{where}.maps[{t}].components[{i}]")
+            for i, cnode in enumerate(comps_node))))
     try:
-        return ResolutionWindow(ring, lo, ranks, tuple(stars), period=period)
+        return ResolutionWindow(ring, lo, ranks, tuple(stars), period=node.get("period"))
     except Exception as exc:
         raise FormatError(where, str(exc))
+
+
+def trivext_from_doc(doc) -> tuple:
+    """The data and window of a trivial extension file: a window file of
+    kind ``trivext`` over a bundle of nilpotency 1.  Error paths start
+    with ``window``, as in a window file."""
+    w = window_from_doc(doc, kind="trivext")
+    if w.ring.nilpotency != 1:
+        raise FormatError("trivext", "trivial extension data needs nilpotency 1")
+    return TrivialExtData(w.ring.algebra, w.ring.bimodule), w
 
 
 # -- base complexes ---------------------------------------------------------------
@@ -527,26 +571,13 @@ def window_from_doc(doc, where: str = "window") -> ResolutionWindow:
 
 def complex_from_doc(doc, where: str = "complex"):
     """Returns (bimodule, levels, base window over the zero bimodule)."""
-    if doc.get("kind") != "complex":
-        raise FormatError(where, f"expected kind 'complex', got {doc.get('kind')!r}")
+    _expect_kind(doc, ("complex",), where)
     algebra, bimodule, levels = _bundle_parts(doc.get("bundle"), f"{where}.bundle")
-    node = doc.get("complex")
-    if not isinstance(node, dict):
-        raise FormatError(where, "missing complex section")
-    maps_node = node.get("maps")
-    if not isinstance(maps_node, list):
-        raise FormatError(where, "complex needs ranks and maps")
+    node, maps_node = _section(doc, "complex", where, (where, "complex needs ranks and maps"))
     ranks = ranks_from_doc(node.get("ranks"), len(maps_node), f"{where}.ranks")
     lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
-    maps = []
-    for t, mnode in enumerate(maps_node):
-        mat = matrix_from_doc(algebra.field, mnode, f"{where}.maps[{t}]")
-        src = free_module(algebra, ranks[t])
-        tgt = free_module(algebra, ranks[t + 1])
-        try:
-            maps.append(ModuleMap(src, tgt, mat))
-        except Exception as exc:
-            raise FormatError(f"{where}.maps[{t}]", str(exc))
+    maps = [map_from_doc(free_module(algebra, ranks[t]), free_module(algebra, ranks[t + 1]),
+                         mnode, f"{where}.maps[{t}]") for t, mnode in enumerate(maps_node)]
     try:
         pc = complex_window(maps, period=node.get("period"), lo=lo)
     except Exception as exc:
@@ -639,20 +670,9 @@ _CONTEXT_MAPS = ("tau", "sigma", "beta", "gamma")
 
 
 def pair_bimodule_from_doc(left_alg: Algebra, right_alg: Algebra, node, where: str):
-    if not isinstance(node, dict) or not {"dim", "left_action", "right_action"} <= set(node):
-        raise FormatError(where, "pair bimodule needs dim, left_action, right_action")
-    dim = int_from_doc(node["dim"], f"{where}.dim", 0, MAX_SIZE)
-    field = left_alg.field
-
-    def acts(key, alg):
-        nodes = node[key]
-        if not isinstance(nodes, list) or len(nodes) != alg.dim:
-            raise FormatError(f"{where}.{key}", f"expected {alg.dim} matrices")
-        return tuple(matrix_from_doc(field, x, f"{where}.{key}[{i}]")
-                     for i, x in enumerate(nodes))
-
     # read outside the try, so that their errors keep their one path
-    left, right = acts("left_action", left_alg), acts("right_action", right_alg)
+    dim, left, right = _actions(left_alg.field, node, where, "pair bimodule",
+                                (left_alg.dim, right_alg.dim), "expected {} matrices")
     try:
         return PairBimodule(left_alg, right_alg, dim, left, right)
     except Exception as exc:
@@ -688,9 +708,7 @@ def context_from_doc(doc):
     and :class:`MoritaWindow`, or of a triangular ring file, as
     :class:`TriangularData` and :class:`TriangularWindow`.  Error paths
     start with the kind of the file."""
-    where = doc.get("kind")
-    if where not in ("morita", "triangular"):
-        raise FormatError("context", f"expected kind 'morita' or 'triangular', got {where!r}")
+    where = _expect_kind(doc, ("morita", "triangular"), "context")
     triangular = where == "triangular"
     field = field_from_doc(doc.get("field"), f"{where}.field")
     a = algebra_from_doc(field, doc.get("algebra_a"), f"{where}.algebra_a")
@@ -702,13 +720,9 @@ def context_from_doc(doc):
         d = (TriangularData if triangular else MoritaData)(*parts)
     except Exception as exc:
         raise FormatError(where, str(exc))
-    node = doc.get("window")
-    if not isinstance(node, dict):
-        raise FormatError(where, "missing window section")
+    node, maps_node = _section(doc, "window", where,
+                               (f"{where}.window", "window needs ranks_p, ranks_q and maps"))
     where = f"{where}.window"
-    maps_node = node.get("maps")
-    if not isinstance(maps_node, list):
-        raise FormatError(where, "window needs ranks_p, ranks_q and maps")
     ranks_p = ranks_from_doc(node.get("ranks_p"), len(maps_node), f"{where}.ranks_p")
     ranks_q = ranks_from_doc(node.get("ranks_q"), len(maps_node), f"{where}.ranks_q")
     families = {name: [] for name in (_CONTEXT_MAPS[:3] if triangular else _CONTEXT_MAPS)}
@@ -722,16 +736,10 @@ def context_from_doc(doc):
                   "beta": (src_p, block_power_module(d.v, ranks_q[t + 1]))}
         if not triangular:
             spaces["gamma"] = (src_q, block_power_module(d.u, ranks_p[t + 1]))
-        try:
-            for name, (src, tgt) in spaces.items():
-                families[name].append(
-                    ModuleMap(src, tgt, matrix_from_doc(field, mnode[name], f"{at}.{name}")))
-        except FormatError:
-            raise
-        except KeyError as exc:
-            raise FormatError(at, f"missing map {exc}")
-        except Exception as exc:
-            raise FormatError(at, str(exc))
+        for name, (src, tgt) in spaces.items():
+            if name not in mnode:
+                raise FormatError(at, f"missing map {name!r}")
+            families[name].append(map_from_doc(src, tgt, mnode[name], f"{at}.{name}", at))
     lo = int_from_doc(node.get("lo", 0), f"{where}.lo")
     try:
         w = (TriangularWindow if triangular else MoritaWindow)(
@@ -739,3 +747,37 @@ def context_from_doc(doc):
     except Exception as exc:
         raise FormatError(where, str(exc))
     return d, w
+
+
+# -- input kinds ----------------------------------------------------------------
+
+
+# every input kind: its reader, which checks the kind itself, and the section
+# whose ``field`` key declares the coefficient field (None: the top level)
+KINDS = {
+    "bundle": (bundle_file_from_doc, None),
+    "window": (window_from_doc, "bundle"),
+    "complex": (complex_from_doc, "bundle"),
+    "trivext": (trivext_from_doc, "bundle"),
+    "morita": (context_from_doc, None),
+    "triangular": (context_from_doc, None),
+}
+
+
+def classify(doc) -> tuple:
+    """The reader of a document's kind, None for a kind not in
+    :data:`KINDS` (a list or a mapping included), and the field the
+    document declares, as written, where its kind declares it (at the top
+    level for an unknown kind); None when that section is not a mapping."""
+    kind = doc.get("kind")
+    read, section = KINDS.get(kind, (None, None)) if isinstance(kind, str) else (None, None)
+    node = doc if section is None else doc.get(section)
+    return read, node.get("field") if isinstance(node, dict) else None
+
+
+def specialization_from_doc(doc) -> tuple:
+    """The kind, data and window of a trivext, morita or triangular file."""
+    kind = doc.get("kind")
+    if kind not in ("trivext", "morita", "triangular"):
+        raise FormatError("<input>", f"unknown specialization kind {kind!r}")
+    return (kind, *KINDS[kind][0](doc))

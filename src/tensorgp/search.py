@@ -73,8 +73,12 @@ from tensorgp.resolution import CheckReport, InternalCheckError, ResolutionWindo
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, needed: int, budget: int):
-        super().__init__(f"enumeration needs {needed} candidates, budget is {budget}")
+    """``needed`` candidates pass the budget; with ``at_least`` the count
+    stopped at the first rank that passed it, so it is a lower bound."""
+
+    def __init__(self, needed: int, budget: int, at_least: bool = False):
+        bound = "at least " if at_least else ""
+        super().__init__(f"enumeration needs {bound}{needed} candidates, budget is {budget}")
         self.needed = needed
         self.budget = budget
 
@@ -267,10 +271,18 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
     """
     if max_rank < 0:
         raise ValueError(f"negative max_rank {max_rank}")
-    needed = sum(count_star(ring, r, r) for r in range(max_rank + 1))
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
-    p = ring.algebra.field.p
+    # the slot frame of rank r has r^2 * dim T coordinates; counted from
+    # the power dimensions, rank by rank, a refused hunt builds no frame
+    field = ring.algebra.field
+    if not field.is_prime:
+        raise ValueError("exhaustive enumeration needs a finite field")
+    dim_t = sum(ring.power_dim(i) for i in range(ring.nilpotency + 1))
+    needed = 0
+    for rank in range(max_rank + 1):
+        needed += field.p ** (rank * rank * dim_t)
+        if needed > budget:
+            raise BudgetExceeded(needed, budget, at_least=rank < max_rank)
+    p = field.p
     return _classify(ring, ((rank, block) for rank in range(max_rank + 1)
                             for block in _grid(p, _stage(ring, rank).m)))
 

@@ -62,6 +62,7 @@ from tensorgp.bimodule import (
     iterate_functor,
     iterate_functor_map,
     power,
+    power_dims,
     tensor_map,
 )
 
@@ -71,7 +72,12 @@ class TensorRingError(AlgebraError):
 
 
 class NotNilpotent(TensorRingError):
-    pass
+    """The tensor power above the declared nilpotency index does not
+    vanish; ``dims`` are the dimensions of the powers up to that one."""
+
+    def __init__(self, dims: list):
+        super().__init__(f"tensor power {len(dims) - 1} has dimension {dims[-1]}, not 0")
+        self.dims = dims
 
 
 class NotInduced(TensorRingError):
@@ -102,10 +108,7 @@ class TensorRing:
         if self.bimodule.algebra != self.algebra:
             raise TensorRingError("bimodule is over a different algebra")
         if not certify_nilpotent(self.bimodule, self.nilpotency):
-            raise NotNilpotent(
-                f"tensor power {self.nilpotency + 1} has dimension "
-                f"{power(self.bimodule, self.nilpotency + 1).result.dim}, not 0"
-            )
+            raise NotNilpotent(power_dims(self.bimodule, self.nilpotency + 1))
 
     # -- plain module plumbing ------------------------------------------
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line front end and the file formats."""
 
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +183,89 @@ class TestInvalidBundleRefused:
             path, part = invalid_bundle_window(tmp_path, source), source
         assert main([command, path]) == 2
         assert f"bundle.{part}: invalid {part}" in capsys.readouterr().err
+
+
+class TestKindTable:
+    """``validate`` and ``specialize`` read every kind through
+    ``formats.KINDS``; each single-kind command refuses another kind in
+    its own words."""
+
+    def test_format_doc_lists_the_table(self):
+        text = (FIXTURES.parents[1] / "docs" / "format.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| (the top level|`bundle`) \|", text, re.M)
+        assert {kind: None if at == "the top level" else at.strip("`") for kind, at in rows} \
+            == {kind: at for kind, (_read, at) in formats.KINDS.items()}
+
+    @pytest.mark.parametrize("kind", [["bundle"], {"kind": "bundle"}, [], None, 5, "x"])
+    def test_unknown_kind_exits_2_in_every_command(self, tmp_path, capsys, kind):
+        doc = yaml.safe_load(Path(fixture("triangular_bundle.yaml")).read_text())
+        doc["kind"] = kind
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        for command, line in (("validate", f"unknown kind {kind!r}"),
+                              ("specialize", f"unknown specialization kind {kind!r}"),
+                              ("hunt", "expected a bundle file"),
+                              ("check", f"window: expected kind 'window', got {kind!r}"),
+                              ("compat", f"complex: expected kind 'complex', got {kind!r}")):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == f"{path}: {line}\n"
+
+    # a value of None deletes the key
+    @pytest.mark.parametrize("key,value", [("nilpotency", None), ("field", 4), ("field", None),
+                                           ("algebra", []), ("bimodule", {"dim": 1})])
+    def test_validate_prints_what_hunt_prints(self, tmp_path, capsys, key, value):
+        doc = yaml.safe_load(Path(fixture("triangular_bundle.yaml")).read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "input.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["hunt", str(path)]) == 2
+        hunt = capsys.readouterr().err
+        assert hunt.startswith(f"{path}: bundle")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == hunt
+
+
+class TestViolationLines:
+    """An invalid algebra or bimodule is refused on one line that names
+    the first violated axiom and its witness indices, in the words that
+    ``validate`` lists a bundle file's violations in, and never prints the
+    residual matrix."""
+
+    @pytest.mark.parametrize("command,source,edit,line", [
+        ("hunt", "bad_assoc_bundle.yaml", None,
+         "bundle.algebra: invalid algebra: unit-left violated at (0,)"),
+        ("hunt", "nonassoc_bundle.yaml", None,
+         "bundle.algebra: invalid algebra: associativity violated at (1, 1, 1)"),
+        ("check", "algebra", None,
+         "window.bundle.algebra: invalid algebra: unit-left violated at (0,)"),
+        ("validate", "algebra", None,
+         "window.bundle.algebra: invalid algebra: unit-left violated at (0,)"),
+        ("strong", "bimodule", None,
+         "window.bundle.bimodule: invalid bimodule: left-unit violated at ()"),
+        ("specialize", "morita_window.yaml", (("algebra_a", "struct_consts", 0, 0, 1), 5),
+         "morita.algebra_a: invalid algebra: unit-left violated at (0,)"),
+        ("specialize", "morita_window.yaml", (("bimodule_v", "left_action", 1, "entries", 0), [5]),
+         "morita.bimodule_v: invalid bimodule: left-unit violated at ()"),
+    ])
+    def test_one_line_without_a_matrix(self, tmp_path, capsys, command, source, edit, line):
+        if not source.endswith(".yaml"):
+            path = invalid_bundle_window(tmp_path, source)
+        elif edit is None:
+            path = fixture(source)
+        else:
+            doc = yaml.safe_load(Path(fixture(source)).read_text())
+            at, value = edit
+            node = doc
+            for key in at[:-1]:
+                node = node[key]
+            node[at[-1]] = value
+            path = str(tmp_path / source)
+            Path(path).write_text(yaml.safe_dump(doc))
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == f"{path}: {line}\n"
 
 
 def triangular_period_two_doc():

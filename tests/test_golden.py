@@ -7,9 +7,11 @@ instances over the same fields, each next to the report it is compared
 with.  The third covers the rendered catalog of the exhaustive hunt of
 ``tests/fixtures/triangular_bundle.yaml`` up to rank 2, the output of
 ``tensorgp hunt tests/fixtures/triangular_bundle.yaml --max-rank 2``.
-The last two cover the exit code and standard output of ``tensorgp
+The next two cover the exit code and standard output of ``tensorgp
 specialize`` on ``tests/fixtures/morita_window.yaml`` and
 ``tests/fixtures/triangular_window.yaml``, which render seeded helpers.
+``GOLDEN_CLI`` covers the exit code, standard output, standard error and
+written file of the eight README command forms run on every fixture.
 ``GOLDEN_Q`` covers rendered reports, oracle results and witness
 replays of seeded windows over Q whose maps are scaled by rationals with
 denominators on both sides of 2**31 and numerators past 2**62, and of
@@ -49,6 +51,7 @@ GOLDEN_SPECIALIZE_CLI = {
     "morita_window.yaml": "374e0f89957699d5c7fccb67437e03d798946c4b7a15a4c087d5726e33bb3a22",
     "triangular_window.yaml": "f9d2a6ec19a3d03d38ae09d0f33b51a9ef0967e4ac3a0098998bcb6a613d174e",
 }
+GOLDEN_CLI = "484cc2436e97ba2442888bec0f9391912c8bf03df608136c5ecbeaa7e9b92c4b"
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -205,3 +208,34 @@ def test_golden_specialize_cli_digest(name, capsys):
 def test_specialize_fixtures_render_their_seeded_helpers():
     for name, doc in specialize_fixture_docs().items():
         assert (FIXTURES / name).read_text() == formats.render(doc)
+
+
+# the eight command forms of the README; <out> is the path lift writes
+README_FORMS = (["validate"], ["check", "--mode", "both"], ["extract-gp", "--k", "0"],
+                ["strong"], ["compat"], ["lift", "--output", "<out>"], ["specialize"],
+                ["hunt", "--max-rank", "1"])
+
+
+def cli_digest(tmp_path: Path, capsys) -> str:
+    """SHA-256 over every README command form run on every fixture: per
+    run the command, its exit code, standard output, standard error and
+    the file it wrote, with the fixture directory and ``tmp_path`` written
+    as fixed tokens."""
+    out = tmp_path / "out.yaml"
+    h = hashlib.sha256()
+    for fixture in sorted(FIXTURES.glob("*.yaml")):
+        for form in README_FORMS:
+            argv = [form[0], str(fixture), *(str(out) if a == "<out>" else a for a in form[1:])]
+            capsys.readouterr()
+            code = main(argv)
+            captured = capsys.readouterr()
+            written = out.read_text() if out.exists() else ""
+            out.unlink(missing_ok=True)
+            run = f"{' '.join(argv)}\n{code}\n{captured.out}\n{captured.err}\n{written}\n"
+            h.update(run.replace(str(FIXTURES), "tests/fixtures")
+                     .replace(str(tmp_path), "<tmp>").encode())
+    return h.hexdigest()
+
+
+def test_golden_cli_digest(tmp_path, capsys):
+    assert cli_digest(tmp_path, capsys) == GOLDEN_CLI

@@ -153,6 +153,27 @@ class TestEnumerate:
         assert err.value.needed == count_star(ring, 2, 2)
 
 
+class TestHuntBudget:
+    def test_refused_hunt_builds_no_frame_past_the_refusing_rank(self):
+        # 2 ** 27 candidates at rank 3 pass the budget; a count by slot
+        # frames would build and keep the frames of ranks 0 to 10
+        ring = triangular_ring()
+        with pytest.raises(BudgetExceeded, match="needs at least") as err:
+            hunt_strongly_gp(ring, 10)
+        assert err.value.needed == 1 + 2 ** 3 + 2 ** 12 + 2 ** 27
+        assert all(max(key) <= 3 for key in ring._cache.get("slot_frame", {}))
+
+    @pytest.mark.parametrize("make", [triangular_ring, lambda: corner_n2_ring(F2),
+                                      lambda: dual_n1_ring(F2), path_ring],
+                             ids=["triangular", "corner-N2", "dual-N1", "path"])
+    def test_count_at_the_last_rank_is_exact(self, make):
+        needed = sum(count_star(make(), r, r) for r in range(3))
+        with pytest.raises(BudgetExceeded) as err:
+            hunt_strongly_gp(make(), 2, budget=needed - 1)
+        assert err.value.needed == needed
+        assert str(err.value) == f"enumeration needs {needed} candidates, budget is {needed - 1}"
+
+
 class TestHunt:
     def test_semisimple_only_contractible(self):
         cat = hunt_strongly_gp(semisimple_ring(), 1)
