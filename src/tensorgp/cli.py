@@ -39,7 +39,8 @@ from tensorgp.resolution import (
     hom_complex_oracle,
     lift_resolution,
 )
-from tensorgp.search import BudgetExceeded, DEFAULT_BUDGET, hunt_strongly_gp, sample_strongly_gp
+from tensorgp.search import (BudgetExceeded, DEFAULT_BUDGET, TableTooLarge, hunt_strongly_gp,
+                             sample_strongly_gp)
 from tensorgp.special_rings import (
     SpecialRingError,
     morita_checks,
@@ -250,21 +251,13 @@ def cmd_lift(args) -> int:
     bimodule, levels, pc = _load(args.complex, formats.complex_from_doc)
     # compatibility is checkable without nilpotency; refuse with the failing
     # level before demanding a tensor ring
-    try:
-        compat = check_compatibility(bimodule, pc, levels)
-    except NotCompleteResolution as exc:
-        _say(f"invalid input: {exc}")
-        return EXIT_INVALID
+    compat = check_compatibility(bimodule, pc, levels)
     if not compat.passed:
         _say(f"lift refused: {IncompatibleBimodule(compat)}")
         for v in compat.failures()[:3]:
             _say(f"  failing condition {v.label} at k={v.k}")
         return EXIT_FAIL
-    try:
-        ring = TensorRing(bimodule.algebra, bimodule, levels)
-    except NotNilpotent as exc:
-        _say(f"invalid input: {exc}")
-        return EXIT_INVALID
+    ring = TensorRing(bimodule.algebra, bimodule, levels)
     lifted = lift_resolution(ring, pc)
     _say("lifted window passes the full check")
     _emit(formats.window_to_doc(lifted), args.output)
@@ -332,10 +325,9 @@ def cmd_hunt(args) -> int:
     try:
         catalog = hunt_strongly_gp(ring, args.max_rank, budget=args.budget)
         mode = "exhaustive"
-    except BudgetExceeded as exc:
+    except BudgetExceeded:
         if args.seed is None:
-            _say(str(exc))
-            return EXIT_INTERNAL
+            raise
         catalog = sample_strongly_gp(ring, args.max_rank, args.budget, args.seed)
         mode = f"sampled (seed {args.seed})"
     _say(f"classified {catalog.total} candidates ({mode}); "
@@ -419,7 +411,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         _say(str(exc))
         return EXIT_INVALID
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, TableTooLarge) as exc:
         _say(str(exc))
         return EXIT_INTERNAL
     except InternalCheckError as exc:

@@ -11,33 +11,33 @@ count exceeds the budget, classifies every candidate and returns a
 catalog deduplicated by dimension signature, with one re-verifiable
 representative per signature.
 
-Classification is staged and runs on blocks of candidates of one rank,
-from tables memoised per (ring, rank) over the unit candidates e_a (slot
-coordinate a set to 1, the others to 0) with assembled matrices A_a, and
-the unit functional tuples f_b out of the same free module (the slot
-frame of rank pair (r, 1)) with assembled matrices F_b.  Both come from
-the ring's unit tables (:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`
-of the rank pairs (r, r) and (r, 1)), whose column a is vec(A_a); they are
-read in place, never copied.  The components of a composite are the first
-block column of its assembled matrix, and assembling a composite
-multiplies the assembled matrices, so every table is one product of
-assembled unit matrices:
+Classification is staged and runs on blocks of candidates of one rank r,
+as products of the ring's two unit tables
+(:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`), read in
+place; the hunter keeps no table of its own.  Column a of the (r, r) table
+is vec(A_a), the assembled matrix of the unit candidate e_a (slot
+coordinate a set to 1, the others to 0), and column b of the (r, 1) table
+is vec(F_b) for the unit functional tuple f_b out of the same free module.
+Assembly is linear, so the coordinates c of a block times the (r, r)
+table give the assembled matrices A = sum_a c_a A_a of its candidates, as
+transposes, since a column-major vec reshapes row-major to the transpose.
+The components of a composite are the first block column of its assembled
+matrix, and assembling a composite multiplies the assembled matrices, so:
 
-- SC1 by table.  T[a, b] = first block column of A_a A_b holds the
-  components of e_a . e_b, so the square of the candidate with
-  coordinates c is sum_{a,b} c_a c_b T[a, b]: two int64 contractions,
-  reduced mod p after each.
-- SC2 by rank.  The candidate assembles to sum_a c_a A_a, and c times
-  the transposed (r, r) unit table reshapes to its transpose; one batched
-  rank mod p (:func:`tensorgp.exactlin.batched_rank`) gives its kernel
-  dimension kd.  When the square vanishes, im alpha lies in ker alpha,
-  so SC2 holds iff 2 kd = n, with n = dim Ind(P).
-- SC3 by rank.  K(alpha), the matrix of f |-> f . alpha on the m' frame
-  coordinates, is sum_a c_a K(e_a), and column b of K(e_a) is the first
-  block column of F_b A_a.  When the square vanishes, every g . alpha is
-  killed by alpha, so im K(alpha) lies in the frame image of
-  ker K(alpha), and SC3 holds iff 2 rank K(alpha) = m'.  One batched rank
-  decides it on the SC1 survivors of a block.
+- SC1 by product.  The components of alpha . alpha are the first block
+  column of A A, so SC1 holds iff (A^T)[:d] A^T vanishes mod p, with
+  d = dim P: one batched product.
+- SC2 by rank.  One batched rank mod p
+  (:func:`tensorgp.exactlin.batched_rank`) of the A^T gives the kernel
+  dimension kd.  When the square vanishes, im alpha lies in ker alpha, so
+  SC2 holds iff 2 kd = n, with n = dim Ind(P).
+- SC3 by rank.  Column b of K(alpha), the matrix of f |-> f . alpha on
+  the m' frame coordinates, is the first block column of F_b A; read
+  row-major, the (r, 1) table is the F_b^T side by side, so K(alpha) of
+  every SC1 survivor is one batched product with (A^T)[:d].  When the
+  square vanishes, every g . alpha is killed by alpha, so im K(alpha)
+  lies in the frame image of ker K(alpha), and SC3 holds iff
+  2 rank K(alpha) = m'.
 
 Every candidate's group (rank, kd, verdict) is therefore known from the
 stages, and the full one-periodic check runs only on the first candidate
@@ -46,11 +46,13 @@ SC1 and SC2 verdicts, with the staged SC3 verdict whenever SC1 holds,
 and its rank with the batched kernel dimension; a disagreement raises
 :class:`~tensorgp.resolution.InternalCheckError`.
 
-The table products sum n products of residues and the contractions m,
-m the number of slot coordinates, so they stay exact in int64 while
+The coordinate product sums m products of residues, m the number of slot
+coordinates, and the others n, so they stay exact in int64 while
 max(m, n) * p**2 < 2**63 (see the limits in ``exactlin``).  Candidates
 are staged ``_CHUNK`` at a time, so the staging arrays stay bounded
-however large the budget.
+however large the budget.  The unit tables are not: the (r, r) one holds
+r^4 (dim T)^3 entries, so a hunt whose ``max_rank`` passes
+``MAX_UNIT_TABLE`` entries is refused before any frame or table is built.
 
 The random generators are seeded and reproducible: identical seeds give
 byte-identical results.
@@ -83,7 +85,15 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
+class TableTooLarge(Exception):
+    """The unit table of a hunt's ``max_rank`` passes ``MAX_UNIT_TABLE``."""
+
+
 DEFAULT_BUDGET = 1 << 20
+# the most entries the (r, r) unit table of a hunt's max_rank r may hold:
+# r^2 dim T unit candidates, each an assembled matrix of side r dim T, so
+# r^4 (dim T)^3 int64 entries, 64 MiB at the ceiling
+MAX_UNIT_TABLE = 1 << 23
 
 
 def count_star(ring: TensorRing, rank_p: int, rank_q: int) -> int:
@@ -119,79 +129,30 @@ class Catalog:
 _CHUNK = 1024  # candidates staged per batch
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """The staging tables of one (ring, rank), over the m unit candidates
-    and the m' unit functional tuples.
-
-    ``square`` is m x (m * length): row b, block a holds the flattened
-    first block column of A_a A_b, the components of e_a . e_b, each
-    ``length`` entries long.  ``assembled`` is m x (n * n): row a holds
-    vec(A_a), read in place as the transpose of the unit table
-    ``ring.unit_assemblies(rank, rank)``, so a block of coordinates times
-    it reshapes to the transposes of the candidates' assembled matrices.
-    ``precompose`` is m x (height * m'): row a holds K(e_a), whose
-    column b is the flattened first block column of F_b A_a, the
-    components of f_b . e_a.
-    """
-
-    m: int
-    length: int
-    n: int
-    tuples: int
-    height: int
-    square: np.ndarray
-    assembled: np.ndarray
-    precompose: np.ndarray
-
-
-def _stage(ring: TensorRing, rank: int) -> _Stage:
-    """The staging tables of the given rank, memoised per ring.
-
-    The SC1 and SC3 tables are products of assembled unit matrices: the
-    components of a composite are the first block column of its assembled
-    matrix, which is the product of the assembled matrices of its factors.
-    A column-major vec(A) reshapes row-major to the transpose of A, so each
-    unit table gives its matrices A_a as a transposed reshape.
-    """
-    cache = ring._cache.setdefault("hunt_stage", {})
-    if rank not in cache:
-        p = ring.algebra.field.p
-        n = ring.ind_free(rank).x.dim
-        height = ring.ind_free(1).x.dim
-        assembled = ring.unit_assemblies(rank, rank)._num.T
-        functionals = ring.unit_assemblies(rank, 1)._num.T
-        m, tuples = len(assembled), len(functionals)
-        if max(m, n) * p ** 2 >= 1 << 63:
-            raise ValueError(f"{max(m, n)} terms per sum overflow the int64 staging")
-        units = assembled.reshape(m, n, n).transpose(0, 2, 1)
-        first = units[:, :, :ring.free(rank).dim]
-        square = np.einsum("aij,bjk->baik", units, first) % p
-        precompose = np.einsum("bij,ajk->aikb",
-                               functionals.reshape(tuples, n, height).transpose(0, 2, 1),
-                               first) % p
-        d = first.shape[2]
-        cache[rank] = _Stage(m, n * d, n, tuples, height * d, square.reshape(m, m * n * d),
-                             assembled, precompose.reshape(m, height * d * tuples))
-    return cache[rank]
-
-
-def _staged(ring: TensorRing, stage: _Stage, coeffs: np.ndarray):
+def _staged(ring: TensorRing, rank: int, coeffs: np.ndarray):
     """SC1 verdicts, kernel dimensions and SC3 verdicts of a block of
-    candidates, one row of slot coordinates each; SC3 is decided on the
-    SC1 survivors only and reads False elsewhere."""
+    candidates of one rank, one row of slot coordinates each, from the
+    products of the module docstring; SC3 is decided on the SC1 survivors
+    only and reads False elsewhere."""
     field = ring.algebra.field
+    p = field.p
+    units = ring.unit_assemblies(rank, rank)._num
+    functionals = ring.unit_assemblies(rank, 1)._num
+    m, n, d = units.shape[1], ring.ind_free(rank).x.dim, ring.free(rank).dim
+    height, tuples = ring.ind_free(1).x.dim, functionals.shape[1]
+    if max(m, n) * p ** 2 >= 1 << 63:
+        raise ValueError(f"{max(m, n)} terms per sum overflow the int64 staging")
     count = coeffs.shape[0]
-    half = (coeffs @ stage.square % field.p).reshape(count, stage.m, stage.length)
-    sc1 = ~(np.einsum("ca,cal->cl", coeffs, half) % field.p).any(axis=1)
-    # the transposes of the candidates' assembled matrices, of equal ranks
-    mats = (coeffs @ stage.assembled).reshape(count, stage.n, stage.n)
-    kernel_dims = stage.n - batched_rank(field, mats)
+    # a column-major vec reshapes row-major to the transpose: mats[c] = A^T
+    mats = (coeffs @ units.T % p).reshape(count, n, n)
+    firsts = mats[:, :d]  # the transposed first block columns
+    sc1 = ~(firsts @ mats % p).any(axis=(1, 2))
+    kernel_dims = n - batched_rank(field, mats)
     sc3 = np.zeros(count, dtype=bool)
     if sc1.any():
-        survivors = coeffs[sc1]
-        ks = (survivors @ stage.precompose).reshape(len(survivors), stage.height, stage.tuples)
-        sc3[sc1] = 2 * batched_rank(field, ks) == stage.tuples
+        # row-major, the (r, 1) table reads as [F_b^T for every b], side by side
+        ks = firsts[sc1] @ functionals.reshape(n, height * tuples)
+        sc3[sc1] = 2 * batched_rank(field, ks.reshape(len(ks), d * height, tuples)) == tuples
     return sc1, kernel_dims, sc3
 
 
@@ -225,7 +186,7 @@ def _classify(ring: TensorRing, blocks) -> Catalog:
     """Group candidates by (rank, kernel dimension, verdict).
 
     ``blocks`` yields (rank, coordinate rows) in candidate order.  SC1, SC2
-    and SC3 are staged from the tables of the module docstring, so every
+    and SC3 are staged by the products of the module docstring, so every
     candidate's group is known without the full check; it runs on the
     first candidate of each group, which is the group's representative,
     so every stored representative is certified by it.
@@ -233,12 +194,12 @@ def _classify(ring: TensorRing, blocks) -> Catalog:
     counts, reps = {}, {}
     total = 0
     for rank, coeffs in blocks:
-        stage = _stage(ring, rank)
-        sc1s, kernel_dims, sc3s = _staged(ring, stage, coeffs)
+        n = ring.ind_free(rank).x.dim
+        sc1s, kernel_dims, sc3s = _staged(ring, rank, coeffs)
         total += coeffs.shape[0]
         for c, sc1, kd, sc3 in zip(coeffs.tolist(), sc1s.tolist(), kernel_dims.tolist(),
                                    sc3s.tolist()):
-            sc2 = sc1 and 2 * kd == stage.n
+            sc2 = sc1 and 2 * kd == n
             key = (rank, kd, sc2 and sc3)
             if key not in counts:
                 s = ring.star_at(rank, rank, c)
@@ -260,6 +221,23 @@ def _grid(p: int, m: int) -> Iterator[np.ndarray]:
         yield index[:, None] // weights % p
 
 
+def _hunt_dim(ring: TensorRing, max_rank: int) -> int:
+    """dim T, the sum of the power dimensions, for a hunt up to
+    ``max_rank``.  A negative rank, a field that is not finite and a rank
+    whose unit table passes ``MAX_UNIT_TABLE`` are refused before any frame
+    or table is built."""
+    if max_rank < 0:
+        raise ValueError(f"negative max_rank {max_rank}")
+    if not ring.algebra.field.is_prime:
+        raise ValueError("hunting needs a finite field")
+    dim_t = sum(ring.power_dim(i) for i in range(ring.nilpotency + 1))
+    entries = max_rank ** 4 * dim_t ** 3
+    if entries > MAX_UNIT_TABLE:
+        raise TableTooLarge(f"the unit table of rank {max_rank} has {entries} entries, "
+                            f"past the ceiling of {MAX_UNIT_TABLE}")
+    return dim_t
+
+
 def hunt_strongly_gp(ring: TensorRing, max_rank: int,
                      budget: int = DEFAULT_BUDGET) -> Catalog:
     """Classify every one-periodic candidate up to the given rank.
@@ -269,22 +247,15 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
     runs the full one-periodic check.
     Representatives re-verify on reload.
     """
-    if max_rank < 0:
-        raise ValueError(f"negative max_rank {max_rank}")
-    # the slot frame of rank r has r^2 * dim T coordinates; counted from
-    # the power dimensions, rank by rank, a refused hunt builds no frame
-    field = ring.algebra.field
-    if not field.is_prime:
-        raise ValueError("exhaustive enumeration needs a finite field")
-    dim_t = sum(ring.power_dim(i) for i in range(ring.nilpotency + 1))
-    needed = 0
+    dim_t = _hunt_dim(ring, max_rank)
+    p = ring.algebra.field.p
+    needed = 0  # the slot frame of rank r has r^2 dim T coordinates
     for rank in range(max_rank + 1):
-        needed += field.p ** (rank * rank * dim_t)
+        needed += p ** (rank * rank * dim_t)
         if needed > budget:
             raise BudgetExceeded(needed, budget, at_least=rank < max_rank)
-    p = field.p
     return _classify(ring, ((rank, block) for rank in range(max_rank + 1)
-                            for block in _grid(p, _stage(ring, rank).m)))
+                            for block in _grid(p, ring.slot_frame(rank, rank)[0].cols)))
 
 
 def reverify_catalog(ring: TensorRing, catalog: Catalog) -> bool:
@@ -309,11 +280,8 @@ def sample_strongly_gp(ring: TensorRing, max_rank: int, samples: int,
     :func:`random_star`; draws are staged ``_CHUNK`` at a time, per rank
     in draw order.  Needs a finite field.
     """
-    if max_rank < 0:
-        raise ValueError(f"negative max_rank {max_rank}")
+    _hunt_dim(ring, max_rank)
     field = ring.algebra.field
-    if not field.is_prime:
-        raise ValueError("sampling the hunt needs a finite field")
     rng = random.Random(seed)
 
     def draws():

@@ -28,10 +28,10 @@ frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
 for ``search`` and the C3 checker; ``unit_assemblies``, the unit table per
 rank pair (:meth:`TensorRing.unit_assemblies`), one matrix whose column a
 is vec(A_a) for the assembled matrix A_a of the unit candidate e_a, which
-the hunter's staging and the C3 checker read in place; ``oracle_hom``,
-the stacked ``hom_t`` bases of Hom(Ind P^r, Ind R) per rank r, for
-:func:`resolution.hom_complex_oracle` only, so that no checker reads what
-the oracle computed; ``hunt_stage`` for ``search``.
+the hunter stages from by products and the C3 checker reads, both in
+place; ``oracle_hom``, the stacked ``hom_t`` bases of Hom(Ind P^r, Ind R)
+per rank r, for :func:`resolution.hom_complex_oracle` only, so that no
+checker reads what the oracle computed.
 """
 
 from __future__ import annotations

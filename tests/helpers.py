@@ -172,26 +172,6 @@ def enumerate_star(ring, rank_p, rank_q, budget=DEFAULT_BUDGET):
         yield reference_star(ring, rank_p, rank_q, coeffs)
 
 
-def reference_square_table(ring, rank):
-    """The hunter's SC1 table built one composite at a time: row b, block
-    a holds the flattened components of star_compose(e_a, e_b) over the
-    unit candidates e_a, as an m x (m * length) int64 array."""
-    import numpy as np
-
-    from tensorgp.resolution import star_compose
-
-    m = ring.slot_frame(rank, rank)[0].cols
-    units = [ring.star_at(rank, rank, [int(a == b) for b in range(m)]) for a in range(m)]
-    length = ring.ind_free(rank).x.dim * ring.free(rank).dim
-    square = np.zeros((m, m, length), dtype=np.int64)
-    for a, ea in enumerate(units):
-        for b, eb in enumerate(units):
-            comps = star_compose(ea, eb).components
-            square[b, a] = np.concatenate([np.array(c.mat.entries, dtype=np.int64).ravel()
-                                           for c in comps])
-    return square.reshape(m, m * length)
-
-
 def window_corpus(count=312, fields=(F2, F3), seed=10_000, path_rank=2):
     """Seeded corpus of periodic windows over :func:`ring_pool`:
     nilpotency 0..2, ranks up to 2 (up to ``path_rank`` on the

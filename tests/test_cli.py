@@ -855,6 +855,12 @@ class TestHunt:
         doc = yaml.safe_load(out.read_text())
         assert doc["total"] == 100
 
+    @pytest.mark.parametrize("extra", [[], ["--seed", "1", "--budget", "100"]])
+    def test_unit_table_ceiling(self, capsys, extra):
+        assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "24"] + extra) == 3
+        assert capsys.readouterr().err == \
+            f"the unit table of rank 24 has {24 ** 4 * 27} entries, past the ceiling of {1 << 23}\n"
+
     def test_negative_max_rank_refused(self, capsys):
         assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "-1"]) == 2
         assert "max-rank" in capsys.readouterr().err

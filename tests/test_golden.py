@@ -11,7 +11,8 @@ The next two cover the exit code and standard output of ``tensorgp
 specialize`` on ``tests/fixtures/morita_window.yaml`` and
 ``tests/fixtures/triangular_window.yaml``, which render seeded helpers.
 ``GOLDEN_CLI`` covers the exit code, standard output, standard error and
-written file of the eight README command forms run on every fixture.
+written file of the first eight README command forms run on every
+fixture.
 ``GOLDEN_Q`` covers rendered reports, oracle results and witness
 replays of seeded windows over Q whose maps are scaled by rationals with
 denominators on both sides of 2**31 and numerators past 2**62, and of
@@ -210,7 +211,8 @@ def test_specialize_fixtures_render_their_seeded_helpers():
         assert (FIXTURES / name).read_text() == formats.render(doc)
 
 
-# the eight command forms of the README; <out> is the path lift writes
+# the first eight command forms of the README, all but the sampled hunt;
+# <out> is the path lift writes
 README_FORMS = (["validate"], ["check", "--mode", "both"], ["extract-gp", "--k", "0"],
                 ["strong"], ["compat"], ["lift", "--output", "<out>"], ["specialize"],
                 ["hunt", "--max-rank", "1"])

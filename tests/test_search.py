@@ -2,6 +2,7 @@
 isomorphism search."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,8 @@ from tensorgp.search import (
     BudgetExceeded,
     Catalog,
     CatalogGroup,
+    MAX_UNIT_TABLE,
+    TableTooLarge,
     count_star,
     hunt_strongly_gp,
     modules_isomorphic_bruteforce,
@@ -39,7 +42,6 @@ from helpers import (
     ground_algebra,
     path_bimodule,
     product_fields,
-    reference_square_table,
     ring_pool,
     simple_over_product,
 )
@@ -174,6 +176,29 @@ class TestHuntBudget:
         assert str(err.value) == f"enumeration needs {needed} candidates, budget is {needed - 1}"
 
 
+    @pytest.mark.parametrize("hunt", [lambda ring, rank: hunt_strongly_gp(ring, rank),
+                                      lambda ring, rank: sample_strongly_gp(ring, rank, 10, 1)],
+                             ids=["exhaustive", "sampled"])
+    def test_unit_table_ceiling_is_refused_before_any_table(self, hunt):
+        # dim T = 3: rank 24 needs 24^4 * 27 entries, rank 23 fits
+        ring = triangular_ring()
+        assert 23 ** 4 * 27 <= MAX_UNIT_TABLE < 24 ** 4 * 27
+        assert search._hunt_dim(ring, 23) == 3
+        with pytest.raises(TableTooLarge, match=f"rank 24 has {24 ** 4 * 27} entries"):
+            hunt(ring, 24)
+        assert not {"slot_frame", "unit_assemblies"} & set(ring._cache)
+
+    def test_sampled_hunt_stays_small(self):
+        # the staging tables of the drawn ranks once peaked at 47 MiB here
+        ring = triangular_ring()
+        tracemalloc.start()
+        try:
+            sample_strongly_gp(ring, 6, 100, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
 class TestHunt:
     def test_semisimple_only_contractible(self):
         cat = hunt_strongly_gp(semisimple_ring(), 1)
@@ -294,63 +319,85 @@ class TestStagedClassifier:
         with pytest.raises(InternalCheckError, match="passes a candidate"):
             hunt_strongly_gp(dual_ring(), 1)
 
-    def test_sc1_table_matches_star_compose_reference(self):
-        for ring in ring_pool((F2, F3)):
-            for rank in range(3):
-                assert np.array_equal(search._stage(ring, rank).square,
-                                      reference_square_table(ring, rank))
+    @staticmethod
+    def _pool_blocks(ring):
+        """Every candidate up to rank 1, and 200 seeded sparse ones at rank 2,
+        whose squares vanish more often than those of uniform draws; on the
+        path ring one of them passes SC3."""
+        p = ring.algebra.field.p
+        rng = random.Random(2)
+        blocks = [(rank, block) for rank in (0, 1)
+                  for block in search._grid(p, ring.slot_frame(rank, rank)[0].cols)]
+        m = ring.slot_frame(2, 2)[0].cols
+        blocks.append((2, np.array([[rng.randrange(1, p) if rng.random() < 0.1 else 0
+                                     for _ in range(m)] for _ in range(200)], dtype=np.int64)))
+        return blocks
 
-    def test_sc3_table_matches_the_c3_constraints_of_the_units(self):
-        # K(e_a) holds the components of f_b . e_a as flattened first block
-        # columns; the C3 checker stacks the same entries vec'd per block
+    @staticmethod
+    def _staged_candidates(ring, blocks):
+        """(star, staged SC1, staged SC3) of every candidate of the blocks."""
+        for rank, coeffs in blocks:
+            sc1s, _kernel_dims, sc3s = search._staged(ring, rank, coeffs)
+            for c, sc1, sc3 in zip(coeffs.tolist(), sc1s.tolist(), sc3s.tolist()):
+                yield ring.star_at(rank, rank, c), sc1, sc3
+
+    def test_staged_sc1_is_the_vanishing_square(self):
         for ring in ring_pool((F2, F3)):
-            for rank in range(3):
-                stage = search._stage(ring, rank)
-                d = ring.free(rank).dim
-                order, top = [], 0
-                for j in range(ring.nilpotency + 1):
-                    h = ring.model(j, ring.free(1)).result.dim
-                    order += [(top + i) * d + k for k in range(d) for i in range(h)]
-                    top += h
-                tables = stage.precompose.reshape(stage.m, stage.height, stage.tuples)
-                for a in range(stage.m):
-                    unit = ring.star_at(rank, rank, [int(a == b) for b in range(stage.m)])
-                    constraint = resolution._functional_constraints(ring, unit)
-                    assert tables[a][order].tolist() == [list(r) for r in constraint.entries]
+            for s, sc1, _sc3 in self._staged_candidates(ring, self._pool_blocks(ring)):
+                assert sc1 == all(c.is_zero() for c in resolution.star_compose(s, s).components)
+
+    def test_staged_sc3_matches_check_c3_on_the_sc1_survivors(self):
+        cases = [(ring, self._pool_blocks(ring)) for ring in ring_pool((F2, F3))]
+        # every rank-2 candidate of the corner ring, where 36 of the 76 SC1
+        # survivors pass SC3
+        corner = triangular_ring()
+        cases.append((corner, [(2, b) for b in search._grid(2, corner.slot_frame(2, 2)[0].cols)]))
+        seen = set()
+        for ring, blocks in cases:
+            for s, sc1, sc3 in self._staged_candidates(ring, blocks):
+                if sc1:
+                    assert sc3 == (resolution.check_c3(s, s)[0] == "pass")
+                    seen.add((s.source_rank, sc3))
+        assert seen == {(rank, sc3) for rank in (0, 1, 2) for sc3 in (True, False)} - {(0, False)}
 
     def test_one_unit_table_per_rank_pair(self):
-        # the stager reads the (r, r) unit table in place, and C3 reads the
-        # (r, 1) one without a table of its own
+        # the stager reads the unit tables in place and keeps no table of
+        # its own, and C3 reads the (r, 1) one without a table of its own
         for ring in ring_pool((F2, F3)):
-            for rank in (1, 2):
-                assert np.shares_memory(search._stage(ring, rank).assembled,
-                                        ring.unit_assemblies(rank, rank)._num)
+            hunt_strongly_gp(ring, 1)
+            sample_strongly_gp(ring, 2, 20, seed=1)
             check_complete(random_window(ring, 3, (1, 2)))
+            assert "hunt_stage" not in ring._cache
             assert "functional_basis" not in ring._cache
 
     @staticmethod
-    def _corrupt(ring, rank, name, edit):
-        stage = search._stage(ring, rank)
-        table = getattr(stage, name).copy()
-        edit(table)
-        ring._cache["hunt_stage"][rank] = replace(stage, **{name: table})
+    def _flip(monkeypatch, which, where):
+        """Wrap ``_staged`` so that output ``which`` (0 for SC1, 2 for SC3)
+        reads the other way on the candidates selected by ``where``."""
+        staged = search._staged
 
-    def test_corrupted_sc1_table_is_an_internal_error(self):
-        # one more in the entry of T[a, a] at component index 1, with e_a the
-        # map x, stages the square-zero x as an SC1 failure; x opens its group
+        def flipped(ring, rank, coeffs):
+            out = list(staged(ring, rank, coeffs))
+            out[which] = out[which] ^ where(rank, coeffs, out)
+            return tuple(out)
+
+        monkeypatch.setattr(search, "_staged", flipped)
+
+    def test_corrupted_sc1_stage_is_an_internal_error(self, monkeypatch):
+        # the square-zero x map staged as an SC1 failure; x opens its group
         ring = dual_ring()
         assert ring.star_at(1, 1, [0, 1]).components[0].mat == \
             Matrix.from_rows(F2, [[0, 0], [1, 0]])
-        length = search._stage(ring, 1).length
-        self._corrupt(ring, 1, "square", lambda t: np.add.at(t, (1, length + 1), 1))
+        self._flip(monkeypatch, 0, lambda rank, coeffs, out:
+                   np.array([rank == 1 and c == [0, 1] for c in coeffs.tolist()]))
         with pytest.raises(InternalCheckError, match="staged SC1"):
             hunt_strongly_gp(ring, 1)
 
-    def test_corrupted_sc3_stage_is_an_internal_error(self):
-        # with K = 0 every SC1 survivor of rank 1 stages as an SC3 failure,
+    def test_corrupted_sc3_stage_is_an_internal_error(self, monkeypatch):
+        # every SC1 survivor of rank 1 staged with the other SC3 verdict,
         # which the x map's full check contradicts
         ring = dual_ring()
-        self._corrupt(ring, 1, "precompose", lambda t: t.fill(0))
+        self._flip(monkeypatch, 2, lambda rank, coeffs, out: out[0] & (rank == 1))
         with pytest.raises(InternalCheckError, match="staged SC3"):
             hunt_strongly_gp(ring, 1)
 
