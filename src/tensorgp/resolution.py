@@ -17,8 +17,8 @@ each checkable position:
   module, which suffices by additivity).  The components of f . alpha are
   A(f) V, with V the stacked components of alpha and A(f) the assembled
   matrix of f, read for the slot basis of tuples from the ring's unit
-  table of the rank pair (r, 1) (``TensorRing.unit_assemblies``, which
-  the hunter's staging reads too): one product and one row selection.
+  table of the rank pair (r, 1) (``TensorRing.unit_table``, read off the
+  rank-1 table that the hunter stages from): one product, one row selection.
 
 Each condition shape is one step returning (status, witness):
 :func:`vanishing`, :func:`kernel_lift` and :func:`factor_check`, which
@@ -377,7 +377,7 @@ def _functional_constraints(ring: TensorRing, through: StarMorphism) -> Matrix:
     v = vstack([c.mat for c in through.components])
     order = [c * offsets[-1] + r for lo, hi in zip(offsets, offsets[1:])
              for c in range(v.cols) for r in range(lo, hi)]
-    table = ring.unit_assemblies(through.target_rank, 1)
+    table = ring.unit_table(through.target_rank)
     return vec_precompose(table, offsets[-1], v).take_rows(order)
 
 

@@ -11,30 +11,32 @@ count exceeds the budget, classifies every candidate and returns a
 catalog deduplicated by dimension signature, with one re-verifiable
 representative per signature.
 
-Classification is staged and runs on blocks of candidates of one rank r,
-as products of the ring's two unit tables
-(:meth:`~tensorgp.tensor_ring.TensorRing.unit_assemblies`), read in
-place; the hunter keeps no table of its own.  Column a of the (r, r) table
-is vec(A_a), the assembled matrix of the unit candidate e_a (slot
-coordinate a set to 1, the others to 0), and column b of the (r, 1) table
-is vec(F_b) for the unit functional tuple f_b out of the same free module.
-Assembly is linear, so the coordinates c of a block times the (r, r)
-table give the assembled matrices A = sum_a c_a A_a of its candidates, as
-transposes, since a column-major vec reshapes row-major to the transpose.
-The components of a composite are the first block column of its assembled
-matrix, and assembling a composite multiplies the assembled matrices, so:
+Classification is staged on blocks of candidates of one rank r, from
+the ring's rank-1 unit table, whose column b is vec(A_b) for the
+assembled matrix A_b of the rank-1 unit e_b
+(:meth:`~tensorgp.tensor_ring.TensorRing.unit_table`), and from the
+stacked Ind(pi_l) of the projections of R^r onto its copies
+(:meth:`~tensorgp.tensor_ring.TensorRing.ind_projections`), the inverse
+of I = [Ind iota_1 | ... | Ind iota_r].  A candidate alpha is an r x r
+matrix over T: its assembled matrix is I B I^-1, where block (l, k) of B
+is the assembled matrix of pi_l . alpha . iota_k.  Their coordinates
+C[k, l, b] come from alpha's slot coordinates, slot i by the matrix of
+F^i(Pi) that stacks the F^i(pi_l) (a diagonal block of the stacked
+Ind(pi_l); below rank 2, Ind(id) = id and the slot coordinates are C),
+and B = sum C[k, l, b] E_lk (x) A_b is one product with the rank-1 table.  I^-1 sends the grade-0 columns of Ind(P) to those of B,
+copy by copy, so:
 
-- SC1 by product.  The components of alpha . alpha are the first block
-  column of A A, so SC1 holds iff (A^T)[:d] A^T vanishes mod p, with
-  d = dim P: one batched product.
+- SC1 by product.  A morphism of induced modules is determined by its
+  grade-0 columns, so alpha . alpha = 0 iff B times the grade-0 columns
+  of B vanishes mod p: one batched product.
 - SC2 by rank.  One batched rank mod p
-  (:func:`tensorgp.exactlin.batched_rank`) of the A^T gives the kernel
+  (:func:`tensorgp.exactlin.batched_rank`) of the B gives the kernel
   dimension kd.  When the square vanishes, im alpha lies in ker alpha, so
-  SC2 holds iff 2 kd = n, with n = dim Ind(P).
-- SC3 by rank.  Column b of K(alpha), the matrix of f |-> f . alpha on
-  the m' frame coordinates, is the first block column of F_b A; read
-  row-major, the (r, 1) table is the F_b^T side by side, so K(alpha) of
-  every SC1 survivor is one batched product with (A^T)[:d].  When the
+  SC2 holds iff 2 kd = n, with n = r dim T = dim Ind(P).
+- SC3 by rank.  The functional tuple of copy k and rank-1 unit b
+  assembles to A_b Ind(pi_k), so the columns vec(A_b Z_k), Z_k the row
+  block k of the grade-0 columns of B, are those of K(alpha), the matrix
+  of f |-> f . alpha on the m' = r dim T frame coordinates.  When the
   square vanishes, every g . alpha is killed by alpha, so im K(alpha)
   lies in the frame image of ker K(alpha), and SC3 holds iff
   2 rank K(alpha) = m'.
@@ -46,13 +48,12 @@ SC1 and SC2 verdicts, with the staged SC3 verdict whenever SC1 holds,
 and its rank with the batched kernel dimension; a disagreement raises
 :class:`~tensorgp.resolution.InternalCheckError`.
 
-The coordinate product sums m products of residues, m the number of slot
-coordinates, and the others n, so they stay exact in int64 while
-max(m, n) * p**2 < 2**63 (see the limits in ``exactlin``).  Candidates
-are staged ``_CHUNK`` at a time, so the staging arrays stay bounded
-however large the budget.  The unit tables are not: the (r, r) one holds
-r^4 (dim T)^3 entries, so a hunt whose ``max_rank`` passes
-``MAX_UNIT_TABLE`` entries is refused before any frame or table is built.
+No product sums more than max(n, dim T) products of residues, so all stay
+exact in int64 while that times p**2 is below 2**63.  Candidates are
+staged ``_CHUNK`` at a time, so the largest array a hunt builds is the
+slot frame of its ``max_rank``, which the representatives are read from;
+a hunt whose frame passes ``MAX_SLOT_FRAME`` entries is refused before
+any frame or table is built.
 
 The random generators are seeded and reproducible: identical seeds give
 byte-identical results.
@@ -63,7 +64,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from typing import Iterator
 
 import numpy as np
@@ -86,23 +87,13 @@ class BudgetExceeded(Exception):
 
 
 class TableTooLarge(Exception):
-    """The unit table of a hunt's ``max_rank`` passes ``MAX_UNIT_TABLE``."""
+    """The slot frame of a hunt's ``max_rank`` passes ``MAX_SLOT_FRAME``."""
 
 
 DEFAULT_BUDGET = 1 << 20
-# the most entries the (r, r) unit table of a hunt's max_rank r may hold:
-# r^2 dim T unit candidates, each an assembled matrix of side r dim T, so
-# r^4 (dim T)^3 int64 entries, 64 MiB at the ceiling
-MAX_UNIT_TABLE = 1 << 23
-
-
-def count_star(ring: TensorRing, rank_p: int, rank_q: int) -> int:
-    """Number of component lists between the induced frees of the given
-    ranks: p to the number of slot coordinates."""
-    field = ring.algebra.field
-    if not field.is_prime:
-        raise ValueError("exhaustive enumeration needs a finite field")
-    return field.p ** ring.slot_frame(rank_p, rank_q)[0].cols
+# the most entries the (r, r) slot frame of a hunt's max_rank r may hold:
+# r^2 dim T units of r dim R columns and r dim T rows, 64 MiB of int64
+MAX_SLOT_FRAME = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -134,25 +125,34 @@ def _staged(ring: TensorRing, rank: int, coeffs: np.ndarray):
     candidates of one rank, one row of slot coordinates each, from the
     products of the module docstring; SC3 is decided on the SC1 survivors
     only and reads False elsewhere."""
-    field = ring.algebra.field
-    p = field.p
-    units = ring.unit_assemblies(rank, rank)._num
-    functionals = ring.unit_assemblies(rank, 1)._num
-    m, n, d = units.shape[1], ring.ind_free(rank).x.dim, ring.free(rank).dim
-    height, tuples = ring.ind_free(1).x.dim, functionals.shape[1]
-    if max(m, n) * p ** 2 >= 1 << 63:
-        raise ValueError(f"{max(m, n)} terms per sum overflow the int64 staging")
-    count = coeffs.shape[0]
-    # a column-major vec reshapes row-major to the transpose: mats[c] = A^T
-    mats = (coeffs @ units.T % p).reshape(count, n, n)
-    firsts = mats[:, :d]  # the transposed first block columns
+    field, d = ring.algebra.field, ring.algebra.dim
+    units = ring.unit_table(1)._num  # column b is vec(A_b), A_b dim T x dim T
+    p, height, count = field.p, units.shape[1], coeffs.shape[0]
+    n = rank * height
+    if max(n, height) * p ** 2 >= 1 << 63:
+        raise ValueError(f"{max(n, height)} terms per sum overflow the int64 staging")
+    coords = coeffs  # C[c, k, l, b] as it stands below rank 2: one copy at most, Ind(id) = id
+    if rank > 1:
+        lo = [0, *accumulate(h for h, _ in ring.slot_frame(1, 1)[1])]
+        # the coordinates (k, t') of each slot i, with t' over grade i of Ind(P), side by side
+        slots = np.concatenate([coeffs[:, rank * rank * a:rank * rank * b].reshape(
+            count, rank, rank * (b - a)) for a, b in zip(lo, lo[1:])], axis=2)
+        # times the stacked Ind(pi_l), with the F^i(Pi) down its diagonal
+        coords = slots @ ring.ind_projections(rank)._num.T % p
+    # a column-major vec reshapes row-major to the transpose: B^T[c, (k, y), (l, x)],
+    # with the ranks of B, and its grade-0 rows are the transposed grade-0 columns
+    mats = (coords.reshape(count, rank, rank, height) @ units.T % p).reshape(
+        count, rank, rank, height, height).transpose(0, 1, 3, 2, 4).reshape(count, n, n)
+    firsts = mats.reshape(count, rank, height, n)[:, :, :d].reshape(count, rank * d, n)
     sc1 = ~(firsts @ mats % p).any(axis=(1, 2))
     kernel_dims = n - batched_rank(field, mats)
     sc3 = np.zeros(count, dtype=bool)
     if sc1.any():
-        # row-major, the (r, 1) table reads as [F_b^T for every b], side by side
-        ks = firsts[sc1] @ functionals.reshape(n, height * tuples)
-        sc3[sc1] = 2 * batched_rank(field, ks.reshape(len(ks), d * height, tuples)) == tuples
+        # zs[c, z, k, (x, b)] = (A_b Z_k)[x, z], Z_k^T the column block k of the firsts
+        live = int(sc1.sum())
+        zs = firsts[sc1].reshape(live, rank * d, rank, height) @ units.reshape(height, -1)
+        ks = zs.reshape(live, rank * d, rank, height, height).transpose(0, 1, 3, 2, 4)
+        sc3[sc1] = 2 * batched_rank(field, ks.reshape(live, rank * d * height, n)) == n
     return sc1, kernel_dims, sc3
 
 
@@ -195,10 +195,9 @@ def _classify(ring: TensorRing, blocks) -> Catalog:
     total = 0
     for rank, coeffs in blocks:
         n = ring.ind_free(rank).x.dim
-        sc1s, kernel_dims, sc3s = _staged(ring, rank, coeffs)
+        staged = _staged(ring, rank, coeffs)
         total += coeffs.shape[0]
-        for c, sc1, kd, sc3 in zip(coeffs.tolist(), sc1s.tolist(), kernel_dims.tolist(),
-                                   sc3s.tolist()):
+        for c, sc1, kd, sc3 in zip(coeffs.tolist(), *(a.tolist() for a in staged)):
             sc2 = sc1 and 2 * kd == n
             key = (rank, kd, sc2 and sc3)
             if key not in counts:
@@ -224,17 +223,17 @@ def _grid(p: int, m: int) -> Iterator[np.ndarray]:
 def _hunt_dim(ring: TensorRing, max_rank: int) -> int:
     """dim T, the sum of the power dimensions, for a hunt up to
     ``max_rank``.  A negative rank, a field that is not finite and a rank
-    whose unit table passes ``MAX_UNIT_TABLE`` are refused before any frame
+    whose slot frame passes ``MAX_SLOT_FRAME`` are refused before any frame
     or table is built."""
     if max_rank < 0:
         raise ValueError(f"negative max_rank {max_rank}")
     if not ring.algebra.field.is_prime:
         raise ValueError("hunting needs a finite field")
     dim_t = sum(ring.power_dim(i) for i in range(ring.nilpotency + 1))
-    entries = max_rank ** 4 * dim_t ** 3
-    if entries > MAX_UNIT_TABLE:
-        raise TableTooLarge(f"the unit table of rank {max_rank} has {entries} entries, "
-                            f"past the ceiling of {MAX_UNIT_TABLE}")
+    entries = max_rank ** 4 * dim_t ** 2 * ring.algebra.dim
+    if entries > MAX_SLOT_FRAME:
+        raise TableTooLarge(f"the slot frame of rank {max_rank} has {entries} entries, "
+                            f"past the ceiling of {MAX_SLOT_FRAME}")
     return dim_t
 
 
@@ -244,8 +243,7 @@ def hunt_strongly_gp(ring: TensorRing, max_rank: int,
 
     The catalog groups candidates by (rank, kernel dimension, verdict).
     SC1, SC2 and SC3 are decided in batches; every group's representative
-    runs the full one-periodic check.
-    Representatives re-verify on reload.
+    runs the full one-periodic check, and re-verifies on reload.
     """
     dim_t = _hunt_dim(ring, max_rank)
     p = ring.algebra.field.p
@@ -345,9 +343,7 @@ def modules_isomorphic_bruteforce(x: LeftModule, y: LeftModule,
                                   budget: int = 1 << 16) -> bool:
     """Search for an invertible map in Hom(x, y) by enumerating the whole
     hom space over a finite field.  Intended for tiny dimensions."""
-    if x.algebra != y.algebra:
-        return False
-    if x.dim != y.dim:
+    if x.algebra != y.algebra or x.dim != y.dim:
         return False
     if x.dim == 0:
         return True
@@ -359,10 +355,8 @@ def modules_isomorphic_bruteforce(x: LeftModule, y: LeftModule,
     if count > budget:
         raise BudgetExceeded(count, budget)
     for coeffs in iproduct(range(field.p), repeat=len(basis)):
-        acc = Matrix.zeros(field, y.dim, x.dim)
-        for c, b in zip(coeffs, basis):
-            if c:
-                acc = acc + b.mat.scale(c)
+        acc = sum((b.mat.scale(c) for c, b in zip(coeffs, basis) if c),
+                  Matrix.zeros(field, y.dim, x.dim))
         if acc.rank() == x.dim:
             return True
     return False

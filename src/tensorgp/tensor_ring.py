@@ -25,23 +25,22 @@ Memo tables live in ``TensorRing._cache``, one key per reader: ``ind_free``
 and ``algebra_model`` here (the free modules are memoised on the algebra,
 by :func:`~tensorgp.algebra.free_module`); ``slot_frame``, the coordinate
 frame of the component lists per rank pair (:meth:`TensorRing.slot_frame`),
-for ``search`` and the C3 checker; ``unit_assemblies``, the unit table per
-rank pair (:meth:`TensorRing.unit_assemblies`), one matrix whose column a
-is vec(A_a) for the assembled matrix A_a of the unit candidate e_a, which
-the hunter stages from by products and the C3 checker reads, both in
-place; ``oracle_hom``, the stacked ``hom_t`` bases of Hom(Ind P^r, Ind R)
-per rank r, for :func:`resolution.hom_complex_oracle` only, so that no
-checker reads what the oracle computed.
+for ``search`` and the C3 checker; ``unit_table`` and ``ind_projections``,
+the (r, 1) unit table and the stacked Ind(pi_k) per rank r, which C3 and
+the hunter read in place; ``oracle_hom``, the stacked ``hom_t`` bases of
+Hom(Ind P^r, Ind R) per rank r, for :func:`resolution.hom_complex_oracle`
+only, so that no checker reads what the oracle computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 from typing import NamedTuple
 
-from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, canonical_basis, kron,
-                               unvec_blocks, unvec_columns, vec_columns, vec_postcompose,
-                               vec_precompose)
+from tensorgp.exactlin import (Matrix, block_diagonal, block_matrix, canonical_basis, hstack,
+                               kron, unvec_blocks, unvec_columns, vec_columns, vec_postcompose,
+                               vec_precompose, vstack)
 from tensorgp.algebra import (
     Algebra,
     AlgebraError,
@@ -132,13 +131,9 @@ class TensorRing:
     def ind(self, x: LeftModule) -> "InducedModule":
         """Induction: the sum of all functor powers of x with the block
         shift as structure map."""
-        n = self.nilpotency
-        m = self.bimodule
-        f = self.algebra.field
+        n, m, f = self.nilpotency, self.bimodule, self.algebra.field
         blocks = [self.model(i, x) for i in range(n + 1)]
-        offsets = [0]
-        for b in blocks:
-            offsets.append(offsets[-1] + b.result.dim)
+        offsets = [0, *accumulate(b.result.dim for b in blocks)]
         total = offsets[-1]
         action = [block_diagonal([b.result.action[e] for b in blocks])
                   for e in range(self.algebra.dim)]
@@ -161,9 +156,13 @@ class TensorRing:
         return cache[rank]
 
     def ind_map(self, f: ModuleMap) -> "TMorphism":
-        """Induction on maps: the block diagonal of the functor powers."""
-        mats = [iterate_functor_map(self.bimodule, i, f).mat for i in range(self.nilpotency + 1)]
-        return TMorphism(self.ind(f.source), self.ind(f.target), block_diagonal(mats))
+        """Induction on maps, between the induced modules."""
+        return TMorphism(self.ind(f.source), self.ind(f.target), self.ind_matrix(f))
+
+    def ind_matrix(self, f: ModuleMap) -> Matrix:
+        """The matrix of Ind(f): the block diagonal of the functor powers."""
+        return block_diagonal([iterate_functor_map(self.bimodule, i, f).mat
+                               for i in range(self.nilpotency + 1)])
 
     def stalk(self, x: LeftModule) -> "TModule":
         """The pair (x, 0)."""
@@ -172,8 +171,7 @@ class TensorRing:
 
     def coker(self, t: "TModule") -> Cokernel:
         """Cokernel of the structure map, with the induced action."""
-        image = t.u.image_basis()
-        module, proj, _sect = quotient_by_columns(t.x, image)
+        module, proj, _sect = quotient_by_columns(t.x, t.u.image_basis())
         return Cokernel(module, proj)
 
     # -- iterated action and the ring model ------------------------------
@@ -207,9 +205,7 @@ class TensorRing:
         n = self.nilpotency
         f = self.algebra.field
         dims = [self.power_dim(i) for i in range(n + 1)]
-        offsets = [0]
-        for d in dims:
-            offsets.append(offsets[-1] + d)
+        offsets = [0, *accumulate(dims)]
         total = offsets[-1]
         zero_row = [f.zero()] * total
         consts = [[list(zero_row) for _ in range(total)] for _ in range(total)]
@@ -224,10 +220,8 @@ class TensorRing:
                         row = consts[offsets[i] + s][offsets[j] + t]
                         for k in range(dims[i + j]):
                             row[offsets[i + j] + k] = col[k, 0]
-        unit = [f.zero()] * total
-        for k, c in enumerate(self.algebra.unit):
-            unit[k] = c
-        model = Algebra(f, total, tuple(tuple(tuple(r) for r in plane) for plane in consts), tuple(unit))
+        unit = tuple(self.algebra.unit) + (f.zero(),) * (total - self.algebra.dim)
+        model = Algebra(f, total, tuple(tuple(tuple(r) for r in plane) for plane in consts), unit)
         self._cache["algebra_model"] = model
         return model
 
@@ -238,16 +232,11 @@ class TensorRing:
         validity of the result is the implemented direction of the
         category equivalence.
         """
-        model = self.algebra_model()
-        f = self.algebra.field
-        n = self.nilpotency
-        action = []
+        model, f = self.algebra_model(), self.algebra.field
+        action = list(t.x.action)  # grade 0 acts through the base action
         ix = Matrix.identity(f, t.x.dim)
-        for i in range(n + 1):
+        for i in range(1, self.nilpotency + 1):
             d = self.power_dim(i)
-            if i == 0:
-                action.extend(t.x.action)
-                continue
             ui = self.iterated_action(t, i)
             proj = self.model(i, t.x).projection
             for s in range(d):
@@ -284,26 +273,49 @@ class TensorRing:
         maps, valid by construction, so they are built unchecked."""
         frame, shapes = self.slot_frame(rank_p, rank_q)
         mats = unvec_blocks(frame @ Matrix.column(self.algebra.field, coords), shapes)
-        p = self.free(rank_p)
-        q = self.free(rank_q)
+        p, q = self.free(rank_p), self.free(rank_q)
         return StarMorphism(self, rank_p, rank_q, tuple(
             ModuleMap.unchecked(p, self.model(i, q).result, m) for i, m in enumerate(mats)))
 
-    def unit_assemblies(self, rank_p: int, rank_q: int) -> Matrix:
-        """The unit table of a rank pair, memoised per rank pair: column a
-        is vec(A_a), the column-major vec of the assembled matrix of the
-        unit candidate e_a, in slot-frame order (see :meth:`slot_frame`).
-        The hunter's staging and the C3 checker read it in place.  Only a
-        rank 0 leaves no unit candidates, and then Ind of it is 0, so the
-        table has no rows either."""
-        cache = self._cache.setdefault("unit_assemblies", {})
-        key = (rank_p, rank_q)
-        if key not in cache:
-            m = self.slot_frame(rank_p, rank_q)[0].cols
-            cache[key] = vec_columns(self.algebra.field, 0, [
-                self.assemble_star(self.star_at(rank_p, rank_q, [int(a == b) for b in range(m)]))
-                for a in range(m)])
-        return cache[key]
+    def ind_projections(self, rank: int) -> Matrix:
+        """The Ind(pi_k) of the projections pi_k of R^rank onto its copies,
+        stacked in copy order, memoised per rank >= 1: the inverse of
+        [Ind iota_1 | ... | Ind iota_rank].  Only the matrices are built
+        (:meth:`ind_matrix`), not the induced modules."""
+        cache = self._cache.setdefault("ind_projections", {})
+        if rank not in cache:
+            d = self.algebra.dim
+            eye = Matrix.identity(self.algebra.field, rank * d)
+            cache[rank] = vstack([self.ind_matrix(ModuleMap.unchecked(
+                self.free(rank), self.free(1), eye.take_rows(range(k * d, k * d + d))))
+                for k in range(rank)])
+        return cache[rank]
+
+    def unit_table(self, rank: int) -> Matrix:
+        """The unit table of the rank pair (rank, 1), memoised per rank:
+        column a is vec(A_a), the column-major vec of the assembled matrix
+        of the unit candidate e_a, in slot-frame order (see
+        :meth:`slot_frame`).  Ranks 0 (no units, no rows) and 1 are
+        assembled unit by unit.  A higher rank's unit of slot i, copy k and
+        basis map t is the rank-1 unit (i, t) after pi_k, so it assembles to
+        A_(i,t) Ind(pi_k) (see :meth:`ind_projections`): one
+        ``vec_precompose`` per copy, no assembly."""
+        cache = self._cache.setdefault("unit_table", {})
+        if rank not in cache:
+            if rank < 2:
+                m = self.slot_frame(rank, 1)[0].cols
+                cache[rank] = vec_columns(self.algebra.field, 0, [
+                    self.assemble_star(self.star_at(rank, 1, [int(a == b) for b in range(m)]))
+                    for a in range(m)])
+            else:
+                units, pis = self.unit_table(1), self.ind_projections(rank)
+                h, n = units.cols, pis.cols  # dim T, the rows of each A_b and Ind(pi_k)
+                offsets = [0, *accumulate(w for w, _ in self.slot_frame(1, 1)[1])]
+                order = [k * h + t for lo, hi in zip(offsets, offsets[1:])
+                         for k in range(rank) for t in range(lo, hi)]
+                cache[rank] = hstack([vec_precompose(units, h, pis.block(k * h, k * h + h, 0, n))
+                                      for k in range(rank)]).take_cols(order)
+        return cache[rank]
 
     def assemble_star(self, s: "StarMorphism") -> Matrix:
         """The lower-triangular block matrix of a component list, a map
@@ -316,11 +328,8 @@ class TensorRing:
         """
         if s.ring != self:
             raise TensorRingError("star morphism belongs to a different ring")
-        n = self.nilpotency
-        m = self.bimodule
-        f = self.algebra.field
-        p = self.free(s.source_rank)
-        q = self.free(s.target_rank)
+        n, m, f = self.nilpotency, self.bimodule, self.algebra.field
+        p, q = self.free(s.source_rank), self.free(s.target_rank)
         src_dims = [self.model(i, p).result.dim for i in range(n + 1)]
         tgt_dims = [self.model(j, q).result.dim for j in range(n + 1)]
         live = [not comp.is_zero() for comp in s.components]  # F^(i-1)(0) = 0
@@ -353,11 +362,8 @@ class TensorRing:
         if redone != t.mat:
             for j in range(1, n + 2):
                 for i in range(1, n + 2):
-                    a = redone.block(tgt.offsets[j - 1], tgt.offsets[j],
-                                     src.offsets[i - 1], src.offsets[i])
-                    b = t.mat.block(tgt.offsets[j - 1], tgt.offsets[j],
-                                    src.offsets[i - 1], src.offsets[i])
-                    if a != b:
+                    cells = (*tgt.offsets[j - 1:j + 1], *src.offsets[i - 1:i + 1])
+                    if redone.block(*cells) != t.mat.block(*cells):
                         raise DecompositionError(
                             (j, i),
                             f"block ({j}, {i}) is not determined by the first column; "
@@ -509,8 +515,7 @@ class StarMorphism:
         n = self.ring.nilpotency
         if len(self.components) != n + 1:
             raise TensorRingError(f"expected {n + 1} components, got {len(self.components)}")
-        p = self.ring.free(self.source_rank)
-        q = self.ring.free(self.target_rank)
+        p, q = self.ring.free(self.source_rank), self.ring.free(self.target_rank)
         for i, comp in enumerate(self.components):
             if comp.source != p:
                 raise TensorRingError(f"component {i + 1} has the wrong source")
@@ -519,8 +524,7 @@ class StarMorphism:
 
     @staticmethod
     def zero(ring: TensorRing, source_rank: int, target_rank: int) -> "StarMorphism":
-        p = ring.free(source_rank)
-        q = ring.free(target_rank)
+        p, q = ring.free(source_rank), ring.free(target_rank)
         comps = [ModuleMap.zero(p, ring.model(i, q).result) for i in range(ring.nilpotency + 1)]
         return StarMorphism(ring, source_rank, target_rank, tuple(comps))
 

@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 
-from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix
+from tensorgp.exactlin import GF, QQ, FieldSpec, Matrix, vec_columns
 from tensorgp.algebra import Algebra, LeftModule, ModuleMap, free_hom_basis, free_module
 from tensorgp.bimodule import Bimodule, tensor_module, zero_bimodule
 from tensorgp.resolution import ResolutionWindow
@@ -157,6 +157,15 @@ def reference_star(ring, rank_p, rank_q, coeffs):
             acc = acc + b.mat.scale(next(coeffs))
         comps.append(ModuleMap(p, target, acc))
     return StarMorphism(ring, rank_p, rank_q, tuple(comps))
+
+
+def reference_unit_table(ring, rank_p, rank_q):
+    """The unit table of a rank pair, one unit candidate at a time: column
+    a is vec of the assembled matrix of the slot-basis unit e_a."""
+    m = sum(len(b) for b in slot_bases(ring, rank_p, rank_q))
+    return vec_columns(ring.algebra.field, 0, [
+        ring.assemble_star(reference_star(ring, rank_p, rank_q, [int(a == b) for b in range(m)]))
+        for a in range(m)])
 
 
 def enumerate_star(ring, rank_p, rank_q, budget=DEFAULT_BUDGET):

@@ -857,9 +857,9 @@ class TestHunt:
 
     @pytest.mark.parametrize("extra", [[], ["--seed", "1", "--budget", "100"]])
     def test_unit_table_ceiling(self, capsys, extra):
-        assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "24"] + extra) == 3
+        assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "27"] + extra) == 3
         assert capsys.readouterr().err == \
-            f"the unit table of rank 24 has {24 ** 4 * 27} entries, past the ceiling of {1 << 23}\n"
+            f"the slot frame of rank 27 has {27 ** 4 * 18} entries, past the ceiling of {1 << 23}\n"
 
     def test_negative_max_rank_refused(self, capsys):
         assert main(["hunt", fixture("triangular_bundle.yaml"), "--max-rank", "-1"]) == 2

@@ -635,7 +635,7 @@ class TestHomComplexOracle:
             hom_complex_oracle(ResolutionWindow(fresh, w.lo, w.ranks, maps, period=w.period))
             assert "oracle_hom" in fresh._cache
             assert "slot_frame" not in fresh._cache
-            assert "unit_assemblies" not in fresh._cache
+            assert "unit_table" not in fresh._cache
 
     def test_warm_ring_makes_no_hom_t_calls(self, monkeypatch):
         calls = []

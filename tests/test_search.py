@@ -21,9 +21,8 @@ from tensorgp.search import (
     BudgetExceeded,
     Catalog,
     CatalogGroup,
-    MAX_UNIT_TABLE,
+    MAX_SLOT_FRAME,
     TableTooLarge,
-    count_star,
     hunt_strongly_gp,
     modules_isomorphic_bruteforce,
     random_star,
@@ -132,13 +131,13 @@ class TestEnumerate:
         assert stars[0].is_zero()
 
     def test_dual_numbers_rank_one_count(self):
-        assert count_star(dual_ring(), 1, 1) == 4
+        assert 2 ** dual_ring().slot_frame(1, 1)[0].cols == 4
         assert len(list(enumerate_star(dual_ring(), 1, 1))) == 4
 
     def test_triangular_rank_one_count_formula(self):
         ring = triangular_ring()
         # 2 ** (dim Hom(P, Q) + dim Hom(P, F(Q))) = 2 ** (2 + 1)
-        assert count_star(ring, 1, 1) == 8
+        assert 2 ** ring.slot_frame(1, 1)[0].cols == 8
 
     def test_deterministic_order(self):
         ring = dual_ring()
@@ -152,7 +151,7 @@ class TestEnumerate:
         ring = triangular_ring()
         with pytest.raises(BudgetExceeded) as err:
             list(enumerate_star(ring, 2, 2, budget=10))
-        assert err.value.needed == count_star(ring, 2, 2)
+        assert err.value.needed == 2 ** ring.slot_frame(2, 2)[0].cols
 
 
 class TestHuntBudget:
@@ -169,7 +168,8 @@ class TestHuntBudget:
                                       lambda: dual_n1_ring(F2), path_ring],
                              ids=["triangular", "corner-N2", "dual-N1", "path"])
     def test_count_at_the_last_rank_is_exact(self, make):
-        needed = sum(count_star(make(), r, r) for r in range(3))
+        ring = make()
+        needed = sum(ring.algebra.field.p ** ring.slot_frame(r, r)[0].cols for r in range(3))
         with pytest.raises(BudgetExceeded) as err:
             hunt_strongly_gp(make(), 2, budget=needed - 1)
         assert err.value.needed == needed
@@ -180,24 +180,29 @@ class TestHuntBudget:
                                       lambda ring, rank: sample_strongly_gp(ring, rank, 10, 1)],
                              ids=["exhaustive", "sampled"])
     def test_unit_table_ceiling_is_refused_before_any_table(self, hunt):
-        # dim T = 3: rank 24 needs 24^4 * 27 entries, rank 23 fits
+        # dim T = 3 and dim R = 2: the slot frame of rank 27 has
+        # 27^4 * 9 * 2 entries, and that of rank 26 fits
         ring = triangular_ring()
-        assert 23 ** 4 * 27 <= MAX_UNIT_TABLE < 24 ** 4 * 27
-        assert search._hunt_dim(ring, 23) == 3
-        with pytest.raises(TableTooLarge, match=f"rank 24 has {24 ** 4 * 27} entries"):
-            hunt(ring, 24)
-        assert not {"slot_frame", "unit_assemblies"} & set(ring._cache)
+        assert 26 ** 4 * 18 <= MAX_SLOT_FRAME < 27 ** 4 * 18
+        assert search._hunt_dim(ring, 26) == 3
+        with pytest.raises(TableTooLarge, match=f"rank 27 has {27 ** 4 * 18} entries"):
+            hunt(ring, 27)
+        assert not {"slot_frame", "unit_table", "ind_projections"} & set(ring._cache)
 
     def test_sampled_hunt_stays_small(self):
-        # the staging tables of the drawn ranks once peaked at 47 MiB here
+        # the staging tables of the drawn ranks once peaked at 47 MiB at
+        # max_rank 6, and the (r, r) unit tables at 31 MiB at max_rank 12,
+        # where the slot frames and the staging now peak at 10 MiB
         ring = triangular_ring()
         tracemalloc.start()
         try:
-            sample_strongly_gp(ring, 6, 100, seed=1)
+            sample_strongly_gp(ring, 12, 100, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 << 20
+        assert peak < 16 << 20
+        # only (r, 1) tables: r dim T columns of (dim T)^2 r entries
+        assert all(t.shape == (9 * r, 3 * r) for r, t in ring._cache["unit_table"].items())
 
 class TestHunt:
     def test_semisimple_only_contractible(self):
@@ -335,40 +340,53 @@ class TestStagedClassifier:
 
     @staticmethod
     def _staged_candidates(ring, blocks):
-        """(star, staged SC1, staged SC3) of every candidate of the blocks."""
+        """(star, staged SC1, staged kernel dimension, staged SC3) of every
+        candidate of the blocks."""
         for rank, coeffs in blocks:
-            sc1s, _kernel_dims, sc3s = search._staged(ring, rank, coeffs)
-            for c, sc1, sc3 in zip(coeffs.tolist(), sc1s.tolist(), sc3s.tolist()):
-                yield ring.star_at(rank, rank, c), sc1, sc3
+            staged = search._staged(ring, rank, coeffs)
+            for c, sc1, kd, sc3 in zip(coeffs.tolist(), *(a.tolist() for a in staged)):
+                yield ring.star_at(rank, rank, c), sc1, kd, sc3
+
+    def _cases(self):
+        """The pool blocks of every ring, and every rank-2 candidate of the
+        corner ring, where 36 of the 76 SC1 survivors pass SC3."""
+        cases = [(ring, self._pool_blocks(ring)) for ring in ring_pool((F2, F3))]
+        corner = triangular_ring()
+        cases.append((corner, [(2, b) for b in search._grid(2, corner.slot_frame(2, 2)[0].cols)]))
+        return cases
 
     def test_staged_sc1_is_the_vanishing_square(self):
         for ring in ring_pool((F2, F3)):
-            for s, sc1, _sc3 in self._staged_candidates(ring, self._pool_blocks(ring)):
+            for s, sc1, _kd, _sc3 in self._staged_candidates(ring, self._pool_blocks(ring)):
                 assert sc1 == all(c.is_zero() for c in resolution.star_compose(s, s).components)
 
+    def test_staged_kernel_dims_are_the_assembled_ranks(self):
+        # the full check compares them on representatives only
+        for ring, blocks in self._cases():
+            for s, _sc1, kd, _sc3 in self._staged_candidates(ring, blocks):
+                n = ring.ind_free(s.source_rank).x.dim
+                assert kd == n - ring.assemble_star(s).rank()
+
     def test_staged_sc3_matches_check_c3_on_the_sc1_survivors(self):
-        cases = [(ring, self._pool_blocks(ring)) for ring in ring_pool((F2, F3))]
-        # every rank-2 candidate of the corner ring, where 36 of the 76 SC1
-        # survivors pass SC3
-        corner = triangular_ring()
-        cases.append((corner, [(2, b) for b in search._grid(2, corner.slot_frame(2, 2)[0].cols)]))
         seen = set()
-        for ring, blocks in cases:
-            for s, sc1, sc3 in self._staged_candidates(ring, blocks):
+        for ring, blocks in self._cases():
+            for s, sc1, _kd, sc3 in self._staged_candidates(ring, blocks):
                 if sc1:
                     assert sc3 == (resolution.check_c3(s, s)[0] == "pass")
                     seen.add((s.source_rank, sc3))
         assert seen == {(rank, sc3) for rank in (0, 1, 2) for sc3 in (True, False)} - {(0, False)}
 
-    def test_one_unit_table_per_rank_pair(self):
-        # the stager reads the unit tables in place and keeps no table of
-        # its own, and C3 reads the (r, 1) one without a table of its own
+    def test_one_unit_table_per_rank(self):
+        # the stager reads the rank-1 unit table in place and keeps no table
+        # of its own, and C3 reads the (r, 1) one without a table of its own
         for ring in ring_pool((F2, F3)):
             hunt_strongly_gp(ring, 1)
             sample_strongly_gp(ring, 2, 20, seed=1)
             check_complete(random_window(ring, 3, (1, 2)))
-            assert "hunt_stage" not in ring._cache
-            assert "functional_basis" not in ring._cache
+            assert not {"hunt_stage", "functional_basis", "unit_assemblies"} & set(ring._cache)
+            height = ring.ind_free(1).x.dim
+            assert all(t.shape == (height * height * r, height * r)
+                       for r, t in ring._cache["unit_table"].items())
 
     @staticmethod
     def _flip(monkeypatch, which, where):

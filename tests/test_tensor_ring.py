@@ -18,7 +18,6 @@ from tensorgp.algebra import (
 )
 from tensorgp.bimodule import graft, iterate_functor_map, tensor_map, zero_bimodule
 from tensorgp.resolution import star_compose
-from tensorgp.search import count_star
 from tensorgp.tensor_ring import (
     DecompositionError,
     InducedModule,
@@ -42,6 +41,7 @@ from helpers import (
     random_scalar,
     reference_hom_t_system,
     reference_star,
+    reference_unit_table,
     ring_pool,
     simple_over_product,
     slot_bases,
@@ -107,6 +107,25 @@ class TestInd:
 
 
 class TestIndMap:
+    def test_ind_projections_invert_the_copy_inclusions(self):
+        # the stacked Ind(pi_k) are ind_map of the projections, and
+        # [Ind iota_1 | ... | Ind iota_r] is their inverse
+        for ring in ring_pool((F2, F3, QQ)):
+            d = ring.algebra.dim
+            for rank in range(1, 4):
+                eye = Matrix.identity(ring.algebra.field, rank * d)
+                blocks = [range(k * d, k * d + d) for k in range(rank)]
+                pis = [ring.ind_map(ModuleMap(ring.free(rank), ring.free(1), eye.take_rows(b)))
+                       for b in blocks]
+                iotas = [ring.ind_map(ModuleMap(ring.free(1), ring.free(rank), eye.take_cols(b)))
+                         for b in blocks]
+                stacked = ring.ind_projections(rank)
+                n = ring.ind_free(rank).x.dim
+                assert stacked.shape == (n, n)
+                assert stacked == vstack([pi.mat for pi in pis])
+                assert stacked @ hstack([iota.mat for iota in iotas]) == \
+                    Matrix.identity(ring.algebra.field, n)
+
     def test_identity(self):
         ring = triangular_ring()
         x = ring.free(1)
@@ -299,18 +318,27 @@ class TestSlotFrame:
                     coords = [random_scalar(field, rng) for _ in range(m)]
                     assert ring.star_at(rank_p, rank_q, coords) == \
                         reference_star(ring, rank_p, rank_q, coords)
-                    units = ring.unit_assemblies(rank_p, rank_q)
-                    assert ring.unit_assemblies(rank_p, rank_q) is units
-                    assert units.cols == m
-                    for a in range(m):
-                        unit = reference_star(ring, rank_p, rank_q,
-                                              [int(a == b) for b in range(m)])
-                        assert units.col(a) == vec(ring.assemble_star(unit))
-                    if field.is_prime:
-                        assert count_star(ring, rank_p, rank_q) == field.p ** m
-                    else:
-                        with pytest.raises(ValueError):
-                            count_star(ring, rank_p, rank_q)
+            # every rank's (r, 1) table, read from the rank-1 one, against
+            # the table assembled one slot-basis unit at a time
+            for rank in range(4):
+                units = ring.unit_table(rank)
+                assert ring.unit_table(rank) is units
+                assert units == reference_unit_table(ring, rank, 1)
+
+    def test_higher_ranks_assemble_nothing(self, monkeypatch):
+        calls = []
+        assemble = TensorRing.assemble_star
+
+        def counting(self, s):
+            calls.append(s)
+            return assemble(self, s)
+
+        monkeypatch.setattr(TensorRing, "assemble_star", counting)
+        for ring in ring_pool((F2, F3, QQ)):
+            ring.unit_table(1)
+            calls.clear()
+            ring.unit_table(3)
+            assert calls == []
 
 
 class TestDecomposeStar:
